@@ -53,8 +53,9 @@ from .errors import (
     NumericalFailureError,
     UndefinedResultError,
 )
-from .fileio import read_coo, write_cpm
+from .fileio import _parse_coo, read_coo, write_cpm
 from .overcomplete import deflate_overcomplete
+from .tensors import SparseTensor3
 from .textgen import analogy_quads, planted_analogy_corpus, write_corpus, zipf_corpus
 
 # Tensors up to this many entries are densified for speed and exact residuals.
@@ -197,8 +198,15 @@ def cmd_bench_residual(args):
 
 
 def cmd_complete(args):
-    observed = read_coo(args.input)
-    problem = CompletionProblem(dims=observed.dims, observed=observed, p=args.p)
+    # An explicit zero line is an observed zero, not a missing entry.
+    dims, idx, vals = _parse_coo(args.input)
+    zero = vals == 0.0
+    problem = CompletionProblem(
+        dims=dims,
+        observed=SparseTensor3(dims, idx[~zero], vals[~zero]),
+        zero_entries=idx[zero],
+        p=args.p,
+    )
     cfg = DecompConfig(
         rank=args.rank,
         max_iters=args.iters,

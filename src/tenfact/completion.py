@@ -5,7 +5,10 @@ unknown tensor.  Structural missingness is distinct from an observed zero:
 nonzero observations live in a sparse tensor, observed zeros in a dedicated
 index list.  ``complete_masked`` fits a CP model by solving one small ridge
 least-squares problem per factor row per sweep, with the factor matrices
-orthogonalized for the first few sweeps (the hybrid policy).
+orthogonalized for the first few sweeps (the hybrid policy).  Each row's
+Gram matrix is one small matrix product over that row's observations, and
+the elementwise products of factor rows that the solves and the rank-1
+check need are formed once per distinct index pair, not once per entry.
 
 Alternating minimization for completion needs its iterates to stay
 incoherent (Jain & Oh, NeurIPS 2014).  A column that moves onto the
@@ -112,26 +115,43 @@ def sample_completion_problem(tensor, p, seed=0):
     )
 
 
+def _distinct_pairs(first, second, dim_second):
+    """Distinct ``(first, second)`` index pairs, and each entry's pair position."""
+    codes, inverse = np.unique(first * dim_second + second, return_inverse=True)
+    return (codes // dim_second, codes % dim_second), inverse
+
+
+def _pair_products(p, q, pairs, inverse):
+    """Rows ``p[first] * q[second]`` per entry, each distinct pair multiplied once."""
+    return np.take(p[pairs[0]] * q[pairs[1]], inverse, axis=0)
+
+
 class _RowSolver:
-    """Per-mode grouped ridge least squares over the observed entries."""
+    """Per-mode grouped ridge least squares over the observed entries.
+
+    For each mode the entries are sorted by that mode's row, and the row
+    bounds, the distinct pairs of the other two indices and the sorted values
+    are kept.  A solve forms each distinct pair's product of factor rows once,
+    expands it to the entries, and builds each row's Gram matrix and
+    right-hand side with one small matrix product over that row's entries.
+    """
 
     def __init__(self, indices, values, dims):
-        self.values = values
-        self.dims = dims
         self.by_mode = []
         for mode in range(3):
             order = np.argsort(indices[:, mode], kind="stable")
-            rows_sorted = indices[order, mode]
-            present, starts = np.unique(rows_sorted, return_index=True)
+            present, starts = np.unique(indices[order, mode], return_index=True)
             other = [0, 1, 2]
             other.remove(mode)
+            pairs, inverse = _distinct_pairs(
+                indices[order, other[0]], indices[order, other[1]], dims[other[1]]
+            )
             self.by_mode.append(
                 {
-                    "order": order,
                     "rows": present,
-                    "starts": starts,
-                    "p_idx": indices[order, other[0]],
-                    "q_idx": indices[order, other[1]],
+                    "bounds": np.append(starts, order.size),
+                    "pairs": pairs,
+                    "inverse": inverse,
                     "vals": values[order],
                 }
             )
@@ -150,12 +170,16 @@ class _RowSolver:
     def solve_mode(self, mode, p, q, current, ridge):
         """Update the mode's factor rows that have observations; keep the rest."""
         view = self.by_mode[mode - 1]
-        e = p[view["p_idx"]] * q[view["q_idx"]]
+        e = _pair_products(p, q, view["pairs"], view["inverse"])
+        vals = view["vals"]
+        bounds = view["bounds"]
         k = e.shape[1]
-        grams = np.add.reduceat(
-            np.einsum("na,nb->nab", e, e, optimize=True), view["starts"], axis=0
-        )
-        rhs = np.add.reduceat(e * view["vals"][:, None], view["starts"], axis=0)
+        grams = np.empty((bounds.size - 1, k, k))
+        rhs = np.empty((bounds.size - 1, k))
+        for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            blk = e[lo:hi]
+            grams[r] = blk.T @ blk
+            rhs[r] = vals[lo:hi] @ blk
         grams = grams + ridge * np.eye(k)[None, :, :]
         try:
             sols = np.linalg.solve(grams, rhs[:, :, None])[:, :, 0]
@@ -208,7 +232,8 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
     rng = np.random.default_rng(cfg.seed)
     a, b, c = _initial_factors(stub, cfg, rng)
 
-    ii, jj, kk = indices[:, 0], indices[:, 1], indices[:, 2]
+    ij_pairs, ij_inverse = _distinct_pairs(indices[:, 0], indices[:, 1], problem.dims[1])
+    kk = indices[:, 2]
     # Observed energy below this marks a column that has left the observed entries.
     energy_floor = 0.5 * problem.n_observed / math.prod(problem.dims)
 
@@ -232,7 +257,7 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
         b, nb = normalize_columns(b1)
         c, nc = normalize_columns(c1)
         weights = na * nb * nc
-        rank1 = a[ii] * b[jj] * c[kk]
+        rank1 = _pair_products(a, b, ij_pairs, ij_inverse) * np.take(c, kk, axis=0)
         if t < cfg.max_iters:
             stray = np.flatnonzero(np.einsum("nr,nr->r", rank1, rank1) < energy_floor)
             if stray.size:

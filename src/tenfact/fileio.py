@@ -20,8 +20,8 @@ from .tensors import CpModel, DenseTensor3, SparseTensor3
 __all__ = ["read_coo", "write_coo", "read_cpm", "write_cpm"]
 
 
-def read_coo(path):
-    """Parse a ``.coo`` file into a :class:`SparseTensor3`."""
+def _parse_coo(path):
+    """Dims, (nnz, 3) indices and values of a ``.coo`` file's lines, as written."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 4:
@@ -35,7 +35,12 @@ def read_coo(path):
                 raise ValueError(f"{path}: entry line {n + 1} must be 'i j k value'")
             idx[n] = (int(parts[0]), int(parts[1]), int(parts[2]))
             vals[n] = float(parts[3])
-    return SparseTensor3((d1, d2, d3), idx, vals)
+    return (d1, d2, d3), idx, vals
+
+
+def read_coo(path):
+    """Parse a ``.coo`` file into a :class:`SparseTensor3`."""
+    return SparseTensor3(*_parse_coo(path))
 
 
 def write_coo(path, tensor):

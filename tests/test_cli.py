@@ -140,6 +140,21 @@ class TestCompleteAndOvercomplete:
         # reconstruction matches everywhere.
         assert residual_ratio(tensor, fitted) < 1e-5
 
+    def test_complete_keeps_explicit_zero_lines_observed(self, tmp_path, capsys):
+        # Rank-1 data a=(1, 0), b=(1, 1), c=(1, 2): mode-1 row 1 is seen only
+        # through the zero line, which must count as an observation.
+        coo = tmp_path / "obs.coo"
+        coo.write_text("2 2 2 3\n0 0 0 1.0\n0 1 1 2.0\n1 0 0 0.0\n")
+        out = tmp_path / "model.cpm"
+        code = main([
+            "complete", "--input", str(coo), "--rank", "1", "--seed", "0", "--out", str(out),
+        ])
+        assert code == 0
+        assert "3/8 entries observed" in capsys.readouterr().out
+        fitted = cp_reconstruct(read_cpm(out)).array
+        assert fitted[1, 0, 0] == pytest.approx(0.0, abs=1e-6)
+        assert fitted[0, 0, 0] == pytest.approx(1.0, abs=1e-6)
+
     def test_overcomplete_emits_requested_rank(self, tmp_path):
         m = random_model(np.random.default_rng((77, 1)), (6, 6, 6), 9,
                          weights=1.05 ** (-np.arange(9, dtype=float)))

@@ -6,6 +6,7 @@ import pytest
 from tenfact.bench import SynthSpec, derived_seed, gen_random_cp
 from tenfact.completion import (
     CompletionProblem,
+    _RowSolver,
     complete_masked,
     missing_entry_error,
     sample_completion_problem,
@@ -41,6 +42,43 @@ class TestCompletionProblem:
         t = cp_reconstruct(random_model(rng, (3, 3, 3), 1))
         with pytest.raises(ValueError):
             sample_completion_problem(t, 0.0)
+
+
+class TestRowSolver:
+    def test_solve_mode_matches_per_row_oracle(self, rng):
+        dims = (4, 7, 5)
+        entries = [
+            (0, 0, 0, 1.5), (0, 1, 2, -0.5), (0, 3, 4, 2.0), (0, 6, 1, 0.0),
+            (1, 2, 3, 0.7),  # mode-1 row 1: a single observation
+            (3, 0, 4, -1.2), (3, 5, 0, 0.0), (3, 4, 2, 0.9), (3, 6, 3, 0.3),
+            (0, 2, 3, 1.1), (3, 1, 1, -0.8), (0, 5, 4, 0.4),
+        ]  # mode-1 row 2 has no observations
+        arr = np.array(entries)
+        idx, vals = arr[:, :3].astype(np.int64), arr[:, 3]
+        nonzero = vals != 0.0
+        prob = CompletionProblem(
+            dims=dims,
+            observed=SparseTensor3(dims, idx[nonzero], vals[nonzero]),
+            zero_entries=idx[~nonzero],
+        )
+        idx, vals = prob.all_indices(), prob.all_values()
+        solver = _RowSolver(idx, vals, dims)
+        ridge = 1e-3
+        factors = [rng.standard_normal((d, 3)) for d in dims]
+        for mode in (1, 2, 3):
+            m = mode - 1
+            other = [o for o in (0, 1, 2) if o != m]
+            p, q, current = factors[other[0]], factors[other[1]], factors[m]
+            got = solver.solve_mode(mode, p, q, current, ridge)
+            for row in range(dims[m]):
+                sel = idx[:, m] == row
+                if not sel.any():
+                    assert (got[row] == current[row]).all()
+                    continue
+                e = p[idx[sel, other[0]]] * q[idx[sel, other[1]]]
+                gram = e.T @ e + ridge * np.eye(3)
+                want = np.linalg.solve(gram, e.T @ vals[sel])
+                np.testing.assert_allclose(got[row], want, rtol=1e-12, atol=1e-12)
 
 
 class TestCompleteMasked:
