@@ -38,9 +38,10 @@ from .tensors import (
     DenseTensor3,
     contract3,
     contract_mode3,
+    _fiber_mttkrp,
+    _mode_plan,
     khatri_rao,
     matricize,
-    mttkrp,
     normalize_columns,
 )
 
@@ -137,7 +138,12 @@ class DecompResult:
 
 
 class _Workspace:
-    """Per-run cache of matricizations / sparse access paths."""
+    """Per-run cache of what each mode's MTTKRP reads.
+
+    That is the mode's matricization for a dense tensor and, for a sparse
+    one, the fiber plan of its nonzeros (see ``tensors._fiber_plan``).  Each
+    is built on the mode's first use and reused for the rest of the run.
+    """
 
     def __init__(self, tensor):
         self.tensor = tensor
@@ -146,42 +152,18 @@ class _Workspace:
         self.tnorm = tensor.norm()
         self.tnorm_sq = self.tnorm**2
         self.dense = isinstance(tensor, DenseTensor3)
-        if self.dense:
-            self.mats = tuple(matricize(tensor, m) for m in (1, 2, 3))
-        else:
-            # Nonzeros sorted by output row once per mode, so every MTTKRP
-            # is a contiguous segment reduction.
-            self.views = []
-            idx = tensor.indices
-            for mode in range(3):
-                order = np.argsort(idx[:, mode], kind="stable")
-                rows, starts = np.unique(idx[order, mode], return_index=True)
-                other = [0, 1, 2]
-                other.remove(mode)
-                self.views.append(
-                    {
-                        "rows": rows,
-                        "starts": starts,
-                        "p_idx": idx[order, other[0]],
-                        "q_idx": idx[order, other[1]],
-                        "vals": tensor.values[order],
-                    }
-                )
+        self._modes = [None, None, None]
+
+    def _mode(self, mode):
+        if self._modes[mode - 1] is None:
+            build = matricize if self.dense else _mode_plan
+            self._modes[mode - 1] = build(self.tensor, mode)
+        return self._modes[mode - 1]
 
     def mttkrp(self, mode, p, q):
         if self.dense:
-            return self.mats[mode - 1] @ khatri_rao(q, p)
-        view = self.views[mode - 1]
-        k = p.shape[1]
-        out = np.zeros((self.dims[mode - 1], k))
-        vals = view["vals"][:, None]
-        # Column blocks bound peak memory at nnz * block floats.
-        block = max(1, min(k, (1 << 22) // max(1, vals.shape[0])))
-        for lo in range(0, k, block):
-            hi = min(lo + block, k)
-            e = p[view["p_idx"], lo:hi] * q[view["q_idx"], lo:hi] * vals
-            out[view["rows"], lo:hi] = np.add.reduceat(e, view["starts"], axis=0)
-        return out
+            return self._mode(mode) @ khatri_rao(q, p)
+        return _fiber_mttkrp(self._mode(mode), p, q)
 
     def ls_update(self, mode, p, q, rcond=1e-12):
         """Exact least-squares factor update; also returns the MTTKRP."""
@@ -197,7 +179,7 @@ class _Workspace:
 
     def explicit_ratio(self, w, a, b, c):
         recon = (a * w) @ khatri_rao(c, b).T
-        rnorm = float(np.linalg.norm(self.mats[0] - recon))
+        rnorm = float(np.linalg.norm(self._mode(1) - recon))
         if self.tnorm == 0.0:
             return 0.0 if rnorm == 0.0 else math.inf
         return rnorm / self.tnorm
@@ -207,14 +189,6 @@ class _Workspace:
         if self.dense and (self.size <= _EXPLICIT_SIZE_LIMIT or ratio < _EXPLICIT_REFINE_LEVEL):
             return self.explicit_ratio(w, a, b, c)
         return ratio
-
-
-def _expand_factors(mode, p, q):
-    if mode == 1:
-        return (None, p, q)
-    if mode == 2:
-        return (p, None, q)
-    return (p, q, None)
 
 
 def _random_unit_columns(rng, d, k):
@@ -394,17 +368,16 @@ def hybrid_run(tensor, cfg):
     return _driver(tensor, replace(cfg, orth_mode="first_s"))
 
 
-def _rank1_update(tensor, mode, u, v):
+def _rank1_update(ws, mode, u, v):
     """Rank-1 MTTKRP: contract every mode except ``mode`` with one vector."""
-    if isinstance(tensor, DenseTensor3):
-        arr = tensor.array
+    if ws.dense:
+        arr = ws.tensor.array
         if mode == 1:
             return (arr @ v) @ u
         if mode == 2:
             return (arr @ v).T @ u
         return np.tensordot(u, arr, axes=(0, 0)).T @ v
-    out = mttkrp(tensor, _expand_factors(mode, u[:, None], v[:, None]), mode)
-    return out[:, 0]
+    return ws.mttkrp(mode, u[:, None], v[:, None])[:, 0]
 
 
 def _require_unit(vec, name, tol=1e-9):
@@ -425,17 +398,21 @@ def tpm_run(tensor, x0, y0, z0, iters):
     x = _require_unit(x0, "x0")
     y = _require_unit(y0, "y0")
     z = _require_unit(z0, "z0")
+    return _power_iterations(_Workspace(tensor), x, y, z, iters)
+
+
+def _power_iterations(ws, x, y, z, iters):
     for _ in range(iters):
-        x1 = _rank1_update(tensor, 1, y, z)
-        y1 = _rank1_update(tensor, 2, x, z)
-        z1 = _rank1_update(tensor, 3, x, y)
+        x1 = _rank1_update(ws, 1, y, z)
+        y1 = _rank1_update(ws, 2, x, z)
+        z1 = _rank1_update(ws, 3, x, y)
         nx, ny, nz = np.linalg.norm(x1), np.linalg.norm(y1), np.linalg.norm(z1)
         if nx == 0.0 or ny == 0.0 or nz == 0.0:
             raise NumericalFailureError(
                 "power update vanished: iterate is orthogonal to every component"
             )
         x, y, z = x1 / nx, y1 / ny, z1 / nz
-    return float(contract3(tensor, x, y, z)), x, y, z
+    return float(contract3(ws.tensor, x, y, z)), x, y, z
 
 
 def tpm_multi(
@@ -460,10 +437,10 @@ def tpm_multi(
     """
     if n_inits < rank:
         raise ValueError(f"need at least rank={rank} initializations, got {n_inits}")
-    d1, d2, d3 = tensor.dims
+    ws = _Workspace(tensor)
     if inits is None:
         streams = np.random.SeedSequence(seed).spawn(n_inits)
-        triples = [_draw_tpm_init(tensor, np.random.default_rng(s), init) for s in streams]
+        triples = [_draw_tpm_init(ws, np.random.default_rng(s), init) for s in streams]
     else:
         if len(inits) != n_inits:
             raise ValueError("explicit inits must match n_inits")
@@ -472,7 +449,6 @@ def tpm_multi(
     ys = np.column_stack([t[1] for t in triples])
     zs = np.column_stack([t[2] for t in triples])
 
-    ws = _Workspace(tensor)
     alive = np.ones(n_inits, dtype=bool)
     for _ in range(iters):
         x1 = ws.mttkrp(1, ys, zs)
@@ -513,8 +489,8 @@ def tpm_multi(
     return model.canonical()
 
 
-def _draw_tpm_init(tensor, rng, init):
-    d1, d2, d3 = tensor.dims
+def _draw_tpm_init(ws, rng, init):
+    d1, d2, d3 = ws.dims
     if init == "random":
         return (
             _random_unit_columns(rng, d1, 1)[:, 0],
@@ -524,10 +500,10 @@ def _draw_tpm_init(tensor, rng, init):
     if init != "svd":
         raise ValueError(f"unknown TPM init {init!r}")
     v = _random_unit_columns(rng, d3, 1)[:, 0]
-    m = contract_mode3(tensor, v)
+    m = contract_mode3(ws.tensor, v)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     x0, y0 = u[:, 0], vh[0]
-    z0 = _rank1_update(tensor, 3, x0, y0)
+    z0 = _rank1_update(ws, 3, x0, y0)
     n = np.linalg.norm(z0)
     if n == 0.0:
         z0 = _random_unit_columns(rng, d3, 1)[:, 0]
@@ -548,6 +524,7 @@ def orth_tpm_run(tensor, rank, iters, seed=0):
     if rank > min(tensor.dims):
         raise ValueError(f"rank {rank} exceeds min(dims)={min(tensor.dims)}")
     rng = np.random.default_rng(seed)
+    ws = _Workspace(tensor)
     bases = [np.zeros((d, 0)) for d in (d1, d2, d3)]
     cols = [[], [], []]
     weights = []
@@ -578,7 +555,7 @@ def orth_tpm_run(tensor, rank, iters, seed=0):
             raise DegenerateInputError(
                 f"could not draw an initialization orthogonal to the first {i} factors"
             )
-        w, x, y, z = tpm_run(tensor, *triple, iters)
+        w, x, y, z = _power_iterations(ws, *triple, iters)
         weights.append(w)
         for mode, v in enumerate((x, y, z)):
             cols[mode].append(v)
@@ -776,8 +753,9 @@ def tpm_correlation_trace(tensor, truth, steps, seed=0, x0=None, denom_floor=1e-
             defined[row] = True
 
     record(0, corr)
+    ws = _Workspace(tensor)
     for t in range(1, steps + 1):
-        x1 = _rank1_update(tensor, 1, x, x)
+        x1 = _rank1_update(ws, 1, x, x)
         n = np.linalg.norm(x1)
         if n == 0.0:
             raise NumericalFailureError("power update vanished during trace")

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import DegenerateInputError, NumericalFailureError
-from .tensors import khatri_rao
+from .tensors import _fiber_mttkrp, _fiber_plan, khatri_rao
 
 __all__ = [
     "orth_step",
@@ -56,14 +56,11 @@ def ls_solve_kr(tmat, p, q, rcond=1e-12):
     equations: ``X = tmat (q ⊙ p) G^+`` with ``G = (q.T q) * (p.T p)``
     (Hadamard product of Grams).  Singular values of G below ``rcond`` times
     the largest are truncated.  When p and q are orthonormal, G is the
-    identity and the result reduces to the bare MTTKRP.
+    identity and the result reduces to the bare MTTKRP.  A sparse ``tmat``
+    is split into its (row, p, q) entries, whose column ``p + q * d_p`` is the
+    matricization's, and its MTTKRP runs on a fiber plan of those entries
+    (see :func:`tenfact.tensors._fiber_plan`).
     """
-    result, _ = _ls_solve_kr_with_mtt(tmat, p, q, rcond)
-    return result
-
-
-def _ls_solve_kr_with_mtt(tmat, p, q, rcond=1e-12):
-    """ls_solve_kr that also returns the MTTKRP ``tmat (q ⊙ p)`` for reuse."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape[1] != q.shape[1]:
@@ -74,29 +71,17 @@ def _ls_solve_kr_with_mtt(tmat, p, q, rcond=1e-12):
             f"matricization has {tmat.shape[1]} columns, factors imply {expected_cols}"
         )
     if scipy.sparse.issparse(tmat):
-        mtt = _sparse_mat_times_kr(tmat, p, q)
+        coo = tmat.tocoo()
+        q_idx, p_idx = np.divmod(coo.col, p.shape[0])
+        order = np.lexsort((p_idx, coo.row))
+        plan = _fiber_plan(
+            coo.row[order], p_idx[order], q_idx[order], coo.data[order], tmat.shape[0], q.shape[0]
+        )
+        mtt = _fiber_mttkrp(plan, p, q)
     else:
         mtt = np.asarray(tmat) @ khatri_rao(q, p)
     gram = (q.T @ q) * (p.T @ p)
-    return mtt @ np.linalg.pinv(gram, rcond=rcond), mtt
-
-
-def _sparse_mat_times_kr(tmat, p, q):
-    """``tmat @ khatri_rao(q, p)`` for sparse tmat, streaming over nonzeros."""
-    coo = tmat.tocoo()
-    dp = p.shape[0]
-    k = p.shape[1]
-    out = np.zeros((tmat.shape[0], k))
-    p_idx = coo.col % dp
-    q_idx = coo.col // dp
-    chunk = 1 << 18
-    for lo in range(0, coo.data.size, chunk):
-        hi = min(lo + chunk, coo.data.size)
-        e = p[p_idx[lo:hi]] * q[q_idx[lo:hi]] * coo.data[lo:hi, None]
-        rows = coo.row[lo:hi]
-        for r in range(k):
-            out[:, r] += np.bincount(rows, weights=e[:, r], minlength=out.shape[0])
-    return out
+    return mtt @ np.linalg.pinv(gram, rcond=rcond)
 
 
 def top_svd(m, k):

@@ -15,6 +15,13 @@ and cyclically for modes 2 and 3.  Concretely, mode-1 matricization sends
 entry ``(i, j, k)`` to row ``i``, column ``j + k * d2``, and
 ``khatri_rao(X, Y)`` places ``X[a] * Y[b]`` at row ``a * dY + b``.
 
+Sparse MTTKRPs all go through one fiber-compressed kernel, the CSF idea of
+SPLATT (Smith & Karypis, IPDPS 2015).  A plan sorts the nonzeros by (output
+index, first other index) and stores each such fiber as one row of a CSR
+matrix over the second other index; applying it costs one sparse-times-dense
+product, one gather-and-scale per fiber and one segment sum per output row,
+so each factor-row product is formed once per fiber, not once per nonzero.
+
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely across threads.
 """
@@ -22,6 +29,7 @@ functions, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -41,9 +49,9 @@ __all__ = [
     "normalize_columns",
 ]
 
-# Chunk size for streaming kernels over sparse entries; bounds peak memory
-# at roughly chunk * rank floats.
-_SPARSE_CHUNK = 1 << 18
+# Column blocks of the sparse MTTKRP keep every temporary at most this many
+# floats, however many fibers a tensor has.
+_BLOCK_FLOATS = 1 << 22
 
 
 class DenseTensor3:
@@ -159,9 +167,18 @@ class SparseTensor3:
 
 
 def _canonical_coo(idx, vals):
-    """Sort lexicographically by (i, j, k), sum duplicates, drop zeros."""
+    """Sort lexicographically by (i, j, k), sum duplicates, drop zeros.
+
+    Input whose index rows already strictly increase only has its zeros
+    dropped; the result is the same, in fresh arrays either way.
+    """
     if idx.shape[0] == 0:
         return idx.astype(np.int64), vals.astype(np.float64)
+    step = idx[1:] - idx[:-1]
+    di, dj, dk = step[:, 0], step[:, 1], step[:, 2]
+    if ((di > 0) | ((di == 0) & ((dj > 0) | ((dj == 0) & (dk > 0))))).all():
+        keep = vals != 0.0
+        return idx[keep], vals[keep]
     order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
     idx = idx[order]
     vals = vals[order]
@@ -359,8 +376,9 @@ def mttkrp(tensor, factors, mode):
 
     For ``factors = (A, B, C)``: mode 1 computes ``T_(1) (C ⊙ B)``, mode 2
     ``T_(2) (C ⊙ A)``, mode 3 ``T_(3) (B ⊙ A)``.  This is the core kernel of
-    every alternating update.  Sparse tensors are streamed row-wise, so the
-    full Khatri-Rao product is never materialized.
+    every alternating update.  A sparse tensor gets a fiber plan for this one
+    call (see :func:`_fiber_plan`), so the full Khatri-Rao product is never
+    materialized; callers that repeat a mode keep the plan instead.
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
@@ -373,25 +391,73 @@ def mttkrp(tensor, factors, mode):
         p, q = A, B
     if isinstance(tensor, DenseTensor3):
         return matricize(tensor, mode) @ khatri_rao(q, p)
-    out_idx = tensor.indices[:, mode - 1]
+    return _fiber_mttkrp(_mode_plan(tensor, mode), p, q)
+
+
+class _FiberPlan(NamedTuple):
+    """Sparse MTTKRP ``out[o] = sum_(p, q) T[o, p, q] P[p] * Q[q]`` by fibers.
+
+    A fiber is the run of nonzeros sharing one (o, p) pair.  ``fibers`` holds
+    one CSR row per fiber over the q index, ``fiber_p`` each fiber's p, and
+    ``rows`` is the 0/1 CSR matrix (output rows x fibers) that sums each
+    output row's fibers.
+    """
+
+    fibers: scipy.sparse.csr_matrix
+    fiber_p: np.ndarray
+    rows: scipy.sparse.csr_matrix
+
+
+def _fiber_plan(out_idx, p_idx, q_idx, vals, out_dim, q_dim):
+    """Compress nonzeros already ordered by (out, p) into a :class:`_FiberPlan`."""
+    n = vals.size
+    new_fiber = np.ones(n, dtype=bool)
+    new_fiber[1:] = (out_idx[1:] != out_idx[:-1]) | (p_idx[1:] != p_idx[:-1])
+    starts = np.flatnonzero(new_fiber)
+    n_fibers = starts.size
+    fibers = scipy.sparse.csr_matrix(
+        (vals, q_idx, np.append(starts, n)), shape=(n_fibers, q_dim)
+    )
+    row_bounds = np.zeros(out_dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(out_idx[starts], minlength=out_dim), out=row_bounds[1:])
+    rows = scipy.sparse.csr_matrix(
+        (np.ones(n_fibers), np.arange(n_fibers), row_bounds), shape=(out_dim, n_fibers)
+    )
+    return _FiberPlan(fibers, p_idx[starts], rows)
+
+
+def _mode_plan(tensor, mode):
+    """Fiber plan of a sparse tensor's mode-``mode`` MTTKRP.
+
+    Mode 1 fibers are (i, j) pairs and the canonical (i, j, k) order already
+    groups them.  For modes 2 and 3 a stable sort on the output index turns
+    that order into (j, i, k) or (k, i, j) order.
+    """
+    idx, vals = tensor.indices, tensor.values
     other = [0, 1, 2]
     other.remove(mode - 1)
-    p_idx = tensor.indices[:, other[0]]
-    q_idx = tensor.indices[:, other[1]]
-    return _sparse_mttkrp(
-        out_idx, p_idx, q_idx, tensor.values, tensor.dims[mode - 1], p, q
-    )
+    out_idx, p_idx, q_idx = idx[:, mode - 1], idx[:, other[0]], idx[:, other[1]]
+    if mode != 1:
+        order = np.argsort(out_idx, kind="stable")
+        out_idx, p_idx, q_idx, vals = out_idx[order], p_idx[order], q_idx[order], vals[order]
+    return _fiber_plan(out_idx, p_idx, q_idx, vals, tensor.dims[mode - 1], tensor.dims[other[1]])
 
 
-def _sparse_mttkrp(out_idx, p_idx, q_idx, vals, out_dim, p, q):
+def _fiber_mttkrp(plan, p, q):
+    """Apply a fiber plan: ``Y = fibers @ Q``, scale each fiber by its P row,
+    then sum each output row's fibers.  Rows without nonzeros come out zero.
+
+    Works in column blocks so no temporary exceeds ``_BLOCK_FLOATS`` floats;
+    columns never mix, so the blocks change no bit of the result.
+    """
     k = p.shape[1]
-    out = np.zeros((out_dim, k))
-    for lo in range(0, vals.size, _SPARSE_CHUNK):
-        hi = min(lo + _SPARSE_CHUNK, vals.size)
-        chunk = p[p_idx[lo:hi]] * q[q_idx[lo:hi]] * vals[lo:hi, None]
-        rows = out_idx[lo:hi]
-        for r in range(k):
-            out[:, r] += np.bincount(rows, weights=chunk[:, r], minlength=out_dim)
+    out = np.empty((plan.rows.shape[0], k))
+    block = max(1, min(k, _BLOCK_FLOATS // max(1, plan.fiber_p.size)))
+    for lo in range(0, k, block):
+        hi = min(lo + block, k)
+        y = plan.fibers @ q[:, lo:hi]
+        y *= np.take(p[:, lo:hi], plan.fiber_p, axis=0)
+        out[:, lo:hi] = plan.rows @ y
     return out
 
 
@@ -426,21 +492,17 @@ def residual_ratio(tensor, model):
 
 
 def _sparse_residual_sq(tensor, model):
-    """||T - T_hat||_F^2 for sparse T without densifying."""
+    """||T - T_hat||_F^2 for sparse T without densifying.
+
+    The cross term ``<T, T_hat> = sum_r w_r <A[:, r], mttkrp(T, (A, B, C), 1)[:, r]>``
+    comes from the mode-1 MTTKRP, whose fibers need no sort.
+    """
     w, A, B, C = model.weights, model.A, model.B, model.C
-    idx, vals = tensor.indices, tensor.values
+    vals = tensor.values
     tnorm_sq = float(vals @ vals)
     if model.k == 0:
         return tnorm_sq
-    inner = 0.0
-    for lo in range(0, vals.size, _SPARSE_CHUNK):
-        hi = min(lo + _SPARSE_CHUNK, vals.size)
-        recon = np.einsum(
-            "nr,r->n",
-            A[idx[lo:hi, 0]] * B[idx[lo:hi, 1]] * C[idx[lo:hi, 2]],
-            w,
-        )
-        inner += float(vals[lo:hi] @ recon)
+    inner = float(np.einsum("ir,ir->r", A, mttkrp(tensor, model.factors, 1)) @ w)
     gram = (A.T @ A) * (B.T @ B) * (C.T @ C)
     model_sq = float(w @ gram @ w)
     return tnorm_sq - 2.0 * inner + model_sq

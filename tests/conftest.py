@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tenfact.tensors import CpModel, SparseTensor3, cp_reconstruct
+
+# Property tests replay the same examples on every run, so Tier-1 stays
+# deterministic; kernels on tiny tensors need no per-example deadline.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def unit_columns(rng, d, k):

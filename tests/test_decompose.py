@@ -27,7 +27,7 @@ from tenfact.tensors import (
     residual_ratio,
 )
 
-from conftest import diagonal_tensor, random_model, unit_columns
+from conftest import diagonal_tensor, random_model, random_sparse, unit_columns
 
 
 class TestAlsSweep:
@@ -404,3 +404,38 @@ class TestConfigValidation:
     def test_bad_orth_mode(self):
         with pytest.raises(InvalidConfigError):
             DecompConfig(rank=1, orth_mode="sometimes")
+
+
+class TestDenseSparseEquivalence:
+    """A sparse tensor and its dense copy give the same model for the same seed."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        sparse = random_sparse(np.random.default_rng(31), (6, 8, 7), 120)
+        return sparse, sparse.to_dense()
+
+    @staticmethod
+    def assert_same_model(got, expect):
+        np.testing.assert_allclose(
+            got.weights, expect.weights, rtol=0, atol=1e-9 * np.abs(expect.weights).max()
+        )
+        for g, e in zip(got.factors, expect.factors):
+            np.testing.assert_allclose(g, e, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("init", ["random", "svd"])
+    @pytest.mark.parametrize("runner", [als_run, orth_als_run, hybrid_run])
+    def test_als_family(self, pair, runner, init):
+        cfg = DecompConfig(rank=4, max_iters=15, tol=1e-300, init=init, seed=5)
+        sparse, dense = (runner(t, cfg) for t in pair)
+        assert sparse.iterations_used == dense.iterations_used == 15
+        self.assert_same_model(sparse.model, dense.model)
+
+    @pytest.mark.parametrize("init", ["random", "svd"])
+    def test_tpm_multi(self, pair, init):
+        sparse, dense = (tpm_multi(t, 12, 15, 4, seed=5, init=init) for t in pair)
+        assert sparse.k == dense.k
+        self.assert_same_model(sparse, dense)
+
+    def test_orth_tpm(self, pair):
+        sparse, dense = (orth_tpm_run(t, 4, 15, seed=5) for t in pair)
+        self.assert_same_model(sparse, dense)

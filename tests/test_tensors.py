@@ -1,8 +1,13 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from tenfact.decompose import _Workspace
+from tenfact.linalg import ls_solve_kr
 from tenfact.tensors import (
     CpModel,
     DenseTensor3,
@@ -53,6 +58,51 @@ class TestTensorTypes:
     def test_sparse_cancelling_duplicates_removed(self):
         s = SparseTensor3.from_entries((2, 2, 2), [(0, 0, 0, 1.0), (0, 0, 0, -1.0)])
         assert s.nnz == 0
+
+    @pytest.mark.parametrize("case", ["unsorted", "duplicated", "zero_cancelling", "canonical"])
+    def test_sparse_matches_dict_oracle(self, case):
+        rng = np.random.default_rng(7)
+        dims = (3, 4, 5)
+        idx = np.column_stack([rng.integers(0, d, 30) for d in dims])
+        # Quarter-integer values sum exactly in any order, so the oracle's
+        # sums and the constructor's must agree bit for bit.
+        vals = rng.integers(-8, 9, 30) / 4.0
+        if case == "duplicated":
+            idx = np.vstack([idx, idx[:10]])
+            vals = np.concatenate([vals, vals[:10]])
+        elif case == "zero_cancelling":
+            idx = np.vstack([idx, idx[:10], [[0, 0, 0]]])
+            vals = np.concatenate([vals, -vals[:10], [0.0]])
+        elif case == "canonical":
+            canon = SparseTensor3(dims, idx, vals)
+            idx, vals = np.array(canon.indices), np.array(canon.values)
+            vals[3] = 0.0  # a stored zero in sorted input is still dropped
+        s = SparseTensor3(dims, idx, vals)
+        assert_matches_coo_oracle(s, idx, vals)
+        assert idx.flags.writeable and vals.flags.writeable
+        assert not np.shares_memory(s.indices, idx) and not np.shares_memory(s.values, vals)
+        if case == "canonical":
+            # The already-sorted fast path gives the sorting path's bits.
+            perm = rng.permutation(idx.shape[0])
+            shuffled = SparseTensor3(dims, idx[perm], vals[perm])
+            assert np.array_equal(s.indices, shuffled.indices)
+            assert np.array_equal(s.values, shuffled.values)
+
+    @given(
+        dims=st.tuples(*(st.integers(1, 4),) * 3),
+        entries=st.lists(
+            st.tuples(*(st.integers(0, 3),) * 3, st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0])),
+            max_size=40,
+        ),
+        presort=st.booleans(),
+    )
+    def test_sparse_property_matches_dict_oracle(self, dims, entries, presort):
+        entries = [(i % dims[0], j % dims[1], k % dims[2], v) for i, j, k, v in entries]
+        if presort:
+            entries = sorted(set(entries))
+        idx = np.array([e[:3] for e in entries], dtype=np.int64).reshape(-1, 3)
+        vals = np.array([e[3] for e in entries], dtype=np.float64)
+        assert_matches_coo_oracle(SparseTensor3(dims, idx, vals), idx, vals)
 
     def test_sparse_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -304,17 +354,68 @@ class TestMttkrpIdentity:
             )
 
     def test_mttkrp_matches_matricized_product(self, rng):
-        for tensor in (
-            DenseTensor3(rng.standard_normal((4, 5, 6))),
-            random_sparse(rng, (4, 5, 6), 30),
-        ):
-            a = rng.standard_normal((4, 3))
-            b = rng.standard_normal((5, 3))
-            c = rng.standard_normal((6, 3))
-            t1 = matricize(tensor, 1)
-            t1 = t1.toarray() if hasattr(t1, "toarray") else t1
+        dims = (4, 7, 5)
+        cases = {
+            "random": random_sparse(rng, dims, 60),
+            "empty": SparseTensor3.empty(dims),
+            "single_entry": SparseTensor3.from_entries(dims, [(2, 3, 1, 1.5)]),
+            # Rows 1 and 3 of mode 1, all but 1 and 5 of mode 2, 1-3 of mode 3.
+            "empty_rows": SparseTensor3.from_entries(
+                dims, [(i, j, k, rng.standard_normal()) for i in (0, 2) for j in (1, 5) for k in (0, 4)]
+            ),
+            # Distinct i everywhere: every (i, j), (j, i) and (k, i) fiber has one entry.
+            "one_entry_fibers": SparseTensor3.from_entries(
+                dims, [(i, int(rng.integers(7)), int(rng.integers(5)), 1.0 + i) for i in range(4)]
+            ),
+        }
+        for case, tensor in cases.items():
+            factors = tuple(rng.standard_normal((d, 3)) for d in dims)
+            assert_sparse_kernels_match_dense(tensor, factors, check_ls=True, case=case)
+
+    @given(
+        dims=st.tuples(*(st.integers(1, 6),) * 3),
+        nnz=st.integers(0, 50),
+        rank=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mttkrp_property_matches_dense(self, dims, nnz, rank, seed):
+        rng = np.random.default_rng(seed)
+        tensor = random_sparse(rng, dims, nnz)
+        factors = tuple(rng.standard_normal((d, rank)) for d in dims)
+        assert_sparse_kernels_match_dense(tensor, factors)
+
+
+def assert_matches_coo_oracle(s, idx, vals):
+    """``s`` holds exactly the nonzero sums of the given entries, in (i, j, k) order."""
+    sums = defaultdict(float)
+    for (i, j, k), v in zip(idx.tolist(), vals.tolist()):
+        sums[(i, j, k)] += v
+    expect = sorted((key, v) for key, v in sums.items() if v != 0.0)
+    assert s.indices.tolist() == [list(key) for key, _ in expect]
+    assert s.values.tolist() == [v for _, v in expect]
+    assert s.indices.dtype == np.int64 and s.values.dtype == np.float64
+    assert not s.indices.flags.writeable and not s.values.flags.writeable
+
+
+def assert_sparse_kernels_match_dense(tensor, factors, check_ls=False, case=""):
+    """Every sparse MTTKRP caller against the dense path, all three modes, to 1e-12."""
+    dense = tensor.to_dense()
+    ws = _Workspace(tensor)
+    for mode in (1, 2, 3):
+        p, q = [f for m, f in enumerate(factors, start=1) if m != mode]
+        expect = matricize(dense, mode) @ khatri_rao(q, p)
+        tol = 1e-12 * max(1.0, np.abs(expect).max())
+        label = f"{case} mode {mode}"
+        for got in (mttkrp(tensor, factors, mode), mttkrp(dense, factors, mode), ws.mttkrp(mode, p, q)):
+            np.testing.assert_allclose(got, expect, rtol=0, atol=tol, err_msg=label)
+        if check_ls:
+            expect_ls = ls_solve_kr(matricize(dense, mode), p, q)
             np.testing.assert_allclose(
-                mttkrp(tensor, (a, b, c), 1), t1 @ khatri_rao(c, b), atol=1e-10
+                ls_solve_kr(matricize(tensor, mode), p, q),
+                expect_ls,
+                rtol=0,
+                atol=1e-12 * max(1.0, np.abs(expect_ls).max()),
+                err_msg=label,
             )
 
 
