@@ -10,6 +10,15 @@ anchored at the front, where Gram-Schmidt leaves them untouched.  Because the
 Khatri-Rao Gram of orthonormal factors is the identity, the first mode update
 after orthogonalization reduces to the bare MTTKRP with no pseudoinverse.
 
+Every sweep, and every other repeated MTTKRP, runs through one per-run
+``_Workspace``.  For a dense tensor it keeps the mode-3 partial ``T x_3 C``
+that modes 1 and 2 of a sweep both contract (the dimension tree of Phan,
+Tichavský & Cichocki, IEEE TSP 2013), so a sweep costs two large GEMMs and
+no Khatri-Rao product; for a sparse tensor it keeps each mode's fiber plan.
+Each mode update is the exact least-squares step of the standard CP-ALS loop
+(Kolda & Bader, SIAM Review 2009), taken through one Gram-pseudoinverse
+helper shared with ``linalg.ls_solve_kr``.
+
 The tensor power method is the rank-1 special case with simultaneous mode
 updates; ``tpm_multi`` runs many random restarts and clusters the results,
 ``orth_tpm_run`` instead projects each fresh initialization orthogonal to the
@@ -32,16 +41,17 @@ from .errors import (
     InvalidConfigError,
     NumericalFailureError,
 )
-from .linalg import eig_nonsym, ls_solve_kr, orth_step
+from .linalg import _gram_solve, eig_nonsym, orth_step
 from .tensors import (
     CpModel,
     DenseTensor3,
     contract3,
     contract_mode3,
+    _dense_mttkrp,
     _fiber_mttkrp,
+    _mode3_partial,
     _mode_plan,
     khatri_rao,
-    matricize,
     normalize_columns,
 )
 
@@ -138,11 +148,18 @@ class DecompResult:
 
 
 class _Workspace:
-    """Per-run cache of what each mode's MTTKRP reads.
+    """Per-run cache of what repeated MTTKRPs share.
 
-    That is the mode's matricization for a dense tensor and, for a sparse
-    one, the fiber plan of its nonzeros (see ``tensors._fiber_plan``).  Each
-    is built on the mode's first use and reused for the rest of the run.
+    A sparse tensor keeps the fiber plan of each mode's nonzeros (see
+    ``tensors._fiber_plan``), built on the mode's first use and reused for
+    the rest of the run.  A dense tensor is read in its row-major layout
+    (see ``tensors._dense_mttkrp``) and keeps the last mode-3 partial
+    ``Y = T x_3 q`` with a copy of the ``q`` it came from.  A mode-1 or
+    mode-2 call reuses ``Y`` when its ``q`` equals that copy by value, so an
+    ALS sweep, whose first two modes both contract the old third factor,
+    forms ``Y`` once (the dimension tree of Phan, Tichavský & Cichocki, IEEE
+    TSP 2013).  Values, not identities, are compared because callers may
+    change an array in place.
     """
 
     def __init__(self, tensor):
@@ -153,23 +170,28 @@ class _Workspace:
         self.tnorm_sq = self.tnorm**2
         self.dense = isinstance(tensor, DenseTensor3)
         self._modes = [None, None, None]
+        self._partial = self._partial_q = None
 
     def _mode(self, mode):
         if self._modes[mode - 1] is None:
-            build = matricize if self.dense else _mode_plan
-            self._modes[mode - 1] = build(self.tensor, mode)
+            self._modes[mode - 1] = _mode_plan(self.tensor, mode)
         return self._modes[mode - 1]
 
     def mttkrp(self, mode, p, q):
-        if self.dense:
-            return self._mode(mode) @ khatri_rao(q, p)
-        return _fiber_mttkrp(self._mode(mode), p, q)
+        if not self.dense:
+            return _fiber_mttkrp(self._mode(mode), p, q)
+        arr = self.tensor.array
+        if mode == 3:
+            return _dense_mttkrp(arr, 3, p, q)
+        if self._partial_q is None or not np.array_equal(self._partial_q, q):
+            self._partial = _mode3_partial(arr, q)
+            self._partial_q = np.array(q)
+        return _dense_mttkrp(arr, mode, p, q, self._partial)
 
-    def ls_update(self, mode, p, q, rcond=1e-12):
+    def ls_update(self, mode, p, q):
         """Exact least-squares factor update; also returns the MTTKRP."""
         mtt = self.mttkrp(mode, p, q)
-        gram = (q.T @ q) * (p.T @ p)
-        return mtt @ np.linalg.pinv(gram, rcond=rcond), mtt
+        return _gram_solve(mtt, p, q), mtt
 
     def ratio_from_sq(self, inner, model_sq):
         res_sq = max(self.tnorm_sq - 2.0 * inner + model_sq, 0.0)
@@ -178,8 +200,8 @@ class _Workspace:
         return math.sqrt(res_sq) / self.tnorm
 
     def explicit_ratio(self, w, a, b, c):
-        recon = (a * w) @ khatri_rao(c, b).T
-        rnorm = float(np.linalg.norm(self._mode(1) - recon))
+        recon = (a * w) @ khatri_rao(b, c).T
+        rnorm = float(np.linalg.norm(self.tensor.array.reshape(self.dims[0], -1) - recon))
         if self.tnorm == 0.0:
             return 0.0 if rnorm == 0.0 else math.inf
         return rnorm / self.tnorm
@@ -196,8 +218,8 @@ def _random_unit_columns(rng, d, k):
     return normalize_columns(cols)[0]
 
 
-def _initial_factors(tensor, cfg, rng):
-    d1, d2, d3 = tensor.dims
+def _initial_factors(ws, cfg, rng):
+    d1, d2, d3 = ws.dims
     if cfg.init == "random":
         return (
             _random_unit_columns(rng, d1, cfg.rank),
@@ -205,7 +227,7 @@ def _initial_factors(tensor, cfg, rng):
             _random_unit_columns(rng, d3, cfg.rank),
         )
     if cfg.init == "svd":
-        return svd_init(tensor, cfg.rank, rng=rng)
+        return _svd_init(ws, cfg.rank, rng)
     a0, b0, c0 = cfg.given
     return (
         normalize_columns(np.asarray(a0, dtype=np.float64))[0],
@@ -240,10 +262,15 @@ def als_sweep(tensor, a, b, c):
     Columns are returned unnormalized; the scale bookkeeping belongs to the
     calling driver.
     """
-    a1 = ls_solve_kr(matricize(tensor, 1), b, c)
-    b1 = ls_solve_kr(matricize(tensor, 2), a1, c)
-    c1 = ls_solve_kr(matricize(tensor, 3), a1, b1)
-    return a1, b1, c1
+    return _sweep(_Workspace(tensor), a, b, c)[:3]
+
+
+def _sweep(ws, a, b, c):
+    """One ALS sweep through ``ws``; also returns the mode-3 MTTKRP."""
+    a1, _ = ws.ls_update(1, b, c)
+    b1, _ = ws.ls_update(2, a1, c)
+    c1, m3 = ws.ls_update(3, a1, b1)
+    return a1, b1, c1, m3
 
 
 def _driver(tensor, cfg):
@@ -257,7 +284,7 @@ def _driver(tensor, cfg):
         )
     ws = _Workspace(tensor)
     rng = np.random.default_rng(cfg.seed)
-    a, b, c = _initial_factors(tensor, cfg, rng)
+    a, b, c = _initial_factors(ws, cfg, rng)
     k = cfg.rank
 
     trace = []
@@ -296,9 +323,7 @@ def _driver(tensor, cfg):
             a = _orthogonalize_with_retry(a, rng, "mode-1 factors")
             b = _orthogonalize_with_retry(b, rng, "mode-2 factors")
             c = _orthogonalize_with_retry(c, rng, "mode-3 factors")
-        a1, _ = ws.ls_update(1, b, c)
-        b1, _ = ws.ls_update(2, a1, c)
-        c1, m3 = ws.ls_update(3, a1, b1)
+        a1, b1, c1, m3 = _sweep(ws, a, b, c)
         inner = float(np.sum(c1 * m3))
         model_sq = float(((a1.T @ a1) * (b1.T @ b1) * (c1.T @ c1)).sum())
         res = ws.ratio_from_sq(inner, model_sq)
@@ -370,13 +395,6 @@ def hybrid_run(tensor, cfg):
 
 def _rank1_update(ws, mode, u, v):
     """Rank-1 MTTKRP: contract every mode except ``mode`` with one vector."""
-    if ws.dense:
-        arr = ws.tensor.array
-        if mode == 1:
-            return (arr @ v) @ u
-        if mode == 2:
-            return (arr @ v).T @ u
-        return np.tensordot(u, arr, axes=(0, 0)).T @ v
     return ws.mttkrp(mode, u[:, None], v[:, None])[:, 0]
 
 
@@ -584,11 +602,16 @@ def svd_init(tensor, rank, seed=None, *, rng=None):
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    d1, d2, d3 = tensor.dims
+    return _svd_init(_Workspace(tensor), rank, rng)
+
+
+def _svd_init(ws, rank, rng):
+    """:func:`svd_init` whose mode-3 solve runs through the run's workspace."""
+    d1, d2, d3 = ws.dims
     if rank > min(d1, d2):
         raise ValueError(f"rank {rank} exceeds min(d1, d2)={min(d1, d2)}")
     v = _random_unit_columns(rng, d3, 1)[:, 0]
-    m = contract_mode3(tensor, v)
+    m = contract_mode3(ws.tensor, v)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     numerical_rank = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
     a0 = np.array(u[:, :rank])
@@ -601,7 +624,7 @@ def svd_init(tensor, rank, seed=None, *, rng=None):
         )
         a0[:, numerical_rank:] = _random_unit_columns(rng, d1, rank - numerical_rank)
         b0[:, numerical_rank:] = _random_unit_columns(rng, d2, rank - numerical_rank)
-    c0 = ls_solve_kr(matricize(tensor, 3), a0, b0)
+    c0, _ = ws.ls_update(3, a0, b0)
     return a0, b0, normalize_columns(c0)[0]
 
 
@@ -620,21 +643,22 @@ def simdiag(tensor, rank, seed=0):
     if rank > min(tensor.dims):
         raise ValueError(f"rank {rank} exceeds min(dims)={min(tensor.dims)}")
     rng = np.random.default_rng(seed)
+    ws = _Workspace(tensor)
     last_error = None
     for attempt in range(2):
         u = _random_unit_columns(rng, d3, 1)[:, 0]
         v = _random_unit_columns(rng, d3, 1)[:, 0]
         try:
-            return _simdiag_from_projections(tensor, u, v, rank)
+            return _simdiag_from_projections(ws, u, v, rank)
         except NumericalFailureError as exc:
             last_error = exc
             logger.warning("simdiag attempt %d failed: %s", attempt + 1, exc)
     raise NumericalFailureError(f"simdiag failed after one redraw: {last_error}")
 
 
-def _simdiag_from_projections(tensor, u, v, rank, rcond=1e-8, gap_rtol=1e-8):
-    m1 = contract_mode3(tensor, u)
-    m2 = contract_mode3(tensor, v)
+def _simdiag_from_projections(ws, u, v, rank, rcond=1e-8, gap_rtol=1e-8):
+    m1 = contract_mode3(ws.tensor, u)
+    m2 = contract_mode3(ws.tensor, v)
     s2 = np.linalg.svd(m2, compute_uv=False)
     if s2.size == 0 or s2[0] == 0.0 or (rank <= s2.size and s2[rank - 1] <= rcond * s2[0]):
         raise NumericalFailureError("second projection is numerically singular")
@@ -660,7 +684,7 @@ def _simdiag_from_projections(tensor, u, v, rank, rcond=1e-8, gap_rtol=1e-8):
         pair[i] = sel_b[j]
     a = _realize_eigvecs(vecs_a[:, sel_a])
     b = _realize_eigvecs(vecs_b[:, pair])
-    c_raw = ls_solve_kr(matricize(tensor, 3), a, b)
+    c_raw, _ = ws.ls_update(3, a, b)
     c, w = normalize_columns(c_raw)
     return CpModel(w, a, b, c).canonical()
 

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import DegenerateInputError, NumericalFailureError
-from .tensors import _fiber_mttkrp, _fiber_plan, khatri_rao
+from .tensors import SparseTensor3, _fiber_mttkrp, _mode_plan, khatri_rao
 
 __all__ = [
     "orth_step",
@@ -57,9 +57,9 @@ def ls_solve_kr(tmat, p, q, rcond=1e-12):
     (Hadamard product of Grams).  Singular values of G below ``rcond`` times
     the largest are truncated.  When p and q are orthonormal, G is the
     identity and the result reduces to the bare MTTKRP.  A sparse ``tmat``
-    is split into its (row, p, q) entries, whose column ``p + q * d_p`` is the
-    matricization's, and its MTTKRP runs on a fiber plan of those entries
-    (see :func:`tenfact.tensors._fiber_plan`).
+    is split into the (row, p, q) entries of a tensor whose mode-1
+    matricization it is (column ``p + q * d_p``), and its MTTKRP runs on that
+    tensor's mode-1 fiber plan (see :func:`tenfact.tensors._fiber_plan`).
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -73,15 +73,17 @@ def ls_solve_kr(tmat, p, q, rcond=1e-12):
     if scipy.sparse.issparse(tmat):
         coo = tmat.tocoo()
         q_idx, p_idx = np.divmod(coo.col, p.shape[0])
-        order = np.lexsort((p_idx, coo.row))
-        plan = _fiber_plan(
-            coo.row[order], p_idx[order], q_idx[order], coo.data[order], tmat.shape[0], q.shape[0]
-        )
-        mtt = _fiber_mttkrp(plan, p, q)
+        dims = (tmat.shape[0], p.shape[0], q.shape[0])
+        entries = SparseTensor3(dims, np.column_stack([coo.row, p_idx, q_idx]), coo.data)
+        mtt = _fiber_mttkrp(_mode_plan(entries, 1), p, q)
     else:
         mtt = np.asarray(tmat) @ khatri_rao(q, p)
-    gram = (q.T @ q) * (p.T @ p)
-    return mtt @ np.linalg.pinv(gram, rcond=rcond)
+    return _gram_solve(mtt, p, q, rcond)
+
+
+def _gram_solve(mtt, p, q, rcond=1e-12):
+    """Normal-equations step ``mtt G^+`` with the Khatri-Rao Gram ``G = (q.T q) * (p.T p)``."""
+    return mtt @ np.linalg.pinv((q.T @ q) * (p.T @ p), rcond=rcond)
 
 
 def top_svd(m, k):

@@ -15,6 +15,16 @@ and cyclically for modes 2 and 3.  Concretely, mode-1 matricization sends
 entry ``(i, j, k)`` to row ``i``, column ``j + k * d2``, and
 ``khatri_rao(X, Y)`` places ``X[a] * Y[b]`` at row ``a * dY + b``.
 
+Dense MTTKRPs all go through one kernel on the row-major array, which never
+builds a matricization or a full Khatri-Rao product.  Modes 1 and 2 contract
+the mode-3 partial ``Y = T x_3 q`` (one GEMM over the array's natural
+``(d1*d2, d3)`` layout) with the remaining factor; mode 3 contracts
+``X = p^T x_1 T`` (one GEMM over the ``(d1, d2*d3)`` layout) with ``q``.
+Sequential ALS updates modes 1 and 2 against the same third factor, so a
+caller that keeps ``Y`` (``decompose._Workspace``) pays two large GEMMs per
+sweep instead of three: the dimension tree of Phan, Tichavský & Cichocki
+(IEEE TSP 2013).
+
 Sparse MTTKRPs all go through one fiber-compressed kernel, the CSF idea of
 SPLATT (Smith & Karypis, IPDPS 2015).  A plan sorts the nonzeros by (output
 index, first other index) and stores each such fiber as one row of a CSR
@@ -376,13 +386,17 @@ def mttkrp(tensor, factors, mode):
 
     For ``factors = (A, B, C)``: mode 1 computes ``T_(1) (C ⊙ B)``, mode 2
     ``T_(2) (C ⊙ A)``, mode 3 ``T_(3) (B ⊙ A)``.  This is the core kernel of
-    every alternating update.  A sparse tensor gets a fiber plan for this one
-    call (see :func:`_fiber_plan`), so the full Khatri-Rao product is never
-    materialized; callers that repeat a mode keep the plan instead.
+    every alternating update, and the full Khatri-Rao product is never
+    materialized.  A dense tensor goes through :func:`_dense_mttkrp`, which
+    contracts the row-major array with ``q`` (modes 1 and 2) or ``p`` (mode
+    3) in one GEMM and the other factor in one small contraction.  A sparse
+    tensor gets a fiber plan for this one call (see :func:`_fiber_plan`).
+    Callers that repeat a mode keep the plan, or the dense mode-3 partial,
+    in a ``decompose._Workspace`` instead.
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    A, B, C = factors
+    A, B, C = (np.asarray(f, dtype=np.float64) for f in factors)
     if mode == 1:
         p, q = B, C
     elif mode == 2:
@@ -390,8 +404,33 @@ def mttkrp(tensor, factors, mode):
     else:
         p, q = A, B
     if isinstance(tensor, DenseTensor3):
-        return matricize(tensor, mode) @ khatri_rao(q, p)
+        return _dense_mttkrp(tensor.array, mode, p, q)
     return _fiber_mttkrp(_mode_plan(tensor, mode), p, q)
+
+
+def _mode3_partial(arr, q):
+    """``Y[i, j, r] = sum_k T[i, j, k] q[k, r]``, the tensor times ``q`` in mode 3.
+
+    Modes 1 and 2 of an MTTKRP against the same ``q`` both contract it.
+    """
+    d1, d2, d3 = arr.shape
+    return (arr.reshape(d1 * d2, d3) @ q).reshape(d1, d2, q.shape[1])
+
+
+def _dense_mttkrp(arr, mode, p, q, partial=None):
+    """Dense MTTKRP ``out[o] = sum_(p, q) T[o, p, q] P[p] * Q[q]`` on a row-major array.
+
+    Modes 1 and 2 contract ``partial``, which must be ``_mode3_partial(arr,
+    q)`` and is formed here when not given, with ``p``.  Mode 3 forms
+    ``X[r, j, k] = sum_i p[i, r] T[i, j, k]`` and contracts it with ``q``.
+    """
+    if mode == 3:
+        d1, d2, d3 = arr.shape
+        x = (p.T @ arr.reshape(d1, d2 * d3)).reshape(p.shape[1], d2, d3)
+        return np.einsum("rjk,jr->kr", x, q)
+    if partial is None:
+        partial = _mode3_partial(arr, q)
+    return np.einsum("ijr,jr->ir" if mode == 1 else "ijr,ir->jr", partial, p)
 
 
 class _FiberPlan(NamedTuple):

@@ -18,12 +18,14 @@ from tenfact.decompose import (
     tpm_run,
 )
 from tenfact.errors import InvalidConfigError, NumericalFailureError
-from tenfact.linalg import match_factors
+from tenfact.linalg import ls_solve_kr, match_factors
 from tenfact.tensors import (
     CpModel,
     DenseTensor3,
     contract3,
     cp_reconstruct,
+    khatri_rao,
+    matricize,
     residual_ratio,
 )
 
@@ -45,14 +47,21 @@ class TestAlsSweep:
         for f in (a1, b1, c1):
             assert not f.any()
 
+    def test_matches_matricized_ls_updates(self, rng):
+        t = DenseTensor3(rng.standard_normal((4, 7, 5)))
+        a, b, c = (rng.standard_normal((d, 3)) for d in t.dims)
+        a1 = ls_solve_kr(matricize(t, 1), b, c)
+        b1 = ls_solve_kr(matricize(t, 2), a1, c)
+        c1 = ls_solve_kr(matricize(t, 3), a1, b1)
+        for got, expect in zip(als_sweep(t, a, b, c), (a1, b1, c1)):
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+
     def test_sweep_never_increases_residual(self, rng):
         m = random_model(rng, (4, 4, 4), 2)
         t = cp_reconstruct(m)
         a = unit_columns(rng, 4, 2)
         b = unit_columns(rng, 4, 2)
         c = unit_columns(rng, 4, 2)
-        from tenfact.tensors import khatri_rao, matricize
-
         before = np.linalg.norm(matricize(t, 3) - c @ khatri_rao(b, a).T)
         a1, b1, c1 = als_sweep(t, a, b, c)
         after = np.linalg.norm(matricize(t, 3) - c1 @ khatri_rao(b1, a1).T)

@@ -372,6 +372,36 @@ class TestMttkrpIdentity:
             factors = tuple(rng.standard_normal((d, 3)) for d in dims)
             assert_sparse_kernels_match_dense(tensor, factors, check_ls=True, case=case)
 
+    @pytest.mark.parametrize("case", ["random", "zero"])
+    def test_dense_mttkrp_matches_matricized_product(self, rng, case):
+        dims = (4, 7, 5)
+        dense = DenseTensor3(rng.standard_normal(dims) if case == "random" else np.zeros(dims))
+        factors = tuple(rng.standard_normal((d, 3)) for d in dims)
+        ws = _Workspace(dense)
+        for mode in (1, 2, 3):
+            p, q = [f for m, f in enumerate(factors, start=1) if m != mode]
+            expect = matricize(dense, mode) @ khatri_rao(q, p)
+            tol = 1e-12 * max(1.0, np.abs(expect).max())
+            for got in (mttkrp(dense, factors, mode), ws.mttkrp(mode, p, q)):
+                np.testing.assert_allclose(got, expect, rtol=0, atol=tol, err_msg=f"mode {mode}")
+
+    def test_workspace_reuses_partial_only_for_equal_q(self, rng):
+        """The kept mode-3 partial must follow q's values, not its identity."""
+        dense = DenseTensor3(rng.standard_normal((4, 7, 5)))
+        a, b = rng.standard_normal((4, 3)), rng.standard_normal((7, 3))
+        q, other = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+        ws = _Workspace(dense)
+
+        def check(mode, p, q):
+            expect = matricize(dense, mode) @ khatri_rao(q, p)
+            np.testing.assert_allclose(ws.mttkrp(mode, p, q), expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+
+        check(1, b, q)
+        check(2, a, other)
+        check(1, b, q)
+        q[1:] *= -2.0
+        check(2, a, q)
+
     @given(
         dims=st.tuples(*(st.integers(1, 6),) * 3),
         nnz=st.integers(0, 50),
