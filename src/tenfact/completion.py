@@ -18,7 +18,10 @@ sweep but the last, each column's observed energy, the sum of
 ``(a_i b_j c_k)**2`` over the observed positions, is compared with the
 sampled share ``n_observed / prod(dims)`` that a unit column spread like the
 true factors would have.  A column below half that share is redrawn at
-random with weight zero, as a QR-degenerate column is.
+random with weight zero, as a QR-degenerate column is.  A column is
+redrawn at most ``MAX_COLUMN_REDRAWS`` times in one fit: on a problem the
+rank cannot fit, a column can leave the observed entries on nearly every
+sweep, and without a bound the fit would end one sweep from a random draw.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Redraws allowed per column in one fit.  Criterion 6's trials need up to 4.
+MAX_COLUMN_REDRAWS = 5
 
 
 @dataclass(frozen=True)
@@ -205,7 +211,9 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
     of its squared unit rank-1 entries over the observed positions) is below
     half the sampled share ``n_observed / prod(dims)`` is redrawn in all
     three modes from the run's generator, its weight set to zero and the
-    stopping rule restarted; each redraw is logged as a warning.  Rows
+    stopping rule restarted; each redraw is logged as a warning.  A column
+    is redrawn at most ``MAX_COLUMN_REDRAWS`` times: when it strays again it
+    is kept, one warning says so, and the stopping rule runs on.  Rows
     without observations keep their initialization (logged at problem
     setup) unless their column is redrawn, which redraws them too.
     """
@@ -239,6 +247,7 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
 
     prev = None
     weights = np.zeros(rank)
+    redraws = np.zeros(rank, dtype=np.int64)
     for t in range(1, cfg.max_iters + 1):
         orth_now = cfg.orth_mode == "always" or (
             cfg.orth_mode == "first_s" and t <= cfg.orth_steps
@@ -259,8 +268,20 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
         weights = na * nb * nc
         rank1 = _pair_products(a, b, ij_pairs, ij_inverse) * np.take(c, kk, axis=0)
         if t < cfg.max_iters:
-            stray = np.flatnonzero(np.einsum("nr,nr->r", rank1, rank1) < energy_floor)
+            low = np.einsum("nr,nr->r", rank1, rank1) < energy_floor
+            spent = np.flatnonzero(low & (redraws == MAX_COLUMN_REDRAWS))
+            if spent.size:
+                logger.warning(
+                    "completion sweep %d: columns %s left the observed entries "
+                    "after %d redraws; keeping them",
+                    t,
+                    spent.tolist(),
+                    MAX_COLUMN_REDRAWS,
+                )
+                redraws[spent] += 1  # past the cap: warn once per column
+            stray = np.flatnonzero(low & (redraws < MAX_COLUMN_REDRAWS))
             if stray.size:
+                redraws[stray] += 1
                 logger.warning(
                     "completion sweep %d: columns %s left the observed entries; "
                     "re-randomizing them",

@@ -155,6 +155,17 @@ class TestCompleteAndOvercomplete:
         assert fitted[1, 0, 0] == pytest.approx(0.0, abs=1e-6)
         assert fitted[0, 0, 0] == pytest.approx(1.0, abs=1e-6)
 
+    def test_complete_malformed_line_exit_1_with_line_number(self, tmp_path, capsys):
+        coo = tmp_path / "obs.coo"
+        coo.write_text("2 2 2 3\n0 0 0 1.0\n0 1 1\n1 0 0 0.0\n")
+        out = tmp_path / "model.cpm"
+        code = main([
+            "complete", "--input", str(coo), "--rank", "1", "--seed", "0", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {coo}: entry line 2 must be 'i j k value'\n"
+        assert not out.exists()
+
     def test_overcomplete_emits_requested_rank(self, tmp_path):
         m = random_model(np.random.default_rng((77, 1)), (6, 6, 6), 9,
                          weights=1.05 ** (-np.arange(9, dtype=float)))

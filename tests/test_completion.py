@@ -5,6 +5,7 @@ import pytest
 
 from tenfact.bench import SynthSpec, derived_seed, gen_random_cp
 from tenfact.completion import (
+    MAX_COLUMN_REDRAWS,
     CompletionProblem,
     _RowSolver,
     complete_masked,
@@ -13,6 +14,7 @@ from tenfact.completion import (
 )
 from tenfact.decompose import DecompConfig, hybrid_run
 from tenfact.errors import InvalidConfigError
+from tenfact.fileio import _parse_coo
 from tenfact.tensors import CpModel, DenseTensor3, SparseTensor3, cp_reconstruct, residual_ratio
 
 from conftest import diagonal_tensor, random_model
@@ -172,6 +174,34 @@ class TestCompleteMasked:
         for f in out.factors:
             assert np.isfinite(f).all()
             np.testing.assert_allclose(np.linalg.norm(f, axis=0), 1.0)
+
+    def test_stray_redraws_bounded_on_unfittable_rank1(self, tmp_path, caplog):
+        import logging
+
+        # No rank-1 tensor fits 1.0 at (0,0,0), 2.0 at (1,1,1) and the observed
+        # 0.0 at (1,0,0).  Unbounded, `tenfact complete --rank 1 --seed 0`
+        # redrew column 0 on 80 sweeps, the last at sweep 99 of 100.
+        coo = tmp_path / "obs.coo"
+        coo.write_text("2 2 2 3\n0 0 0 1.0\n1 1 1 2.0\n1 0 0 0.0\n")
+        dims, idx, vals = _parse_coo(coo)
+        zero = vals == 0.0
+        prob = CompletionProblem(
+            dims=dims, observed=SparseTensor3(dims, idx[~zero], vals[~zero]), zero_entries=idx[zero]
+        )
+        # The configuration `tenfact complete` builds from its defaults.
+        cfg = DecompConfig(
+            rank=1, max_iters=100, tol=1e-6, orth_mode="first_s", orth_steps=5, seed=0
+        )
+        with caplog.at_level(logging.WARNING, logger="tenfact.completion"):
+            out = complete_masked(prob, 1, cfg)
+        redraws = [r.args[0] for r in caplog.records if "re-randomizing" in r.message]
+        kept = [r for r in caplog.records if "keeping them" in r.message]
+        assert 0 < len(redraws) <= MAX_COLUMN_REDRAWS
+        assert len(kept) == 1
+        assert max(redraws) < kept[0].args[0] < cfg.max_iters - 1
+        fitted = cp_reconstruct(out).array[idx[:, 0], idx[:, 1], idx[:, 2]]
+        # One sweep after a redraw this RMSE was 0.29.
+        assert np.sqrt(np.mean((fitted - vals) ** 2)) < 0.1
 
 
 class TestMissingEntryError:

@@ -1,10 +1,23 @@
+import operator
+import re
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tenfact.fileio import read_coo, read_cpm, write_coo, write_cpm
+from tenfact import fileio
+from tenfact.fileio import _parse_coo, read_coo, read_cpm, write_coo, write_cpm
 from tenfact.tensors import SparseTensor3, cp_reconstruct
 
 from conftest import random_model, random_sparse
+
+
+ENTRY_LINE = "{path}: entry line %d must be 'i j k value'"
 
 
 class TestCooFormat:
@@ -50,6 +63,99 @@ class TestCooFormat:
         write_coo(p1, s)
         write_coo(p2, read_coo(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "body, expect",
+        [
+            # Malformed: the line loop's message for the file at "{path}".
+            pytest.param("2 2 2 2\n0 0 0 1.0\n0 1 1\n", ENTRY_LINE % 2, id="short-line"),
+            pytest.param("2 2 2 2\n0 0 0 1.0\n0 1 1 2.0 3.0\n", ENTRY_LINE % 2, id="five-tokens"),
+            pytest.param(
+                "2 2 2 1\n1.0 0 0 1.0\n", "invalid literal for int() with base 10: '1.0'", id="float-index"
+            ),
+            pytest.param("2 2 2 2\n0 0 0 1.0\n\n1 1 1 2.0\n", ENTRY_LINE % 2, id="blank-line"),
+            pytest.param("2 2 2 2\n# note\n0 0 0 1.0\n1 1 1 2.0\n", ENTRY_LINE % 1, id="comment-line"),
+            pytest.param("2 2 2 1\n0 0 0 1.0 # note\n", ENTRY_LINE % 1, id="trailing-comment"),
+            pytest.param("2 2 2 3\n0 0 0 1.0\n1 1 1 2.0\n", ENTRY_LINE % 3, id="too-few-lines"),
+            # Accepted: the (i, j, k) rows and values, in file order.
+            pytest.param("2 2 2 1\n+1 0 0 +2.5\n", ([[1, 0, 0]], [2.5]), id="plus-signs"),
+            pytest.param("20 2 2 1\n1_0 0 0 1_0.5\n", ([[10, 0, 0]], [10.5]), id="underscores"),
+            pytest.param(
+                "2 2 2 2\n0\t0\t0\t1.0\n1\t1\t1\t-2e-3\n", ([[0, 0, 0], [1, 1, 1]], [1.0, -2e-3]), id="tabs"
+            ),
+            pytest.param(
+                "2 2 2 2\r\n1 1 1 2.0\r\n0 0 0 1.0\r\n", ([[1, 1, 1], [0, 0, 0]], [2.0, 1.0]), id="crlf"
+            ),
+            pytest.param(
+                "2 2 2 1\n0 0 0 1.0\n1 1 1 2.0\nnot an entry\n", ([[0, 0, 0]], [1.0]), id="extra-lines"
+            ),
+        ],
+    )
+    def test_reader_contract(self, tmp_path, body, expect):
+        path = tmp_path / "t.coo"
+        path.write_bytes(body.encode())
+        if isinstance(expect, str):
+            message = expect.format(path=path)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _parse_coo(path)
+            return
+        dims, idx, vals = _parse_coo(path)
+        assert dims == tuple(int(x) for x in body.split()[:3])
+        assert idx.dtype == np.int64 and idx.tolist() == expect[0]
+        assert vals.dtype == np.float64 and vals.tobytes() == np.array(expect[1]).tobytes()
+
+    def test_reader_warning_falls_back_to_line_loop(self, tmp_path, monkeypatch):
+        # numpy 1.x accepts an index "1.0" with a DeprecationWarning.
+        path = tmp_path / "t.coo"
+        path.write_text("2 2 2 1\n1 1 1 2.0\n")
+        loadtxt = np.loadtxt
+
+        def warn_then_parse(*args, **kwargs):
+            warnings.warn("parsing an integer via a float is deprecated", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warn_then_parse)
+        monkeypatch.setattr(fileio, "_parse_coo_lines", lambda p: "line loop")
+        assert _parse_coo(path) == "line loop"
+
+
+def reference_coo_bytes(tensor):
+    """A sparse tensor's ``.coo`` file, formatted one line at a time."""
+    d1, d2, d3 = tensor.dims
+    lines = [f"{d1} {d2} {d3} {tensor.nnz}\n"]
+    for (i, j, k), v in zip(tensor.indices, tensor.values):
+        lines.append(f"{int(i)} {int(j)} {int(k)} {float(v)!r}\n")
+    return "".join(lines).encode()
+
+
+_magnitudes = st.floats(min_value=5e-324, max_value=1e308)
+
+
+@given(
+    entries=st.dictionaries(
+        st.tuples(*(st.integers(0, 4),) * 3),
+        st.one_of(_magnitudes, _magnitudes.map(operator.neg)),
+        max_size=40,
+    ),
+    pad=st.tuples(*(st.integers(0, 2),) * 3),
+    dense=st.booleans(),
+    chunk_rows=st.sampled_from([1, 3, 1 << 13]),
+)
+def test_fast_paths_match_line_references(entries, pad, dense, chunk_rows):
+    keys = sorted(entries)
+    idx = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    dims = tuple(int(m) + 1 + p for m, p in zip(idx.max(axis=0, initial=0), pad))
+    tensor = SparseTensor3(dims, idx, [entries[key] for key in keys])
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_CHUNK_ROWS", chunk_rows):
+        path = Path(tmp) / "t.coo"
+        write_coo(path, tensor.to_dense() if dense else tensor)
+        assert path.read_bytes() == reference_coo_bytes(tensor)
+        want_dims, want_idx, want_vals = fileio._parse_coo_lines(path)
+        # The chunked reader must take the file itself, not fall back.
+        for got_dims, got_idx, got_vals in (fileio._parse_coo_chunks(path), _parse_coo(path)):
+            assert got_dims == want_dims
+            assert got_idx.dtype == np.int64 and np.array_equal(got_idx, want_idx)
+            assert got_vals.dtype == np.float64 and got_vals.tobytes() == want_vals.tobytes()
 
 
 class TestCpmFormat:
