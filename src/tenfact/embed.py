@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import re
+import string
 from collections import Counter
 from dataclasses import dataclass
 
@@ -44,6 +45,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_TOKEN_CHARS = string.ascii_letters + string.digits
 
 
 def tokenize(text):
@@ -96,13 +98,9 @@ def _token_stream(corpus):
     for chunk in source:
         text = tail + chunk
         # Hold back a trailing token fragment; it may continue in the next chunk.
-        m = re.search(r"[A-Za-z0-9]+\Z", text)
-        if m is not None:
-            tail = text[m.start():]
-            text = text[: m.start()]
-        else:
-            tail = ""
-        yield from tokenize(text)
+        head = text.rstrip(_TOKEN_CHARS)
+        tail = text[len(head):]
+        yield from tokenize(head)
     if tail:
         yield from tokenize(tail)
 
@@ -150,27 +148,25 @@ def build_trioccurrence(corpus, max_vocab, window):
     j = (codes // v) % v
     k = codes % v
     sorted_triples = np.stack([i, j, k], axis=1)
-    idx, vals = _expand_symmetric(sorted_triples, counts.astype(np.float64))
+    idx, vals = _expand_symmetric(sorted_triples, counts.astype(np.float64), v)
     return vocab, SparseTensor3((v, v, v), idx, vals)
 
 
-def _expand_symmetric(sorted_triples, values):
+def _expand_symmetric(sorted_triples, values, v):
     """All distinct permutations of each sorted index triple, same value.
 
-    Triples with repeated indices produce coinciding permutations; those are
+    Each permutation ``(a, b, c)`` is packed into the code ``(a*v + b)*v +
+    c``, so one sort of the codes gives (i, j, k) order.  Triples with
+    repeated indices produce coinciding permutations; those are
     deduplicated here (keeping the value once) because the COO constructor
     would otherwise sum them.
     """
     perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    idx = np.vstack([sorted_triples[:, perm] for perm in perms])
-    val = np.concatenate([values] * len(perms))
-    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
-    idx = idx[order]
-    val = val[order]
-    keep = np.empty(idx.shape[0], dtype=bool)
-    keep[0] = True
-    keep[1:] = (idx[1:] != idx[:-1]).any(axis=1)
-    return idx[keep], val[keep]
+    t = sorted_triples
+    codes = np.concatenate([(t[:, a] * v + t[:, b]) * v + t[:, c] for a, b, c in perms])
+    codes, first = np.unique(codes, return_index=True)
+    idx = np.column_stack([codes // (v * v), (codes // v) % v, codes % v])
+    return idx, values[first % len(values)]
 
 
 def scale_log1p(tensor):

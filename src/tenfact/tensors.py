@@ -31,6 +31,11 @@ index, first other index) and stores each such fiber as one row of a CSR
 matrix over the second other index; applying it costs one sparse-times-dense
 product, one gather-and-scale per fiber and one segment sum per output row,
 so each factor-row product is formed once per fiber, not once per nonzero.
+The kernel runs these three steps block by block, each block a run of whole
+output rows with all of their fibers, sized so that its temporaries stay in
+cache, the blocking idea of CSF and of HiCOO (Li et al., SC 2018).  Every
+output row sums its own fibers in the same order whatever the blocks, so
+blocking changes no bit of the result.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely across threads.
@@ -59,9 +64,12 @@ __all__ = [
     "normalize_columns",
 ]
 
-# Column blocks of the sparse MTTKRP keep every temporary at most this many
-# floats, however many fibers a tensor has.
-_BLOCK_FLOATS = 1 << 22
+# Row blocks of the sparse MTTKRP keep each temporary at most this many
+# floats (2 MB), however many fibers a tensor has, so that it stays in cache
+# instead of being freshly paged in.  At k = 1 this still covers the 222k
+# fibers of a 760k-nonzero tensor in one block, so rank-1 updates pay no
+# per-block overhead.
+_BLOCK_FLOATS = 1 << 18
 
 
 class DenseTensor3:
@@ -470,14 +478,17 @@ def _mode_plan(tensor, mode):
 
     Mode 1 fibers are (i, j) pairs and the canonical (i, j, k) order already
     groups them.  For modes 2 and 3 a stable sort on the output index turns
-    that order into (j, i, k) or (k, i, j) order.
+    that order into (j, i, k) or (k, i, j) order.  The sort key is the
+    output index in the narrowest unsigned type that holds it, because
+    numpy radix-sorts 8- and 16-bit keys; the order is the same.
     """
     idx, vals = tensor.indices, tensor.values
     other = [0, 1, 2]
     other.remove(mode - 1)
     out_idx, p_idx, q_idx = idx[:, mode - 1], idx[:, other[0]], idx[:, other[1]]
     if mode != 1:
-        order = np.argsort(out_idx, kind="stable")
+        key = out_idx.astype(np.min_scalar_type(tensor.dims[mode - 1] - 1))
+        order = np.argsort(key, kind="stable")
         out_idx, p_idx, q_idx, vals = out_idx[order], p_idx[order], q_idx[order], vals[order]
     return _fiber_plan(out_idx, p_idx, q_idx, vals, tensor.dims[mode - 1], tensor.dims[other[1]])
 
@@ -486,18 +497,56 @@ def _fiber_mttkrp(plan, p, q):
     """Apply a fiber plan: ``Y = fibers @ Q``, scale each fiber by its P row,
     then sum each output row's fibers.  Rows without nonzeros come out zero.
 
-    Works in column blocks so no temporary exceeds ``_BLOCK_FLOATS`` floats;
-    columns never mix, so the blocks change no bit of the result.
+    Works in blocks of whole output rows (see :func:`_row_blocks`), so that
+    every temporary holds at most ``_BLOCK_FLOATS`` floats, or one output
+    row's fibers times ``k`` when a single row has more, and stays in cache.
+    Each output row still sums its own fibers in the same order, so the
+    blocks change no bit of the result.
     """
     k = p.shape[1]
     out = np.empty((plan.rows.shape[0], k))
-    block = max(1, min(k, _BLOCK_FLOATS // max(1, plan.fiber_p.size)))
-    for lo in range(0, k, block):
-        hi = min(lo + block, k)
-        y = plan.fibers @ q[:, lo:hi]
-        y *= np.take(p[:, lo:hi], plan.fiber_p, axis=0)
-        out[:, lo:hi] = plan.rows @ y
+    for r0, r1, fibers, sums, fiber_p in _row_blocks(plan, max(1, _BLOCK_FLOATS // max(1, k))):
+        y = fibers @ q
+        y *= np.take(p, fiber_p, axis=0)
+        out[r0:r1] = sums @ y
     return out
+
+
+def _row_blocks(plan, per_block):
+    """Split a fiber plan into runs of whole output rows.
+
+    Yields ``(r0, r1, fibers, sums, fiber_p)``: output rows ``r0:r1``, their
+    fibers as CSR rows, the 0/1 CSR matrix that sums them per output row,
+    and each fiber's p.  Each run holds as many rows as fit in
+    ``per_block`` fibers, and at least one row.  A plan that fits whole is
+    yielded as it is, which spares small tensors and rank-1 updates the cost
+    of building block matrices.
+    """
+    fibers, rows = plan.fibers, plan.rows
+    n_rows, n_fibers = rows.shape
+    if n_fibers <= per_block:
+        yield 0, n_rows, fibers, rows, plan.fiber_p
+        return
+    bounds = rows.indptr
+    r0 = 0
+    while r0 < n_rows:
+        f0 = int(bounds[r0])
+        r1 = int(np.searchsorted(bounds, f0 + per_block, side="right")) - 1
+        r1 = min(max(r1, r0 + 1), n_rows)
+        f1 = int(bounds[r1])
+        # CSR matrices over slices of the plan's arrays; the column indices
+        # of ``rows`` count 0, 1, 2, ..., so its first f1 - f0 serve.
+        lo, hi = fibers.indptr[f0], fibers.indptr[f1]
+        block = scipy.sparse.csr_matrix(
+            (fibers.data[lo:hi], fibers.indices[lo:hi], fibers.indptr[f0 : f1 + 1] - lo),
+            shape=(f1 - f0, fibers.shape[1]),
+        )
+        sums = scipy.sparse.csr_matrix(
+            (rows.data[f0:f1], rows.indices[: f1 - f0], bounds[r0 : r1 + 1] - f0),
+            shape=(r1 - r0, f1 - f0),
+        )
+        yield r0, r1, block, sums, plan.fiber_p[f0:f1]
+        r0 = r1
 
 
 def cp_reconstruct(model):

@@ -1,8 +1,11 @@
 import itertools
 import math
+import string
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tenfact.embed import (
     EmbeddingMatrix,
@@ -13,6 +16,7 @@ from tenfact.embed import (
     extract_embeddings,
     scale_log1p,
     tokenize,
+    _expand_symmetric,
 )
 from tenfact.errors import UndefinedResultError
 from tenfact.tensors import CpModel, SparseTensor3
@@ -34,6 +38,18 @@ def brute_force_counts(tokens, vocab, window):
         key = tuple(sorted(vocab.index[w] for w in words))
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def lexsort_expand_symmetric(sorted_triples, values):
+    """Reference: stack the six permutations, lexsort them, drop adjacent duplicates."""
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    idx = np.vstack([sorted_triples[:, perm] for perm in perms])
+    val = np.concatenate([values] * len(perms))
+    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
+    idx, val = idx[order], val[order]
+    keep = np.ones(idx.shape[0], dtype=bool)
+    keep[1:] = (idx[1:] != idx[:-1]).any(axis=1)
+    return idx[keep], val[keep]
 
 
 def logical_value(tensor, i, j, k):
@@ -103,6 +119,25 @@ class TestBuildTrioccurrence:
         np.testing.assert_array_equal(whole[1].indices, ragged[1].indices)
         np.testing.assert_array_equal(whole[1].values, ragged[1].values)
 
+    @given(
+        text=st.text(alphabet=string.ascii_letters + string.digits + string.punctuation + " \n", max_size=120),
+        cuts=st.lists(st.integers(0, 120), max_size=6),
+        window=st.integers(3, 5),
+    )
+    @example(text="abcdefgh ij", cuts=[2, 2, 5], window=3)  # an empty chunk, then one fragment
+    @example(text="Ab1 cd, x12\nCD ab1", cuts=[0, 2, 2, 10, 13], window=4)  # "Ab|1", "x1|2", "C|D"
+    def test_chunking_property(self, text, cuts, window):
+        """Cutting a text into chunks anywhere, even into empty chunks or
+        chunks inside one token, builds the whole text's tensor."""
+        bounds = [0, *sorted(c % (len(text) + 1) for c in cuts), len(text)]
+        chunks = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+        whole = build_trioccurrence([text], max_vocab=8, window=window)
+        cut = build_trioccurrence(chunks, max_vocab=8, window=window)
+        assert cut[0].words == whole[0].words
+        assert cut[1].dims == whole[1].dims
+        np.testing.assert_array_equal(cut[1].indices, whole[1].indices)
+        np.testing.assert_array_equal(cut[1].values, whole[1].values)
+
     def test_symmetry_invariant(self, rng):
         words = " ".join(rng.choice(list("abcde"), size=40))
         _, tensor = build_trioccurrence([words], max_vocab=5, window=5)
@@ -113,6 +148,27 @@ class TestBuildTrioccurrence:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             build_trioccurrence(["a b c"], max_vocab=3, window=2)
+
+
+class TestExpandSymmetric:
+    @pytest.mark.parametrize("case", ["iii", "iij", "ijj", "ijk", "mixed", "empty"])
+    def test_matches_lexsort_reference(self, rng, case):
+        v = 6
+        triples = {
+            "iii": [[0, 0, 0], [3, 3, 3], [5, 5, 5]],
+            "iij": [[0, 0, 1], [2, 2, 5], [4, 4, 5]],
+            "ijj": [[0, 1, 1], [1, 5, 5], [3, 4, 4]],
+            "ijk": [[0, 1, 2], [0, 2, 5], [3, 4, 5]],
+            "mixed": sorted({tuple(sorted(t)) for t in rng.integers(0, v, (40, 3)).tolist()}),
+            "empty": np.empty((0, 3), dtype=np.int64),
+        }[case]
+        sorted_triples = np.array(triples, dtype=np.int64).reshape(-1, 3)
+        values = rng.integers(1, 9, sorted_triples.shape[0]).astype(np.float64)
+        idx, vals = _expand_symmetric(sorted_triples, values, v)
+        ref_idx, ref_vals = lexsort_expand_symmetric(sorted_triples, values)
+        for got, expect in ((idx, ref_idx), (vals, ref_vals)):
+            assert got.dtype == expect.dtype and got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
 
 
 class TestScaleLog1p:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tenfact import tensors
 from tenfact.decompose import _Workspace
 from tenfact.linalg import ls_solve_kr
 from tenfact.tensors import (
@@ -21,6 +22,8 @@ from tenfact.tensors import (
     mttkrp,
     normalize_columns,
     residual_ratio,
+    _fiber_plan,
+    _mode_plan,
 )
 
 from conftest import diagonal_tensor, loop_reconstruct, random_model, random_sparse, unit_columns
@@ -402,17 +405,68 @@ class TestMttkrpIdentity:
         q[1:] *= -2.0
         check(2, a, q)
 
+    @pytest.mark.parametrize("budget", [1, 2, 5, 12])
+    def test_row_blocks_match_one_block(self, rng, budget):
+        """Budgets far below every test tensor's size force many row blocks.
+
+        Budget 1 gives each block one row and more fibers than the budget,
+        and k = 3 exceeds budgets 1 and 2.
+        """
+        dims = (6, 7, 5)
+        cases = {
+            "random": random_sparse(rng, dims, 60),
+            "empty": SparseTensor3.empty(dims),
+            # Mode-1 row 0 holds seven (0, j) fibers, more than one block's
+            # share at every budget and k here but budget 12 at k = 1; every
+            # other row but 3 is empty.
+            "long_row": SparseTensor3.from_entries(
+                dims, [(0, j, j % 5, 1.0 + j) for j in range(7)] + [(3, 2, 4, -2.0)]
+            ),
+            # Mode-1 rows 1, 2, 4 and 5 are empty: at, before and between cuts.
+            "empty_rows": SparseTensor3.from_entries(
+                dims, [(i, j, k, rng.standard_normal()) for i in (0, 3) for j in (1, 4, 6) for k in (0, 2)]
+            ),
+        }
+        for case, tensor in cases.items():
+            for rank in (1, 3):
+                factors = tuple(rng.standard_normal((d, rank)) for d in dims)
+                assert_blocks_match_one_block(tensor, factors, budget, f"{case} k={rank}")
+
     @given(
         dims=st.tuples(*(st.integers(1, 6),) * 3),
         nnz=st.integers(0, 50),
         rank=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
+        budget=st.integers(1, 64),
     )
-    def test_mttkrp_property_matches_dense(self, dims, nnz, rank, seed):
+    def test_mttkrp_property_matches_dense(self, dims, nnz, rank, seed, budget):
         rng = np.random.default_rng(seed)
         tensor = random_sparse(rng, dims, nnz)
         factors = tuple(rng.standard_normal((d, rank)) for d in dims)
-        assert_sparse_kernels_match_dense(tensor, factors)
+        assert_blocks_match_one_block(tensor, factors, budget)
+
+    def test_mode_plan_narrow_sort_key_matches_int64_argsort(self, rng):
+        """Mode 2 sorts on a uint32 key (d2 > 65535) and mode 3 on a uint8 key (d3 <= 255)."""
+        dims = (3, 70_000, 200)
+        n = 2000
+        # Few distinct mode-2 indices, all near the 16-bit limit, give many ties.
+        idx = np.column_stack([
+            rng.integers(0, 3, n), rng.choice([0, 65535, 65536, 69_999], n), rng.integers(0, 200, n)
+        ])
+        tensor = SparseTensor3(dims, idx, rng.standard_normal(n))
+        for mode in (1, 2, 3):
+            got = _mode_plan(tensor, mode)
+            other = [m for m in range(3) if m != mode - 1]
+            ix = tensor.indices
+            order = np.argsort(ix[:, mode - 1], kind="stable")
+            expect = _fiber_plan(
+                ix[order, mode - 1], ix[order, other[0]], ix[order, other[1]], tensor.values[order],
+                dims[mode - 1], dims[other[1]],
+            )
+            for name in ("data", "indices", "indptr"):
+                assert_same_bits(getattr(got.fibers, name), getattr(expect.fibers, name))
+                assert_same_bits(getattr(got.rows, name), getattr(expect.rows, name))
+            assert_same_bits(got.fiber_p, expect.fiber_p)
 
 
 def assert_matches_coo_oracle(s, idx, vals):
@@ -447,6 +501,32 @@ def assert_sparse_kernels_match_dense(tensor, factors, check_ls=False, case=""):
                 atol=1e-12 * max(1.0, np.abs(expect_ls).max()),
                 err_msg=label,
             )
+
+
+def sparse_kernel_outputs(tensor, factors):
+    """Public ``mttkrp``, ``_Workspace.mttkrp`` and sparse ``ls_solve_kr``, all three modes."""
+    ws = _Workspace(tensor)
+    out = []
+    for mode in (1, 2, 3):
+        p, q = [f for m, f in enumerate(factors, start=1) if m != mode]
+        out += [mttkrp(tensor, factors, mode), ws.mttkrp(mode, p, q), ls_solve_kr(matricize(tensor, mode), p, q)]
+    return out
+
+
+def assert_same_bits(got, expect, label=""):
+    assert got.dtype == expect.dtype and got.shape == expect.shape, label
+    assert got.tobytes() == expect.tobytes(), label
+
+
+def assert_blocks_match_one_block(tensor, factors, budget, case=""):
+    """Under a row-block budget of ``budget`` floats every sparse MTTKRP caller
+    gives the one-block bits and matches the dense path."""
+    one_block = sparse_kernel_outputs(tensor, factors)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensors, "_BLOCK_FLOATS", budget)
+        for got, expect in zip(sparse_kernel_outputs(tensor, factors), one_block):
+            assert_same_bits(got, expect, f"{case} budget {budget}")
+        assert_sparse_kernels_match_dense(tensor, factors, check_ls=True, case=case)
 
 
 class TestIncoherence:
