@@ -23,10 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .decompose import (
+    ALS_RUNNERS,
     DecompConfig,
-    als_run,
-    hybrid_run,
-    orth_als_run,
     orth_tpm_run,
     simdiag,
     tpm_multi,
@@ -177,7 +175,8 @@ ALGORITHM_NAMES = (
 
 def _run_algorithm(name, tensor, rank, seed, iters, tol, record_trace=False):
     """Dispatch one named algorithm; returns (model, iterations, trace)."""
-    if name in ("als", "als-svd", "orth-als", "hybrid"):
+    runner = ALS_RUNNERS.get("als" if name == "als-svd" else name)
+    if runner is not None:
         cfg = DecompConfig(
             rank=rank,
             max_iters=iters,
@@ -186,12 +185,6 @@ def _run_algorithm(name, tensor, rank, seed, iters, tol, record_trace=False):
             seed=seed,
             record_trace=record_trace,
         )
-        runner = {
-            "als": als_run,
-            "als-svd": als_run,
-            "orth-als": orth_als_run,
-            "hybrid": hybrid_run,
-        }[name]
         result = runner(tensor, cfg)
         return result.model, result.iterations_used, result.residual_trace
     if name in ("tpm", "tpm-svd"):
@@ -288,7 +281,7 @@ def run_residual_suite(spec, algorithms, iters, trials=1, tol=1e-6, threads=1):
     ALS family) is run on it with ``record_trace`` enabled.  Returns
     TrialReports carrying the traces.
     """
-    traceable = ("als", "als-svd", "orth-als", "hybrid")
+    traceable = (*ALS_RUNNERS, "als-svd")
     for name in algorithms:
         if name not in traceable:
             raise ValueError(f"residual suite supports {traceable}, got {name!r}")

@@ -31,10 +31,8 @@ from .bench import (
 )
 from .completion import CompletionProblem, complete_masked
 from .decompose import (
+    ALS_RUNNERS,
     DecompConfig,
-    als_run,
-    hybrid_run,
-    orth_als_run,
     orth_tpm_run,
     simdiag,
     tpm_multi,
@@ -108,15 +106,14 @@ def cmd_decompose(args):
         record_trace=args.trace is not None,
     )
     trace = None
-    if args.algo in ("als", "orth-als", "hybrid"):
-        runner = {"als": als_run, "orth-als": orth_als_run, "hybrid": hybrid_run}[args.algo]
-        result = runner(tensor, cfg)
+    if args.algo in ALS_RUNNERS:
+        result = ALS_RUNNERS[args.algo](tensor, cfg)
         model, trace, iters = result.model, result.residual_trace, result.iterations_used
         print(f"{args.algo}: {iters} iterations, converged={result.converged}")
     elif args.algo == "tpm":
         model = tpm_multi(
             tensor, n_inits=max(args.inits, args.rank), iters=args.iters,
-            rank=args.rank, seed=args.seed, init=args.init if args.init != "given" else "random",
+            rank=args.rank, seed=args.seed, init=args.init,
         )
     elif args.algo == "orth-tpm":
         model = orth_tpm_run(tensor, args.rank, args.iters, seed=args.seed)
@@ -283,13 +280,11 @@ def cmd_embed_factorize(args):
         rank=args.rank,
         max_iters=args.iters,
         tol=args.tol,
-        orth_mode={"als": "none", "orth-als": "always", "hybrid": "first_s"}[args.algo],
         orth_steps=args.hybrid_switch,
         seed=args.seed,
         record_trace=False,
     )
-    runner = {"als": als_run, "orth-als": orth_als_run, "hybrid": hybrid_run}[args.algo]
-    result = runner(tensor, cfg)
+    result = ALS_RUNNERS[args.algo](tensor, cfg)
     embeddings = extract_embeddings(result.model, vocab)
     _write_embeddings_tsv(args.out, embeddings)
     outputs = [args.out]
@@ -385,7 +380,7 @@ def _build_parser():
     p = sub.add_parser("decompose", help="factor a .coo tensor")
     p.add_argument("--input", required=True)
     p.add_argument("--algo", default="orth-als",
-                   choices=["als", "orth-als", "hybrid", "tpm", "orth-tpm", "simdiag"])
+                   choices=[*ALS_RUNNERS, "tpm", "orth-tpm", "simdiag"])
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-6)
@@ -470,7 +465,7 @@ def _build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--vocab-file", required=True)
     p.add_argument("--rank", type=int, default=50)
-    p.add_argument("--algo", default="orth-als", choices=["als", "orth-als", "hybrid"])
+    p.add_argument("--algo", default="orth-als", choices=list(ALS_RUNNERS))
     p.add_argument("--hybrid-switch", type=int, default=5)
     p.add_argument("--scale", default="log1p", choices=["log1p", "none"])
     p.add_argument("--iters", type=int, default=30)

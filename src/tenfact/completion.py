@@ -4,8 +4,11 @@ A :class:`CompletionProblem` stores the revealed entries of an otherwise
 unknown tensor.  Structural missingness is distinct from an observed zero:
 nonzero observations live in a sparse tensor, observed zeros in a dedicated
 index list.  ``complete_masked`` fits a CP model by solving one small ridge
-least-squares problem per factor row per sweep, with the factor matrices
-orthogonalized for the first few sweeps (the hybrid policy).  Each row's
+least-squares problem per factor row per sweep.  Its sweeps run on the ALS
+driver's engine (``decompose._sweep_engine``) and so follow the same policy:
+the factor matrices are orthogonalized for the first few sweeps (the hybrid
+policy) and ``rerandomize_period`` is honoured.  The stop metric is the
+observed-entry RMSE relative to the RMS of the observed values.  Each row's
 Gram matrix is one small matrix product over that row's observations, and
 the elementwise products of factor rows that the solves and the rank-1
 check need are formed once per distinct index pair, not once per entry.
@@ -32,14 +35,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decompose import (
-    DecompConfig,
-    _initial_factors,
-    _orthogonalize_with_retry,
-    _random_unit_columns,
-)
+from .decompose import DecompConfig, _redraw_columns, _sweep_engine
 from .errors import InvalidConfigError
-from .tensors import CpModel, SparseTensor3, cp_reconstruct, normalize_columns
+from .tensors import SparseTensor3, cp_reconstruct, normalize_columns
 
 __all__ = [
     "CompletionProblem",
@@ -202,10 +200,14 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
     """Fit a rank-``rank`` CP model to the observed entries.
 
     Every factor row is updated by ridge-regularized least squares over that
-    row's observations.  The factor matrices are orthogonalized for the first
-    ``cfg.orth_steps`` sweeps (default 5); pass a config with
-    ``orth_mode='none'`` for the plain-ALS baseline.  Stops when the relative
-    change of the observed-entry RMSE drops below ``cfg.tol``.
+    row's observations.  The sweeps follow the ALS driver's policy
+    (``decompose._sweep_engine``): the factor matrices are orthogonalized for
+    the first ``cfg.orth_steps`` sweeps (default 5), ``rerandomize_period``
+    redraws trailing columns on its schedule, and a config with
+    ``orth_mode='none'`` gives the plain-ALS baseline.  The stop metric is the
+    observed-entry RMSE divided by the RMS of the observed values; the run
+    stops at an exact fit or when its relative change drops below
+    ``cfg.tol``.
 
     After every sweep but the last, a column whose observed energy (the sum
     of its squared unit rank-1 entries over the observed positions) is below
@@ -225,40 +227,19 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
         raise InvalidConfigError("completion supports init='random' or 'given'")
     if problem.n_observed == 0:
         raise ValueError("completion problem has no observed entries")
-    orth_active = cfg.orth_mode == "always" or (
-        cfg.orth_mode == "first_s" and cfg.orth_steps > 0
-    )
-    if orth_active and rank > min(problem.dims):
-        raise InvalidConfigError(
-            f"rank {rank} exceeds min(dims)={min(problem.dims)} with orthogonalization on"
-        )
 
     indices = problem.all_indices()
     values = problem.all_values()
     solver = _RowSolver(indices, values, problem.dims)
-    stub = SparseTensor3.empty(problem.dims)
-    rng = np.random.default_rng(cfg.seed)
-    a, b, c = _initial_factors(stub, cfg, rng)
-
     ij_pairs, ij_inverse = _distinct_pairs(indices[:, 0], indices[:, 1], problem.dims[1])
     kk = indices[:, 2]
     # Observed energy below this marks a column that has left the observed entries.
     energy_floor = 0.5 * problem.n_observed / math.prod(problem.dims)
-
-    prev = None
-    weights = np.zeros(rank)
+    # Relative RMSE: the exact-fit floor must not depend on the data's scale.
+    scale = float(np.sqrt(np.mean(values**2))) or 1.0
     redraws = np.zeros(rank, dtype=np.int64)
-    for t in range(1, cfg.max_iters + 1):
-        orth_now = cfg.orth_mode == "always" or (
-            cfg.orth_mode == "first_s" and t <= cfg.orth_steps
-        )
-        if orth_now:
-            if t > 1:
-                order = np.argsort(-np.abs(weights), kind="stable")
-                a, b, c = a[:, order], b[:, order], c[:, order]
-            a = _orthogonalize_with_retry(a, rng, "mode-1 factors")
-            b = _orthogonalize_with_retry(b, rng, "mode-2 factors")
-            c = _orthogonalize_with_retry(c, rng, "mode-3 factors")
+
+    def step(t, rng, a, b, c):
         a1 = solver.solve_mode(1, b, c, a, ridge)
         b1 = solver.solve_mode(2, a1, c, b, ridge)
         c1 = solver.solve_mode(3, a1, b1, c, ridge)
@@ -288,17 +269,14 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
                     t,
                     stray.tolist(),
                 )
-                for f in (a, b, c):
-                    f[:, stray] = _random_unit_columns(rng, f.shape[0], stray.size)
+                a, b, c = _redraw_columns(rng, (a, b, c), stray)
                 weights[stray] = 0.0
-                prev = None
-                continue
+                return a, b, c, weights, None
         recon = np.einsum("nr,r->n", rank1, weights, optimize=True)
-        cur = float(np.sqrt(np.mean((recon - values) ** 2)))
-        if prev is not None and abs(prev - cur) <= cfg.tol * max(prev, 1e-300):
-            break
-        prev = cur
-    return CpModel(weights, a, b, c).canonical()
+        rmse = float(np.sqrt(np.mean((recon - values) ** 2)))
+        return a, b, c, weights, rmse / scale
+
+    return _sweep_engine(cfg, problem.dims, step).model.canonical()
 
 
 def missing_entry_error(truth, problem, model):

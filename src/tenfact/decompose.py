@@ -1,14 +1,19 @@
 """CP decomposition algorithms and convergence diagnostics.
 
-The ALS family (plain, orthogonalized, hybrid) shares one driver.  Every
+The ALS family (plain, orthogonalized, hybrid) and masked completion share
+one sweep engine, ``_sweep_engine``, which owns the policy: the start, the
+re-randomization schedule, when to orthogonalize, and the stop rule.  Every
 iteration is a sequential exact least-squares sweep in mode order 1, 2, 3,
-each solve using the freshest versions of the other two factors.  An
-orthogonalized iteration additionally sorts the columns by decreasing weight
-estimate and replaces each factor matrix by the Q of its QR factorization
-before the sweep; the sort keeps the heaviest (earliest-converging) factors
-anchored at the front, where Gram-Schmidt leaves them untouched.  Because the
-Khatri-Rao Gram of orthonormal factors is the identity, the first mode update
-after orthogonalization reduces to the bare MTTKRP with no pseudoinverse.
+each solve using the freshest versions of the other two factors; the caller
+supplies the sweep (here the workspace updates, in ``completion`` the per-row
+solves) and its stop metric.  An orthogonalized iteration additionally sorts
+the columns by decreasing weight estimate and replaces each factor matrix by
+the Q of its QR factorization before the sweep; the sort keeps the heaviest
+(earliest-converging) factors anchored at the front, where Gram-Schmidt
+leaves them untouched.  Because the Khatri-Rao Gram of orthonormal factors is
+the identity, the first mode update after orthogonalization reduces to the
+bare MTTKRP with no pseudoinverse.  ``ALS_RUNNERS`` names the three runners
+for the CLI and the benchmark suites.
 
 Every sweep, and every other repeated MTTKRP, runs through one per-run
 ``_Workspace``.  For a dense tensor it keeps the mode-3 partial ``T x_3 C``
@@ -63,6 +68,7 @@ __all__ = [
     "als_run",
     "orth_als_run",
     "hybrid_run",
+    "ALS_RUNNERS",
     "tpm_run",
     "tpm_multi",
     "orth_tpm_run",
@@ -218,22 +224,28 @@ def _random_unit_columns(rng, d, k):
     return normalize_columns(cols)[0]
 
 
-def _initial_factors(ws, cfg, rng):
-    d1, d2, d3 = ws.dims
+def _redraw_columns(rng, factors, cols):
+    """Copies of ``factors`` with columns ``cols`` redrawn at random, mode by mode."""
+    out = []
+    for f in factors:
+        f = np.array(f)
+        f[:, cols] = _random_unit_columns(rng, f.shape[0], len(cols))
+        out.append(f)
+    return out
+
+
+def _initial_factors(dims, cfg, rng, ws=None):
     if cfg.init == "random":
-        return (
-            _random_unit_columns(rng, d1, cfg.rank),
-            _random_unit_columns(rng, d2, cfg.rank),
-            _random_unit_columns(rng, d3, cfg.rank),
-        )
+        return tuple(_random_unit_columns(rng, d, cfg.rank) for d in dims)
     if cfg.init == "svd":
         return _svd_init(ws, cfg.rank, rng)
-    a0, b0, c0 = cfg.given
-    return (
-        normalize_columns(np.asarray(a0, dtype=np.float64))[0],
-        normalize_columns(np.asarray(b0, dtype=np.float64))[0],
-        normalize_columns(np.asarray(c0, dtype=np.float64))[0],
-    )
+    given = [np.asarray(f, dtype=np.float64) for f in cfg.given]
+    expected = [(d, cfg.rank) for d in dims]
+    if [f.shape for f in given] != expected:
+        raise InvalidConfigError(
+            f"init='given' needs factors of shapes {expected}, got {[f.shape for f in given]}"
+        )
+    return tuple(normalize_columns(f)[0] for f in given)
 
 
 def _orthogonalize_with_retry(m, rng, label):
@@ -273,56 +285,83 @@ def _sweep(ws, a, b, c):
     return a1, b1, c1, m3
 
 
-def _driver(tensor, cfg):
-    needs_orth = cfg.orth_mode == "always" or (
-        cfg.orth_mode == "first_s" and cfg.orth_steps > 0
-    )
-    if needs_orth and cfg.rank > min(tensor.dims):
+def _orthogonalizes(cfg, t):
+    """Whether sweep ``t`` (from 1) orthogonalizes the factors before its solves."""
+    return cfg.orth_mode == "always" or (cfg.orth_mode == "first_s" and t <= cfg.orth_steps)
+
+
+def _sweep_engine(cfg, dims, step, ws=None):
+    """The ALS sweep policy that the driver and masked completion share.
+
+    Draws the start, then runs sweeps ``t = 1, 2, ...``: on the
+    ``rerandomize_period`` schedule the trailing columns are redrawn, and an
+    orthogonalizing sweep sorts the columns by decreasing weight and replaces
+    each factor by the Q of its QR.  ``step(t, rng, a, b, c)`` does the three
+    mode updates and the normalize step, and returns unit factors, weights
+    and the stop metric; a metric of ``None`` restarts the stop rule.  The run
+    stops at an exact fit (metric below ``_RESIDUAL_FLOOR``) or once the
+    metric's relative change is at most ``cfg.tol``.  The model is returned
+    as the last sweep left it, not canonicalized.
+    """
+    k = cfg.rank
+    if _orthogonalizes(cfg, 1) and k > min(dims):
         raise InvalidConfigError(
-            f"rank {cfg.rank} exceeds min(dims)={min(tensor.dims)}: orthogonalization "
+            f"rank {k} exceeds min(dims)={min(dims)}: orthogonalization "
             "requires rank <= dimension; use deflate_overcomplete for higher ranks"
         )
-    ws = _Workspace(tensor)
     rng = np.random.default_rng(cfg.seed)
-    a, b, c = _initial_factors(ws, cfg, rng)
-    k = cfg.rank
-
+    a, b, c = _initial_factors(dims, cfg, rng, ws)
+    period = cfg.rerandomize_period
+    weights = np.zeros(k)
     trace = []
     last_move = np.zeros(k, dtype=np.int64)
-    prev_res = None
+    prev = None
     converged = False
-    last_orth = False
-    iterations = 0
-    weights = np.zeros(k)
-
     for t in range(1, cfg.max_iters + 1):
-        if (
-            cfg.rerandomize_period is not None
-            and t > 1
-            and (t - 1) % cfg.rerandomize_period == 0
-        ):
-            keep = (t - 1) // cfg.rerandomize_period
-            if keep < k:
-                a = np.array(a)
-                b = np.array(b)
-                c = np.array(c)
-                a[:, keep:] = _random_unit_columns(rng, a.shape[0], k - keep)
-                b[:, keep:] = _random_unit_columns(rng, b.shape[0], k - keep)
-                c[:, keep:] = _random_unit_columns(rng, c.shape[0], k - keep)
-
-        orth_now = cfg.orth_mode == "always" or (
-            cfg.orth_mode == "first_s" and t <= cfg.orth_steps
-        )
-        if orth_now and t > 1:
+        if period is not None and t > 1 and (t - 1) % period == 0 and (t - 1) // period < k:
+            a, b, c = _redraw_columns(rng, (a, b, c), np.arange((t - 1) // period, k))
+        orth = _orthogonalizes(cfg, t)
+        if orth and t > 1:
             # Keep the heaviest factors first so Gram-Schmidt anchors on them.
             order = np.argsort(-np.abs(weights), kind="stable")
             a, b, c = a[:, order], b[:, order], c[:, order]
             last_move = last_move[order]
-        prev_factors = (a, b, c) if cfg.record_trace else None
-        if orth_now:
+        before = (a, b, c)
+        if orth:
             a = _orthogonalize_with_retry(a, rng, "mode-1 factors")
             b = _orthogonalize_with_retry(b, rng, "mode-2 factors")
             c = _orthogonalize_with_retry(c, rng, "mode-3 factors")
+        a, b, c, weights, metric = step(t, rng, a, b, c)
+        trace.append(math.nan if metric is None else metric)
+        if cfg.record_trace:
+            last_move[_columns_moved(before, (a, b, c))] = t
+        if metric is None:
+            prev = None
+            continue
+        # Below the floor the fit is exact up to roundoff, where the
+        # relative-change rule would only see floating-point noise.
+        if metric < _RESIDUAL_FLOOR or (
+            prev is not None and abs(prev - metric) <= cfg.tol * max(prev, 1e-300)
+        ):
+            converged = True
+            break
+        prev = metric
+    steps = None
+    if cfg.record_trace:
+        steps = np.where(last_move < t, last_move + 1, -1)
+    return DecompResult(
+        model=CpModel(weights, a, b, c),
+        iterations_used=t,
+        converged=converged,
+        residual_trace=np.asarray(trace) if cfg.record_trace else None,
+        factor_convergence_steps=steps,
+    )
+
+
+def _driver(tensor, cfg):
+    ws = _Workspace(tensor)
+
+    def step(t, rng, a, b, c):
         a1, b1, c1, m3 = _sweep(ws, a, b, c)
         inner = float(np.sum(c1 * m3))
         model_sq = float(((a1.T @ a1) * (b1.T @ b1) * (c1.T @ c1)).sum())
@@ -331,41 +370,17 @@ def _driver(tensor, cfg):
         b, nb = normalize_columns(b1)
         c, nc = normalize_columns(c1)
         weights = na * nb * nc
-        res = ws.refine_ratio(res, weights, a, b, c)
+        return a, b, c, weights, ws.refine_ratio(res, weights, a, b, c)
 
-        iterations = t
-        last_orth = orth_now
-        trace.append(res)
-        if cfg.record_trace:
-            moved = _columns_moved(prev_factors, (a, b, c))
-            last_move[moved] = t
-        if res < _RESIDUAL_FLOOR:
-            # Exact fit up to roundoff; the relative-change rule can never
-            # trigger on floating-point noise at this level.
-            converged = True
-            break
-        if prev_res is not None:
-            if abs(prev_res - res) <= cfg.tol * max(prev_res, 1e-300):
-                converged = True
-                break
-        prev_res = res
-
-    if last_orth:
+    result = _sweep_engine(cfg, ws.dims, step, ws)
+    m = result.model
+    weights = m.weights
+    if _orthogonalizes(cfg, result.iterations_used):
         # Weight re-estimation by full contraction against the tensor, the
         # final step of the orthogonalized algorithm.
-        m1 = ws.mttkrp(1, b, c)
-        weights = np.einsum("ir,ir->r", a, m1)
-    model = CpModel(weights, a, b, c).canonical()
-    steps = None
-    if cfg.record_trace:
-        steps = np.where(last_move < iterations, last_move + 1, -1)
-    return DecompResult(
-        model=model,
-        iterations_used=iterations,
-        converged=converged,
-        residual_trace=np.asarray(trace) if cfg.record_trace else None,
-        factor_convergence_steps=steps,
-    )
+        weights = np.einsum("ir,ir->r", m.A, ws.mttkrp(1, m.B, m.C))
+    result.model = CpModel(weights, m.A, m.B, m.C).canonical()
+    return result
 
 
 def _columns_moved(old, new, corr_tol=1e-9):
@@ -391,6 +406,10 @@ def hybrid_run(tensor, cfg):
     """Orthogonalized iterations for the first ``cfg.orth_steps`` sweeps
     (default 5), plain ALS afterwards."""
     return _driver(tensor, replace(cfg, orth_mode="first_s"))
+
+
+# The ALS family by its command-line and benchmark names.
+ALS_RUNNERS = {"als": als_run, "orth-als": orth_als_run, "hybrid": hybrid_run}
 
 
 def _rank1_update(ws, mode, u, v):

@@ -120,6 +120,21 @@ class TestRecoverySuite:
             assert rs.residual_final == rp.residual_final
             assert rs.recovered_count == rp.recovered_count
 
+    def test_threads_do_not_change_csv(self, tmp_path):
+        grid = [SynthSpec(d=8, k=3, seed=5), SynthSpec(d=6, k=2, weight_ratio=10.0, seed=2)]
+        algos = ["orth-als", "hybrid", "als-svd", "tpm"]
+        files = []
+        for threads in (1, 2):
+            reports = run_recovery_suite(grid, algos, trials=2, iters=20, threads=threads)
+            path = tmp_path / f"threads{threads}.csv"
+            write_recovery_csv(reports, path)
+            lines = path.read_bytes().split(b"\n")
+            assert lines[0].endswith(b",wall_ms")
+            # Drop the last column, wall_ms, from every line.
+            files.append(b"\n".join(line.rpartition(b",")[0] for line in lines))
+        assert files[0].count(b"\n") == 1 + 2 * 2 * len(algos)
+        assert files[0] == files[1]
+
     def test_failure_recorded_not_raised(self, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalFailureError("synthetic failure")

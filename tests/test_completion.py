@@ -120,6 +120,14 @@ class TestCompleteMasked:
         assert any("no observations" in r.message for r in caplog.records)
         assert out.k == 1
 
+    def test_given_factor_shapes_checked(self, rng):
+        m = random_model(rng, (6, 6, 6), 3)
+        prob = full_problem(cp_reconstruct(m))
+        a, b, c = m.factors
+        for given in ((a[:, :2], b[:, :2], c[:, :2]), (a[:4], b, c)):
+            with pytest.raises(InvalidConfigError, match="given"):
+                complete_masked(prob, 3, DecompConfig(rank=3, init="given", given=given))
+
     def test_svd_init_rejected(self):
         model, t = diagonal_tensor([1.0], 4)
         prob = full_problem(t)
@@ -202,6 +210,68 @@ class TestCompleteMasked:
         fitted = cp_reconstruct(out).array[idx[:, 0], idx[:, 1], idx[:, 2]]
         # One sweep after a redraw this RMSE was 0.29.
         assert np.sqrt(np.mean((fitted - vals) ** 2)) < 0.1
+
+
+class TestSweepPolicy:
+    """complete_masked runs on the driver's sweep policy, as ``TestHybridRun``
+    checks for the decomposition runners."""
+
+    @staticmethod
+    def problem():
+        _, t = gen_random_cp(SynthSpec(d=8, k=2, seed=1))
+        return t, sample_completion_problem(t, 0.3, seed=1)
+
+    @staticmethod
+    def fit(prob, **kw):
+        cfg = DecompConfig(rank=2, max_iters=12, tol=1e-300, seed=3, **kw)
+        return complete_masked(prob, 2, cfg)
+
+    def assert_same_bits(self, m1, m2):
+        for x, y in zip((m1.weights, *m1.factors), (m2.weights, *m2.factors)):
+            np.testing.assert_array_equal(x, y)
+
+    def test_s_zero_identical_to_none(self):
+        _, prob = self.problem()
+        self.assert_same_bits(
+            self.fit(prob, orth_mode="first_s", orth_steps=0), self.fit(prob, orth_mode="none")
+        )
+
+    @pytest.mark.parametrize("steps", [12, 50])
+    def test_s_at_least_n_identical_to_always(self, steps):
+        _, prob = self.problem()
+        self.assert_same_bits(
+            self.fit(prob, orth_mode="first_s", orth_steps=steps), self.fit(prob, orth_mode="always")
+        )
+
+    @pytest.mark.parametrize("mode", ["always", "first_s"])
+    def test_rank_above_dimension_rejected_when_orthogonalizing(self, mode):
+        _, t = diagonal_tensor([1.0], 4)
+        with pytest.raises(InvalidConfigError, match="exceeds min"):
+            complete_masked(full_problem(t), 5, DecompConfig(rank=5, orth_mode=mode))
+
+    def test_rank_above_dimension_runs_without_orthogonalization(self):
+        _, t = diagonal_tensor([1.0], 4)
+        out = complete_masked(full_problem(t), 5, DecompConfig(rank=5, max_iters=5, orth_mode="none"))
+        assert out.k == 5
+
+    def test_stop_rule_independent_of_scale(self):
+        # The exact-fit floor applies to the relative RMSE: on values of order
+        # 1e-12 a floor on the absolute RMSE stops the fit early (error 0.61).
+        t, _ = self.problem()
+        errors = []
+        for s in (1.0, 1e-12):
+            ts = DenseTensor3(t.array * s)
+            prob = sample_completion_problem(ts, 0.3, seed=1)
+            cfg = DecompConfig(rank=2, max_iters=50, tol=1e-6, orth_mode="first_s", seed=1)
+            errors.append(missing_entry_error(ts, prob, complete_masked(prob, 2, cfg, ridge=0.0)))
+        assert errors[0] < 0.05
+        assert errors[1] == pytest.approx(errors[0], rel=1e-9)
+
+    def test_rerandomize_period_honoured(self):
+        _, prob = self.problem()
+        plain = self.fit(prob, orth_mode="first_s")
+        redrawn = self.fit(prob, orth_mode="first_s", rerandomize_period=4)
+        assert not np.array_equal(plain.A, redrawn.A)
 
 
 class TestMissingEntryError:

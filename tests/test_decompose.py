@@ -410,6 +410,17 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError):
             DecompConfig(rank=1, init="given")
 
+    @pytest.mark.parametrize("run", [als_run, hybrid_run])
+    def test_given_factor_shapes_checked(self, run, rng):
+        m = random_model(rng, (6, 6, 6), 3)
+        t = cp_reconstruct(m)
+        a, b, c = m.factors
+        too_few_columns = (a[:, :2], b[:, :2], c[:, :2])
+        too_few_rows = (a[:4], b, c)
+        for given in (too_few_columns, too_few_rows):
+            with pytest.raises(InvalidConfigError, match="given"):
+                run(t, DecompConfig(rank=3, init="given", given=given))
+
     def test_bad_orth_mode(self):
         with pytest.raises(InvalidConfigError):
             DecompConfig(rank=1, orth_mode="sometimes")
