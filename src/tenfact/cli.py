@@ -51,9 +51,9 @@ from .errors import (
     NumericalFailureError,
     UndefinedResultError,
 )
-from .fileio import _parse_coo, read_coo, write_cpm
+from .fileio import _parse_coo, read_coo, write_coo, write_cpm
 from .overcomplete import deflate_overcomplete
-from .tensors import SparseTensor3
+from .tensors import SparseTensor3, residual_ratio
 from .textgen import analogy_quads, planted_analogy_corpus, write_corpus, zipf_corpus
 
 # Tensors up to this many entries are densified for speed and exact residuals.
@@ -244,16 +244,12 @@ def cmd_overcomplete(args):
     )
     write_cpm(args.out, model)
     _write_manifest(args.out, "overcomplete", args, [args.input], [args.out], args.seed)
-    from .tensors import residual_ratio
-
     print(f"overcomplete: rank {model.k} model, residual {residual_ratio(tensor, model):.6g}")
     return 0
 
 
 def cmd_embed_build(args):
     vocab, tensor = build_trioccurrence(args.corpus, args.vocab, args.window)
-    from .fileio import write_coo
-
     write_coo(args.out, tensor)
     with open(args.vocab_out, "w", encoding="utf-8", newline="\n") as fh:
         for word in vocab.words:

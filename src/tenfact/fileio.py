@@ -10,17 +10,27 @@ k values per row.
 Floats are written with ``repr`` (shortest round-trip), so identical data
 produces byte-identical files.
 
-``.coo`` I/O runs at array speed.  ``write_coo`` formats whole columns of
-up to ``_CHUNK_ROWS`` entries from ``.tolist()``, ``str`` for indices and
-``repr`` for values, and writes each chunk with one ``write``, so its memory
-does not grow with nnz.  ``_parse_coo`` (behind ``read_coo`` and
-``tenfact complete``) parses the body in chunks of the same size with
-numpy's C text reader.  Index columns parse as integers, so an index
-written ``1.0`` stays rejected.  The line loop ``_parse_coo_lines`` is the
-one reference: when the reader raises, warns, or returns fewer rows than a
-chunk has lines (it skips blank lines), the loop parses the whole file
-again and raises its line-numbered ``ValueError`` or returns its result.
-Where both accept a file, their arrays are bitwise equal.
+``.coo`` I/O runs at array speed.  ``write_coo`` assembles each chunk of
+up to ``_CHUNK_ROWS`` lines as one ``uint8`` block and writes it with one
+``write``, so its memory does not grow with nnz.  Each column is a block of
+digit rows padded with NUL; the space, ``.0`` and newline columns sit
+between them, and one mask drops the padding.  An index column is gathered
+from a table of the decimal forms of ``0 .. dim-1``.  In a chunk of
+integral values, each value is its sign, digits gathered from a table of
+``0 .. max|v|``, and ``.0``: that is ``repr`` of an integral float below
+1e16.  A table is built only when it has at most nnz rows, so its cost is
+bounded by the entries.  A column without a table, and a chunk with any
+non-integral value, is formatted with ``str`` or ``repr``.  Files are
+byte-identical to writing one line at a time.
+
+``_parse_coo`` (behind ``read_coo`` and ``tenfact complete``) parses the
+body in chunks of the same size with numpy's C text reader.  Index columns
+parse as integers, so an index written ``1.0`` stays rejected.  The line
+loop ``_parse_coo_lines`` is the one reference: when the reader raises,
+warns, or returns fewer rows than a chunk has lines (it skips blank lines),
+the loop parses the whole file again and raises its line-numbered
+``ValueError`` or returns its result.  Where both accept a file, their
+arrays are bitwise equal.
 """
 
 from __future__ import annotations
@@ -39,6 +49,8 @@ __all__ = ["read_coo", "write_coo", "read_cpm", "write_cpm"]
 # 65536 were no faster and raised the embedding pipeline's peak RSS by 2 MB.
 _CHUNK_ROWS = 1 << 13
 _COO_ROW = np.dtype([("i", "i8"), ("j", "i8"), ("k", "i8"), ("value", "f8")])
+# Bytes of ``write_coo``'s lines.  NUL pads the digit blocks: no line holds it.
+_SPACE, _NEWLINE, _POINT_ZERO = (np.frombuffer(b, np.uint8) for b in (b" ", b"\n", b".0"))
 
 
 def _parse_coo(path):
@@ -108,14 +120,67 @@ def write_coo(path, tensor):
         idx, vals = np.argwhere(nonzero), tensor.array[nonzero]
     else:
         idx, vals = tensor.indices, tensor.values
-    d1, d2, d3 = tensor.dims
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{d1} {d2} {d3} {len(vals)}\n")
-        for lo in range(0, len(vals), _CHUNK_ROWS):
-            i, j, k = idx[lo : lo + _CHUNK_ROWS].T.tolist()
-            v = vals[lo : lo + _CHUNK_ROWS].tolist()
-            columns = (map(str, i), map(str, j), map(str, k), map(repr, v))
-            fh.write("\n".join(map(" ".join, zip(*columns))) + "\n")
+    dims, nnz = tensor.dims, len(vals)
+    index_tables = [_decimal_table(dim, nnz) for dim in dims]
+    # Both tensor types hold finite entries only, so ``int(top)`` is defined.
+    top = max(vals.max(initial=0.0), -vals.min(initial=0.0))
+    value_table = _decimal_table(int(top) + 1, nnz)
+    with open(path, "wb") as fh:
+        fh.write(f"{dims[0]} {dims[1]} {dims[2]} {nnz}\n".encode())
+        for lo in range(0, nnz, _CHUNK_ROWS):
+            rows, v = idx[lo : lo + _CHUNK_ROWS], vals[lo : lo + _CHUNK_ROWS]
+            parts = []
+            for column, table in zip(rows.T, index_tables):
+                parts += [_decimal_block(column, table), _SPACE]
+            if value_table is not None and np.array_equal(v, np.trunc(v)):
+                # The table stops below nnz, far below 1e16, and repr of an
+                # integral float below 1e16 is its sign, integer and ".0".
+                sign = np.where(np.signbit(v), ord("-"), 0).astype(np.uint8)
+                digits = np.take(value_table, np.abs(v).astype(np.intp), axis=0)
+                parts += [sign[:, None], digits, _POINT_ZERO]
+            else:
+                parts.append(_text_block(map(repr, v.tolist())))
+            parts.append(_NEWLINE)
+            fh.write(_join_columns(parts, len(v)))
+
+
+def _decimal_table(n, nnz):
+    """Rows of ``uint8`` digits of ``0 .. n-1``, right-aligned after NUL padding.
+
+    ``None`` when ``n`` exceeds ``nnz``: a table larger than the file's
+    entries would cost more than the column it serves.
+    """
+    if n > nnz:
+        return None
+    numbers = np.arange(n)[:, None]
+    powers = 10 ** np.arange(len(str(n - 1)) - 1, -1, -1)
+    table = (numbers // powers % 10 + ord("0")).astype(np.uint8)
+    # Leading zeros become padding; the units digit always stays.
+    table[:, :-1][numbers < powers[:-1]] = 0
+    return table
+
+
+def _decimal_block(column, table):
+    """Digit rows of an index column: gathered from ``table``, or by ``str``."""
+    if table is not None:
+        return np.take(table, column, axis=0)
+    return _text_block(map(str, column.tolist()))
+
+
+def _text_block(strings):
+    """Rows of ``uint8`` characters of ASCII strings, left-aligned before NUL padding."""
+    block = np.array(list(strings), dtype="S")
+    return block.view(np.uint8).reshape(len(block), block.itemsize)
+
+
+def _join_columns(parts, rows):
+    """The bytes of ``rows`` lines that are the row-wise concatenation of ``parts``.
+
+    A part is a ``(rows, width)`` block or a 1-D run of bytes shared by every
+    row; NUL bytes are padding and are dropped.
+    """
+    flat = np.hstack([np.broadcast_to(part, (rows, part.shape[-1])) for part in parts]).ravel()
+    return np.compress(flat != 0, flat).tobytes()
 
 
 def read_cpm(path):

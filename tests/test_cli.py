@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from tenfact.cli import main
+from tenfact.embed import build_trioccurrence
 from tenfact.fileio import read_cpm, write_coo
 from tenfact.tensors import cp_reconstruct, residual_ratio
 
 from conftest import diagonal_tensor, random_model
+from test_fileio import reference_coo_bytes
 
 
 @pytest.fixture
@@ -204,6 +206,21 @@ class TestEmbedCommands:
             "embed", "eval", "--embeddings", str(emb),
             "--analogy", str(tmp_path / "quads.tsv"),
         ]) == 0
+
+    def test_build_writes_reference_coo_bytes(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        assert main([
+            "embed", "gen-corpus", "--kind", "planted", "--seed", "11",
+            "--out", str(corpus), "--quads-out", str(tmp_path / "quads.tsv"),
+        ]) == 0
+        tri = tmp_path / "tri.coo"
+        assert main([
+            "embed", "build", "--corpus", str(corpus), "--vocab", "60",
+            "--window", "4", "--out", str(tri), "--vocab-out", str(tmp_path / "vocab.txt"),
+        ]) == 0
+        _, counts = build_trioccurrence(str(corpus), 60, 4)
+        assert counts.nnz > 1000 and counts.values.max() > 9
+        assert tri.read_bytes() == reference_coo_bytes(counts)
 
     def test_eval_no_usable_pairs_exit_2(self, tmp_path):
         emb = tmp_path / "emb.tsv"

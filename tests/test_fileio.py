@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tenfact import fileio
@@ -156,6 +156,64 @@ def test_fast_paths_match_line_references(entries, pad, dense, chunk_rows):
             assert got_dims == want_dims
             assert got_idx.dtype == np.int64 and np.array_equal(got_idx, want_idx)
             assert got_vals.dtype == np.float64 and got_vals.tobytes() == want_vals.tobytes()
+
+
+_INTEGRAL_EDGES = (9999999999999998.0, 1e16, 2.0**53 + 2)
+# Largest indices on both sides of a digit width, and dims of the three sizes
+# that keep a dense copy under 10 MB: one mode each up to 1001, 101 and 11.
+_DIM_CHOICES = ((1, 2, 10, 11, 100, 101, 1000, 1001), (1, 2, 10, 11, 100, 101), (1, 2, 10, 11))
+
+
+@given(
+    dims=st.tuples(*(st.sampled_from(choices) for choices in _DIM_CHOICES)).flatmap(st.permutations),
+    nnz=st.sampled_from([0, 1, 5, 40, 1100]),
+    values=st.lists(
+        st.one_of(
+            st.integers(1, 2**53).map(float),
+            st.integers(1, 60).map(float),
+            st.sampled_from(_INTEGRAL_EDGES),
+            _magnitudes,
+        ).flatmap(lambda v: st.sampled_from([v, -v])),
+        min_size=1,
+        max_size=12,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    dense=st.booleans(),
+    chunk_rows=st.sampled_from([1, 3, 1 << 13]),
+)
+@example(dims=[1001, 101, 11], nnz=1100, values=[3.0, -1.0, 7.0], seed=0, dense=False, chunk_rows=1 << 13)
+@example(dims=[11, 1000, 2], nnz=40, values=[*_INTEGRAL_EDGES, -2.0, 0.5], seed=1, dense=True, chunk_rows=3)
+@example(dims=[10, 10, 10], nnz=0, values=[1.0], seed=2, dense=False, chunk_rows=1)
+def test_write_coo_matches_line_reference(dims, nnz, values, seed, dense, chunk_rows):
+    """Digit-table and ``repr`` blocks, in any mix per chunk, give the reference bytes."""
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(np.prod(dims), size=min(nnz, int(np.prod(dims))), replace=False)
+    idx = np.column_stack(np.unravel_index(flat, dims))
+    if nnz:
+        # The largest index of each mode, and the one below it, on every draw.
+        top = np.array(dims) - 1
+        idx = np.unique(np.vstack([idx, top, np.maximum(top - 1, 0)]), axis=0)
+    tensor = SparseTensor3(dims, idx, np.resize(values, len(idx)))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_CHUNK_ROWS", chunk_rows):
+        path = Path(tmp) / "t.coo"
+        write_coo(path, tensor.to_dense() if dense else tensor)
+        assert path.read_bytes() == reference_coo_bytes(tensor)
+
+
+def test_write_coo_builds_no_table_larger_than_the_entries(tmp_path, monkeypatch):
+    tensor = SparseTensor3((10**7, 2, 2), [(0, 0, 0), (9_999_999, 1, 0), (12_345, 0, 1)], [1.0, -2.0, 0.5])
+    build = fileio._decimal_table
+    sizes = []
+
+    def record(n, nnz):
+        table = build(n, nnz)
+        sizes.append(0 if table is None else len(table))
+        return table
+
+    monkeypatch.setattr(fileio, "_decimal_table", record)
+    write_coo(tmp_path / "t.coo", tensor)
+    assert (tmp_path / "t.coo").read_bytes() == reference_coo_bytes(tensor)
+    assert sizes and max(sizes) <= tensor.nnz
 
 
 class TestCpmFormat:
