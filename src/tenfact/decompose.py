@@ -20,6 +20,15 @@ Every sweep, and every other repeated MTTKRP, runs through one per-run
 that modes 1 and 2 of a sweep both contract (the dimension tree of Phan,
 Tichavský & Cichocki, IEEE TSP 2013), so a sweep costs two large GEMMs and
 no Khatri-Rao product; for a sparse tensor it keeps each mode's fiber plan.
+Both GEMMs put the small factor on the left, ``C^T @ T^T`` over the
+``(d1*d2, d3)`` layout and ``A^T @ T_(1)`` over ``(d1, d2*d3)``, because
+OpenBLAS packs the large operand faster that way round (see
+``tensors._mode3_partial``; its bits match ``T @ C`` at d = 100, k = 30,
+not at every shape).  A dense sweep that takes the exact residual (every
+sweep of a tensor of at most ``_EXPLICIT_SIZE_LIMIT`` entries, and of a
+larger one once its residual is below ``_EXPLICIT_REFINE_LEVEL``) adds a
+third GEMM, which writes the model into a residual buffer that the
+workspace allocates on the run's first exact residual and then reuses.
 Each mode update is the exact least-squares step of the standard CP-ALS loop
 (Kolda & Bader, SIAM Review 2009), taken through one Gram-pseudoinverse
 helper shared with ``linalg.ls_solve_kr``.
@@ -53,10 +62,11 @@ from .tensors import (
     contract3,
     contract_mode3,
     _dense_mttkrp,
+    _dense_residual_norm,
     _fiber_mttkrp,
     _mode3_partial,
     _mode_plan,
-    khatri_rao,
+    _relative,
     normalize_columns,
 )
 
@@ -165,7 +175,17 @@ class _Workspace:
     ALS sweep, whose first two modes both contract the old third factor,
     forms ``Y`` once (the dimension tree of Phan, Tichavský & Cichocki, IEEE
     TSP 2013).  Values, not identities, are compared because callers may
-    change an array in place.
+    change an array in place.  ``Y`` comes from ``tensors._mode3_partial``,
+    whose GEMM puts ``q^T`` on the left, the orientation OpenBLAS runs
+    fastest; its bits match ``T @ q`` at d = 100, k = 30 but not at every
+    shape.
+
+    The exact residual (``explicit_ratio``) writes the model in the
+    tensor's row-major ``(d1, d2*d3)`` layout into one buffer and subtracts
+    the tensor in place (``tensors._dense_residual_norm``).  The buffer is
+    allocated only for a dense tensor, on the run's first explicit residual,
+    and reused by every later one, so a converging fit allocates no
+    tensor-sized temporaries per sweep.
     """
 
     def __init__(self, tensor):
@@ -177,6 +197,7 @@ class _Workspace:
         self.dense = isinstance(tensor, DenseTensor3)
         self._modes = [None, None, None]
         self._partial = self._partial_q = None
+        self._residual = None
 
     def _mode(self, mode):
         if self._modes[mode - 1] is None:
@@ -201,16 +222,14 @@ class _Workspace:
 
     def ratio_from_sq(self, inner, model_sq):
         res_sq = max(self.tnorm_sq - 2.0 * inner + model_sq, 0.0)
-        if self.tnorm == 0.0:
-            return 0.0 if res_sq == 0.0 else math.inf
-        return math.sqrt(res_sq) / self.tnorm
+        return _relative(math.sqrt(res_sq), self.tnorm)
 
     def explicit_ratio(self, w, a, b, c):
-        recon = (a * w) @ khatri_rao(b, c).T
-        rnorm = float(np.linalg.norm(self.tensor.array.reshape(self.dims[0], -1) - recon))
-        if self.tnorm == 0.0:
-            return 0.0 if rnorm == 0.0 else math.inf
-        return rnorm / self.tnorm
+        if self._residual is None:
+            d1, d2, d3 = self.dims
+            self._residual = np.empty((d1, d2 * d3))
+        rnorm = _dense_residual_norm(self.tensor.array, w, a, b, c, out=self._residual)
+        return _relative(rnorm, self.tnorm)
 
     def refine_ratio(self, ratio, w, a, b, c):
         """Swap in the exact residual where cancellation would dominate."""

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tenfact.decompose import (
     DecompConfig,
+    _Workspace,
     als_run,
     als_sweep,
     beta_bound,
@@ -161,6 +163,56 @@ class TestHybridRun:
         np.testing.assert_array_equal(r_hybrid.residual_trace, r_orth.residual_trace)
         np.testing.assert_array_equal(r_hybrid.model.A, r_orth.model.A)
         np.testing.assert_array_equal(r_hybrid.model.weights, r_orth.model.weights)
+
+
+def reference_explicit_ratio(ws, w, a, b, c):
+    """The exact residual as one reconstruction and one difference, both fresh."""
+    flat = ws.tensor.array.reshape(ws.dims[0], -1)
+    return float(np.linalg.norm(flat - (a * w) @ khatri_rao(b, c).T)) / ws.tnorm
+
+
+class TestExplicitResidual:
+    """``_Workspace.explicit_ratio`` subtracts in a reused buffer, with the reference's bits."""
+
+    def test_matches_reference_bits(self, rng):
+        m = random_model(rng, (6, 7, 8), 3)
+        t = DenseTensor3(cp_reconstruct(m).array + 1e-7 * rng.standard_normal((6, 7, 8)))
+        before = t.array.copy()
+        ws = _Workspace(t)
+        # A near-exact model, where the cancellation happens, then a poor one.
+        for model in (m, random_model(rng, (6, 7, 8), 3)):
+            got = ws.explicit_ratio(model.weights, *model.factors)
+            assert got == reference_explicit_ratio(ws, model.weights, *model.factors)
+        np.testing.assert_array_equal(t.array, before)
+
+    def test_hybrid_run_bits_match_reference(self, rng, monkeypatch):
+        """At d = 30 every sweep takes the explicit residual (size <= 40,000)."""
+        m = random_model(rng, (30, 30, 30), 8)
+        t = cp_reconstruct(m)
+        cfg = DecompConfig(rank=8, max_iters=60, seed=3, record_trace=True)
+        got = hybrid_run(t, cfg)
+        monkeypatch.setattr(_Workspace, "explicit_ratio", reference_explicit_ratio)
+        expect = hybrid_run(t, cfg)
+        assert got.residual_trace[-1] < 1e-6
+        assert got.iterations_used == expect.iterations_used
+        np.testing.assert_array_equal(got.residual_trace, expect.residual_trace)
+        np.testing.assert_array_equal(got.model.weights, expect.model.weights)
+        for g, e in zip(got.model.factors, expect.model.factors):
+            np.testing.assert_array_equal(g, e)
+
+    def test_later_calls_allocate_less_than_the_tensor(self, rng):
+        """Only the first explicit residual of a run allocates a tensor-sized buffer."""
+        t = DenseTensor3(rng.standard_normal((40, 40, 40)))
+        m = random_model(rng, t.dims, 5)
+        ws = _Workspace(t)
+        ws.explicit_ratio(m.weights, *m.factors)
+        tracemalloc.start()
+        try:
+            ws.explicit_ratio(m.weights, *m.factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t.array.nbytes, peak
 
 
 class TestTpmRun:

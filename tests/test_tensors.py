@@ -3,7 +3,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tenfact import tensors
@@ -23,6 +23,7 @@ from tenfact.tensors import (
     normalize_columns,
     residual_ratio,
     _fiber_plan,
+    _mode3_partial,
     _mode_plan,
 )
 
@@ -328,11 +329,13 @@ class TestReconstructAndResidual:
         assert residual_ratio(t, m2) == pytest.approx(base, abs=1e-12)
 
     def test_zero_tensor_sentinel(self, rng):
-        t = DenseTensor3.zeros((3, 3, 3))
         m0 = CpModel(np.zeros(1), *(np.eye(3)[:, :1],) * 3)
-        assert residual_ratio(t, m0) == 0.0
         m1 = CpModel([1.0], *(np.eye(3)[:, :1],) * 3)
-        assert residual_ratio(t, m1) == math.inf
+        empty = CpModel(np.zeros(0), *(np.zeros((3, 0)),) * 3)
+        for t in (DenseTensor3.zeros((3, 3, 3)), SparseTensor3.empty((3, 3, 3))):
+            assert residual_ratio(t, m0) == 0.0
+            assert residual_ratio(t, m1) == math.inf
+            assert residual_ratio(t, empty) == 0.0
 
     def test_sparse_residual_agrees_with_dense(self, rng):
         s = random_sparse(rng, (5, 5, 5), 30)
@@ -387,6 +390,25 @@ class TestMttkrpIdentity:
             tol = 1e-12 * max(1.0, np.abs(expect).max())
             for got in (mttkrp(dense, factors, mode), ws.mttkrp(mode, p, q)):
                 np.testing.assert_allclose(got, expect, rtol=0, atol=tol, err_msg=f"mode {mode}")
+
+    @given(
+        dims=st.tuples(*(st.integers(1, 9),) * 3),
+        rank=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=(50, 50, 50), rank=50, seed=0)
+    @example(dims=(5, 4, 1), rank=3, seed=1)
+    @example(dims=(5, 4, 6), rank=1, seed=2)
+    def test_mode3_partial_matches_natural_gemm(self, dims, rank, seed):
+        """``q^T @ T^T`` and ``T @ q`` agree to rounding; their bits may not."""
+        rng = np.random.default_rng(seed)
+        arr = rng.standard_normal(dims)
+        q = rng.standard_normal((dims[2], rank))
+        flat = arr.reshape(-1, dims[2])
+        got = _mode3_partial(arr, q)
+        assert got.shape == (dims[0], dims[1], rank)
+        err = np.abs(got.reshape(-1, rank) - flat @ q)
+        assert (err <= 1e-12 * (np.abs(flat) @ np.abs(q))).all()
 
     def test_workspace_reuses_partial_only_for_equal_q(self, rng):
         """The kept mode-3 partial must follow q's values, not its identity."""
