@@ -22,13 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decompose import (
-    ALS_RUNNERS,
-    DecompConfig,
-    orth_tpm_run,
-    simdiag,
-    tpm_multi,
-)
+from .decompose import ALGORITHMS, DecompConfig
 from .errors import TenfactError
 from .linalg import match_factors
 from .tensors import CpModel, DenseTensor3, cp_reconstruct, residual_ratio
@@ -161,49 +155,24 @@ def add_noise(tensor, sigma_rel, seed=0):
     return DenseTensor3(noisy)
 
 
-ALGORITHM_NAMES = (
-    "als",
-    "als-svd",
-    "orth-als",
-    "hybrid",
-    "tpm",
-    "tpm-svd",
-    "orth-tpm",
-    "simdiag",
-)
+# Benchmark names that run a registry entry from SVD starts.
+_ALIASES = {"als-svd": ("als", "svd"), "tpm-svd": ("tpm", "svd")}
+ALGORITHM_NAMES = (*ALGORITHMS, *_ALIASES)
+
+
+def _resolve(name):
+    """The registry name and init of a benchmark algorithm name."""
+    return _ALIASES.get(name, (name, "random"))
 
 
 def _run_algorithm(name, tensor, rank, seed, iters, tol, record_trace=False):
-    """Dispatch one named algorithm; returns (model, iterations, trace)."""
-    runner = ALS_RUNNERS.get("als" if name == "als-svd" else name)
-    if runner is not None:
-        cfg = DecompConfig(
-            rank=rank,
-            max_iters=iters,
-            tol=tol,
-            init="svd" if name == "als-svd" else "random",
-            seed=seed,
-            record_trace=record_trace,
-        )
-        result = runner(tensor, cfg)
-        return result.model, result.iterations_used, result.residual_trace
-    if name in ("tpm", "tpm-svd"):
-        model = tpm_multi(
-            tensor,
-            n_inits=max(DEFAULT_TPM_INITS, rank),
-            iters=iters,
-            rank=rank,
-            seed=seed,
-            init="svd" if name == "tpm-svd" else "random",
-        )
-        return model, iters, None
-    if name == "orth-tpm":
-        model = orth_tpm_run(tensor, rank, iters, seed=seed)
-        return model, iters, None
-    if name == "simdiag":
-        model = simdiag(tensor, rank, seed=seed)
-        return model, 1, None
-    raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}")
+    """Run one named algorithm; returns (model, iterations, trace)."""
+    base, init = _resolve(name)
+    cfg = DecompConfig(
+        rank=rank, max_iters=iters, tol=tol, init=init, seed=seed, record_trace=record_trace
+    )
+    result = ALGORITHMS[base].run(tensor, cfg, DEFAULT_TPM_INITS)
+    return result.model, result.iterations_used, result.residual_trace
 
 
 def _recovery_trial(spec, trial, algorithms, iters, tol):
@@ -281,7 +250,7 @@ def run_residual_suite(spec, algorithms, iters, trials=1, tol=1e-6, threads=1):
     ALS family) is run on it with ``record_trace`` enabled.  Returns
     TrialReports carrying the traces.
     """
-    traceable = (*ALS_RUNNERS, "als-svd")
+    traceable = tuple(n for n in ALGORITHM_NAMES if ALGORITHMS[_resolve(n)[0]].traces)
     for name in algorithms:
         if name not in traceable:
             raise ValueError(f"residual suite supports {traceable}, got {name!r}")

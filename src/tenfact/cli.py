@@ -30,13 +30,7 @@ from .bench import (
     write_traces_csv,
 )
 from .completion import CompletionProblem, complete_masked
-from .decompose import (
-    ALS_RUNNERS,
-    DecompConfig,
-    orth_tpm_run,
-    simdiag,
-    tpm_multi,
-)
+from .decompose import ALGORITHMS, ALS_RUNNERS, DecompConfig
 from .embed import (
     build_trioccurrence,
     eval_analogy,
@@ -94,6 +88,9 @@ def _load_tensor(path):
 
 
 def cmd_decompose(args):
+    algo = ALGORITHMS[args.algo]
+    if args.init != "random" and not algo.honours_init:
+        raise InvalidConfigError(f"--algo {args.algo} does not take --init {args.init}")
     tensor = _load_tensor(args.input)
     cfg = DecompConfig(
         rank=args.rank,
@@ -105,29 +102,16 @@ def cmd_decompose(args):
         seed=args.seed,
         record_trace=args.trace is not None,
     )
-    trace = None
-    if args.algo in ALS_RUNNERS:
-        result = ALS_RUNNERS[args.algo](tensor, cfg)
-        model, trace, iters = result.model, result.residual_trace, result.iterations_used
-        print(f"{args.algo}: {iters} iterations, converged={result.converged}")
-    elif args.algo == "tpm":
-        model = tpm_multi(
-            tensor, n_inits=max(args.inits, args.rank), iters=args.iters,
-            rank=args.rank, seed=args.seed, init=args.init,
-        )
-    elif args.algo == "orth-tpm":
-        model = orth_tpm_run(tensor, args.rank, args.iters, seed=args.seed)
-    elif args.algo == "simdiag":
-        model = simdiag(tensor, args.rank, seed=args.seed)
-    else:
-        raise InvalidConfigError(f"unknown algorithm {args.algo!r}")
-    write_cpm(args.out, model)
+    result = algo.run(tensor, cfg, args.inits)
+    if algo.traces:
+        print(f"{args.algo}: {result.iterations_used} iterations, converged={result.converged}")
+    write_cpm(args.out, result.model)
     outputs = [args.out]
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["iter", "residual"])
-            for it, value in enumerate(trace if trace is not None else [], start=1):
+            for it, value in enumerate(result.residual_trace if algo.traces else [], start=1):
                 writer.writerow([it, repr(float(value))])
         outputs.append(args.trace)
     _write_manifest(args.out, "decompose", args, [args.input], outputs, args.seed)
@@ -375,8 +359,7 @@ def _build_parser():
 
     p = sub.add_parser("decompose", help="factor a .coo tensor")
     p.add_argument("--input", required=True)
-    p.add_argument("--algo", default="orth-als",
-                   choices=[*ALS_RUNNERS, "tpm", "orth-tpm", "simdiag"])
+    p.add_argument("--algo", default="orth-als", choices=list(ALGORITHMS))
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-6)

@@ -12,8 +12,9 @@ the Q of its QR factorization before the sweep; the sort keeps the heaviest
 (earliest-converging) factors anchored at the front, where Gram-Schmidt
 leaves them untouched.  Because the Khatri-Rao Gram of orthonormal factors is
 the identity, the first mode update after orthogonalization reduces to the
-bare MTTKRP with no pseudoinverse.  ``ALS_RUNNERS`` names the three runners
-for the CLI and the benchmark suites.
+bare MTTKRP with no pseudoinverse.  ``ALGORITHMS`` is the registry of every
+algorithm, with its capabilities, from which the CLI and the benchmark suites
+dispatch; ``ALS_RUNNERS`` is its ALS slice.
 
 Every sweep, and every other repeated MTTKRP, runs through one per-run
 ``_Workspace``.  For a dense tensor it keeps the mode-3 partial ``T x_3 C``
@@ -34,9 +35,10 @@ Each mode update is the exact least-squares step of the standard CP-ALS loop
 helper shared with ``linalg.ls_solve_kr``.
 
 The tensor power method is the rank-1 special case with simultaneous mode
-updates; ``tpm_multi`` runs many random restarts and clusters the results,
-``orth_tpm_run`` instead projects each fresh initialization orthogonal to the
-factors already recovered.  ``simdiag`` is the classical eigendecomposition
+updates, run by one kernel on a batch of restarts: ``tpm_multi`` runs many
+random restarts at once and clusters the results, while ``tpm_run`` and
+``orth_tpm_run`` run batches of one, the latter projecting each fresh
+initialization orthogonal to the factors already recovered.  ``simdiag`` is the classical eigendecomposition
 approach from two random contractions.  ``beta_bound`` and
 ``tpm_correlation_trace`` are diagnostic tools for studying convergence
 against a known ground-truth model.
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,7 +62,6 @@ from .linalg import _gram_solve, eig_nonsym, orth_step
 from .tensors import (
     CpModel,
     DenseTensor3,
-    contract3,
     contract_mode3,
     _dense_mttkrp,
     _dense_residual_norm,
@@ -79,6 +81,8 @@ __all__ = [
     "orth_als_run",
     "hybrid_run",
     "ALS_RUNNERS",
+    "Algorithm",
+    "ALGORITHMS",
     "tpm_run",
     "tpm_multi",
     "orth_tpm_run",
@@ -427,7 +431,7 @@ def hybrid_run(tensor, cfg):
     return _driver(tensor, replace(cfg, orth_mode="first_s"))
 
 
-# The ALS family by its command-line and benchmark names.
+# The ALS family: the slice of ``ALGORITHMS`` that runs on ``(tensor, cfg)``.
 ALS_RUNNERS = {"als": als_run, "orth-als": orth_als_run, "hybrid": hybrid_run}
 
 
@@ -454,21 +458,36 @@ def tpm_run(tensor, x0, y0, z0, iters):
     x = _require_unit(x0, "x0")
     y = _require_unit(y0, "y0")
     z = _require_unit(z0, "z0")
-    return _power_iterations(_Workspace(tensor), x, y, z, iters)
+    return _power_run(_Workspace(tensor), x, y, z, iters)
 
 
-def _power_iterations(ws, x, y, z, iters):
+def _power_run(ws, x, y, z, iters):
+    """:func:`_power_kernel` on a batch of one; returns ``(weight, x, y, z)``."""
+    w, xs, ys, zs, alive = _power_kernel(ws, x[:, None], y[:, None], z[:, None], iters)
+    if not alive[0]:
+        raise NumericalFailureError(
+            "power update vanished: iterate is orthogonal to every component"
+        )
+    return float(w[0]), xs[:, 0], ys[:, 0], zs[:, 0]
+
+
+def _power_kernel(ws, xs, ys, zs, iters):
+    """``iters`` simultaneous rank-1 power updates of every column triple.
+
+    Returns ``(weights, xs, ys, zs, alive)``: each weight is the full
+    contraction against its final unit triple, and ``alive`` is false where an
+    update vanished (the iterate was orthogonal to every component).
+    """
+    alive = np.ones(xs.shape[1], dtype=bool)
     for _ in range(iters):
-        x1 = _rank1_update(ws, 1, y, z)
-        y1 = _rank1_update(ws, 2, x, z)
-        z1 = _rank1_update(ws, 3, x, y)
-        nx, ny, nz = np.linalg.norm(x1), np.linalg.norm(y1), np.linalg.norm(z1)
-        if nx == 0.0 or ny == 0.0 or nz == 0.0:
-            raise NumericalFailureError(
-                "power update vanished: iterate is orthogonal to every component"
-            )
-        x, y, z = x1 / nx, y1 / ny, z1 / nz
-    return float(contract3(ws.tensor, x, y, z)), x, y, z
+        x1 = ws.mttkrp(1, ys, zs)
+        y1 = ws.mttkrp(2, xs, zs)
+        z1 = ws.mttkrp(3, xs, ys)
+        xs, nx = normalize_columns(x1)
+        ys, ny = normalize_columns(y1)
+        zs, nz = normalize_columns(z1)
+        alive &= (nx > 0) & (ny > 0) & (nz > 0)
+    return np.einsum("ir,ir->r", xs, ws.mttkrp(1, ys, zs)), xs, ys, zs, alive
 
 
 def tpm_multi(
@@ -501,20 +520,8 @@ def tpm_multi(
         if len(inits) != n_inits:
             raise ValueError("explicit inits must match n_inits")
         triples = [tuple(np.asarray(v, dtype=np.float64) for v in t) for t in inits]
-    xs = np.column_stack([t[0] for t in triples])
-    ys = np.column_stack([t[1] for t in triples])
-    zs = np.column_stack([t[2] for t in triples])
-
-    alive = np.ones(n_inits, dtype=bool)
-    for _ in range(iters):
-        x1 = ws.mttkrp(1, ys, zs)
-        y1 = ws.mttkrp(2, xs, zs)
-        z1 = ws.mttkrp(3, xs, ys)
-        xs, nx = normalize_columns(x1)
-        ys, ny = normalize_columns(y1)
-        zs, nz = normalize_columns(z1)
-        alive &= (nx > 0) & (ny > 0) & (nz > 0)
-    weights = np.einsum("ir,ir->r", xs, ws.mttkrp(1, ys, zs))
+    starts = (np.column_stack([t[mode] for t in triples]) for mode in range(3))
+    weights, xs, ys, zs, alive = _power_kernel(ws, *starts, iters)
     dead = np.flatnonzero(~alive)
     if dead.size:
         logger.warning("tpm_multi: %d restarts degenerated and were dropped", dead.size)
@@ -576,57 +583,44 @@ def orth_tpm_run(tensor, rank, iters, seed=0):
     mode), then plain power iterations run to convergence.  Projections that
     annihilate the draw are retried up to 3 times.
     """
-    d1, d2, d3 = tensor.dims
     if rank > min(tensor.dims):
-        raise ValueError(f"rank {rank} exceeds min(dims)={min(tensor.dims)}")
+        raise InvalidConfigError(f"rank {rank} exceeds min(dims)={min(tensor.dims)}")
     rng = np.random.default_rng(seed)
     ws = _Workspace(tensor)
-    bases = [np.zeros((d, 0)) for d in (d1, d2, d3)]
+    bases = [np.zeros((d, 0)) for d in tensor.dims]
     cols = [[], [], []]
     weights = []
     for i in range(rank):
-        triple = None
         for attempt in range(3):
-            draw = [
-                _random_unit_columns(rng, d, 1)[:, 0] for d in (d1, d2, d3)
-            ]
-            projected = []
-            ok = True
-            for v, basis in zip(draw, bases):
-                res = v - basis @ (basis.T @ v)
-                n = np.linalg.norm(res)
-                if n < 1e-8:
-                    ok = False
-                    break
-                projected.append(res / n)
-            if ok:
-                triple = projected
+            draw = [_random_unit_columns(rng, d, 1)[:, 0] for d in tensor.dims]
+            triple = [_project_out(basis, v, 1e-8) for basis, v in zip(bases, draw)]
+            if all(v is not None for v in triple):
                 break
             logger.warning(
                 "orth_tpm_run: projected initialization %d vanished (attempt %d)",
                 i,
                 attempt + 1,
             )
-        if triple is None:
+        else:
             raise DegenerateInputError(
                 f"could not draw an initialization orthogonal to the first {i} factors"
             )
-        w, x, y, z = _power_iterations(ws, *triple, iters)
+        w, x, y, z = _power_run(ws, *triple, iters)
         weights.append(w)
         for mode, v in enumerate((x, y, z)):
             cols[mode].append(v)
-            basis = bases[mode]
-            res = v - basis @ (basis.T @ v)
-            n = np.linalg.norm(res)
-            if n > 1e-10:
-                bases[mode] = np.column_stack([basis, res / n])
-    model = CpModel(
-        np.asarray(weights),
-        np.column_stack(cols[0]),
-        np.column_stack(cols[1]),
-        np.column_stack(cols[2]),
-    )
-    return model.canonical()
+            u = _project_out(bases[mode], v, 1e-10)
+            if u is not None:
+                bases[mode] = np.column_stack([bases[mode], u])
+    return CpModel(np.asarray(weights), *map(np.column_stack, cols)).canonical()
+
+
+def _project_out(basis, v, tol):
+    """``v`` minus its projection on the orthonormal columns of ``basis``,
+    normalized; ``None`` when what is left has norm at most ``tol``."""
+    res = v - basis @ (basis.T @ v)
+    n = np.linalg.norm(res)
+    return res / n if n > tol else None
 
 
 def svd_init(tensor, rank, seed=None, *, rng=None):
@@ -647,7 +641,7 @@ def _svd_init(ws, rank, rng):
     """:func:`svd_init` whose mode-3 solve runs through the run's workspace."""
     d1, d2, d3 = ws.dims
     if rank > min(d1, d2):
-        raise ValueError(f"rank {rank} exceeds min(d1, d2)={min(d1, d2)}")
+        raise InvalidConfigError(f"rank {rank} exceeds min(d1, d2)={min(d1, d2)}")
     v = _random_unit_columns(rng, d3, 1)[:, 0]
     m = contract_mode3(ws.tensor, v)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -677,9 +671,9 @@ def simdiag(tensor, rank, seed=0):
     singular projections, or complex eigenvector residue trigger one redraw
     of the projection vectors, then :class:`NumericalFailureError`.
     """
-    d1, d2, d3 = tensor.dims
+    d3 = tensor.dims[2]
     if rank > min(tensor.dims):
-        raise ValueError(f"rank {rank} exceeds min(dims)={min(tensor.dims)}")
+        raise InvalidConfigError(f"rank {rank} exceeds min(dims)={min(tensor.dims)}")
     rng = np.random.default_rng(seed)
     ws = _Workspace(tensor)
     last_error = None
@@ -741,6 +735,50 @@ def _realize_eigvecs(vecs, imag_tol=1e-6):
             )
         out[:, r] = aligned.real
     return normalize_columns(out)[0]
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """A registry entry: ``run(tensor, cfg, n_inits)`` returns a :class:`DecompResult`.
+
+    ``n_inits`` is the restart count of ``tpm`` (at least ``cfg.rank``); the
+    others ignore it.  ``traces``: the run has a stop rule and records the
+    trace ``cfg.record_trace`` asks for.  ``honours_init``: it starts from
+    ``cfg.init``, not always from random draws.
+    """
+
+    run: Callable
+    traces: bool
+    honours_init: bool
+
+
+def _als_entry(runner):
+    return Algorithm(lambda tensor, cfg, n_inits: runner(tensor, cfg), True, True)
+
+
+# The power methods run a fixed number of iterations and simdiag is direct:
+# none of them has a stop rule to converge by.
+def _tpm_entry(tensor, cfg, n_inits):
+    model = tpm_multi(tensor, max(n_inits, cfg.rank), cfg.max_iters, cfg.rank, cfg.seed, cfg.init)
+    return DecompResult(model, cfg.max_iters, converged=False)
+
+
+def _orth_tpm_entry(tensor, cfg, n_inits):
+    model = orth_tpm_run(tensor, cfg.rank, cfg.max_iters, cfg.seed)
+    return DecompResult(model, cfg.max_iters, converged=False)
+
+
+def _simdiag_entry(tensor, cfg, n_inits):
+    return DecompResult(simdiag(tensor, cfg.rank, cfg.seed), 1, converged=False)
+
+
+# Every decomposition algorithm by its command-line and benchmark name.
+ALGORITHMS = {
+    **{name: _als_entry(runner) for name, runner in ALS_RUNNERS.items()},
+    "tpm": Algorithm(_tpm_entry, traces=False, honours_init=True),
+    "orth-tpm": Algorithm(_orth_tpm_entry, traces=False, honours_init=False),
+    "simdiag": Algorithm(_simdiag_entry, traces=False, honours_init=False),
+}
 
 
 def beta_bound(beta0, gamma, k, c_max, steps):

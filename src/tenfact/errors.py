@@ -30,8 +30,8 @@ class NumericalFailureError(TenfactError):
         self.partial = partial
 
 
-class InvalidConfigError(TenfactError):
-    """A configuration combination that the algorithms cannot honor."""
+class InvalidConfigError(TenfactError, ValueError):
+    """A configuration combination that the algorithms cannot honor (a ``ValueError`` too)."""
 
 
 class UndefinedResultError(TenfactError):

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tenfact.bench import (
     write_recovery_csv,
     write_traces_csv,
 )
+from tenfact.decompose import ALGORITHMS
 from tenfact.errors import NumericalFailureError
 from tenfact.tensors import incoherence, residual_ratio
 
@@ -140,7 +142,7 @@ class TestRecoverySuite:
             raise NumericalFailureError("synthetic failure")
 
         monkeypatch.setitem(
-            bench.__dict__, "simdiag", boom
+            ALGORITHMS, "simdiag", replace(ALGORITHMS["simdiag"], run=boom)
         )
         grid = [SynthSpec(d=6, k=2, seed=1)]
         reports = run_recovery_suite(grid, ["simdiag", "als"], trials=1, iters=10)
@@ -149,9 +151,24 @@ class TestRecoverySuite:
         assert by_algo["simdiag"].error is not None
         assert by_algo["als"].error is None
 
+    def test_rank_above_dims_recorded_not_raised(self):
+        names = list(bench.ALGORITHM_NAMES)
+        reports = run_recovery_suite([SynthSpec(d=4, k=6, seed=0)], names, trials=1, iters=5)
+        assert [r.algo for r in reports] == names
+        failed = {r.algo for r in reports if r.error is not None}
+        # The three rank checks outside the sweep engine, plus the two
+        # orthogonalizing ALS runners.
+        assert failed == {"orth-tpm", "simdiag", "als-svd", "orth-als", "hybrid"}
+        assert all(r.recovered_count == 0 for r in reports if r.error is not None)
+
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             run_recovery_suite([SynthSpec(d=4, k=1, seed=0)], ["magic"], trials=1)
+
+    def test_algorithm_names(self):
+        assert set(bench.ALGORITHM_NAMES) == {
+            "als", "als-svd", "orth-als", "hybrid", "tpm", "tpm-svd", "orth-tpm", "simdiag",
+        }
 
 
 class TestResidualSuite:
@@ -175,6 +192,16 @@ class TestResidualSuite:
     def test_rejects_untraceable_algorithms(self):
         with pytest.raises(ValueError):
             run_residual_suite(SynthSpec(d=4, k=1, seed=0), ["tpm"], iters=2)
+
+    def test_accepts_exactly_the_traceable_algorithms(self):
+        accepted = set()
+        for name in bench.ALGORITHM_NAMES:
+            try:
+                run_residual_suite(SynthSpec(d=4, k=1, seed=0), [name], iters=1)
+            except ValueError:
+                continue
+            accepted.add(name)
+        assert accepted == {"als", "orth-als", "hybrid", "als-svd"}
 
 
 class TestDerivedSeed:

@@ -1,10 +1,12 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from tenfact.cli import main
+from tenfact.cli import _build_parser, main
+from tenfact.decompose import ALGORITHMS
 from tenfact.embed import build_trioccurrence
 from tenfact.fileio import read_cpm, write_coo
 from tenfact.tensors import cp_reconstruct, residual_ratio
@@ -70,6 +72,24 @@ class TestDecomposeCommand:
             assert code == 0
             fitted = read_cpm(out)
             assert residual_ratio(tensor, fitted) < 1e-6
+
+    def test_algo_choices_are_the_registry(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        algo = next(a for a in sub.choices["decompose"]._actions if a.dest == "algo")
+        assert algo.choices == list(ALGORITHMS)
+
+    @pytest.mark.parametrize("algo", ["orth-tpm", "simdiag"])
+    def test_init_svd_rejected_where_ignored(self, diag_coo, tmp_path, capsys, algo):
+        _, _, coo = diag_coo
+        out = tmp_path / "never.cpm"
+        code = main([
+            "decompose", "--input", coo, "--algo", algo, "--rank", "3",
+            "--init", "svd", "--seed", "2", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 class TestBenchCommands:

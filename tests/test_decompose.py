@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenfact.decompose import (
+    ALGORITHMS,
     DecompConfig,
     _Workspace,
     als_run,
@@ -19,11 +22,12 @@ from tenfact.decompose import (
     tpm_multi,
     tpm_run,
 )
-from tenfact.errors import InvalidConfigError, NumericalFailureError
+from tenfact.errors import InvalidConfigError, NumericalFailureError, TenfactError
 from tenfact.linalg import ls_solve_kr, match_factors
 from tenfact.tensors import (
     CpModel,
     DenseTensor3,
+    SparseTensor3,
     contract3,
     cp_reconstruct,
     khatri_rao,
@@ -511,3 +515,28 @@ class TestDenseSparseEquivalence:
     def test_orth_tpm(self, pair):
         sparse, dense = (orth_tpm_run(t, 4, 15, seed=5) for t in pair)
         self.assert_same_model(sparse, dense)
+
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    @settings(max_examples=25)
+    @given(
+        dims=st.tuples(st.integers(4, 8), st.integers(4, 8), st.integers(4, 8)),
+        data=st.data(),
+    )
+    def test_every_registry_entry(self, name, dims, data):
+        k = data.draw(st.integers(1, min(dims) - 1), label="k")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        dense = cp_reconstruct(random_model(np.random.default_rng(seed), dims, k))
+        idx = np.argwhere(np.ones(dims, dtype=bool))
+        sparse = SparseTensor3(dims, idx, dense.array[tuple(idx.T)])
+        cfg = DecompConfig(rank=k, max_iters=10, seed=seed)
+        outcomes = []
+        for t in (sparse, dense):
+            try:
+                outcomes.append(ALGORITHMS[name].run(t, cfg, 8).model)
+            except TenfactError as exc:
+                outcomes.append(type(exc))
+        got, expect = outcomes
+        if isinstance(expect, type) or isinstance(got, type):
+            assert got is expect
+        else:
+            self.assert_same_model(got, expect)
