@@ -7,6 +7,13 @@ many true factors each algorithm recovers at a correlation threshold, and
 ``run_residual_suite`` records per-iteration relative residual curves on a
 shared instance per seed.
 
+Both suites run one trial loop: each ``(spec, trial)`` job draws its
+instance once, runs every algorithm on it and scores the model by recovered
+factors.  They differ in two rules only.  The recovery suite scores the
+final residual with ``residual_ratio`` and records a failing algorithm as a
+zero-recovery error row; the residual suite records traces, takes the final
+residual from the last trace entry and lets a failure propagate.
+
 Reproducibility contract: every trial derives its RNG stream from
 ``(spec.seed, trial, algorithm)``, so reports are identical (except wall
 time) regardless of execution order or worker count.
@@ -165,36 +172,40 @@ def _resolve(name):
     return _ALIASES.get(name, (name, "random"))
 
 
-def _run_algorithm(name, tensor, rank, seed, iters, tol, record_trace=False):
-    """Run one named algorithm; returns (model, iterations, trace)."""
-    base, init = _resolve(name)
-    cfg = DecompConfig(
-        rank=rank, max_iters=iters, tol=tol, init=init, seed=seed, record_trace=record_trace
-    )
-    result = ALGORITHMS[base].run(tensor, cfg, DEFAULT_TPM_INITS)
-    return result.model, result.iterations_used, result.residual_trace
+def _trial(spec, trial, algorithms, iters, tol, traced):
+    """Run every algorithm on one seeded instance; one TrialReport each.
 
-
-def _recovery_trial(spec, trial, algorithms, iters, tol):
+    ``traced`` selects the residual suite's scoring and failure rule over the
+    recovery suite's (see the module docstring).
+    """
     instance_seed = derived_seed(spec.seed, trial)
-    instance_spec = replace(spec, seed=instance_seed)
-    truth, tensor = gen_random_cp(instance_spec)
+    truth, tensor = gen_random_cp(replace(spec, seed=instance_seed))
     if spec.noise_sigma_rel > 0:
         tensor = add_noise(tensor, spec.noise_sigma_rel, seed=derived_seed(instance_seed, 977))
     reports = []
     for algo_idx, name in enumerate(algorithms):
-        algo_seed = derived_seed(spec.seed, trial, algo_idx)
+        base, init = _resolve(name)
         start = time.perf_counter()
-        error = None
+        trace = error = None
         try:
-            model, used, _ = _run_algorithm(name, tensor, spec.k, algo_seed, iters, tol)
-            recovered = match_factors(truth, model, RECOVERY_THRESHOLD).recovered_count
-            residual = residual_ratio(tensor, model)
+            cfg = DecompConfig(
+                rank=spec.k,
+                max_iters=iters,
+                tol=tol,
+                init=init,
+                seed=derived_seed(spec.seed, trial, algo_idx),
+                record_trace=traced,
+            )
+            result = ALGORITHMS[base].run(tensor, cfg, DEFAULT_TPM_INITS)
+            recovered = match_factors(truth, result.model, RECOVERY_THRESHOLD).recovered_count
+            trace, used = result.residual_trace, result.iterations_used
+            residual = float(trace[-1]) if traced else residual_ratio(tensor, result.model)
         except TenfactError as exc:
+            if traced:
+                raise
             logger.warning("%s failed on trial %d: %s", name, trial, exc)
             error = str(exc)
             recovered, residual, used = 0, float("nan"), 0
-        wall = time.perf_counter() - start
         reports.append(
             TrialReport(
                 algo=name,
@@ -207,11 +218,26 @@ def _recovery_trial(spec, trial, algorithms, iters, tol):
                 recovered_count=recovered,
                 residual_final=residual,
                 iterations=used,
-                wall_time_s=wall,
+                wall_time_s=time.perf_counter() - start,
+                residual_trace=trace,
                 error=error,
             )
         )
     return reports
+
+
+def _run_trials(jobs, algorithms, iters, tol, threads, traced):
+    """Run ``(spec, trial)`` jobs, on a thread pool when asked, in job order."""
+
+    def work(job):
+        return _trial(*job, algorithms, iters, tol, traced)
+
+    if threads > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            per_job = list(pool.map(work, jobs))
+    else:
+        per_job = [work(j) for j in jobs]
+    return [report for rows in per_job for report in rows]
 
 
 def run_recovery_suite(grid, algorithms, trials, iters=100, tol=1e-6, threads=1):
@@ -226,21 +252,8 @@ def run_recovery_suite(grid, algorithms, trials, iters=100, tol=1e-6, threads=1)
     for name in algorithms:
         if name not in ALGORITHM_NAMES:
             raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}")
-    jobs = [(gi, spec, trial) for gi, spec in enumerate(grid) for trial in range(trials)]
-
-    def work(job):
-        _, spec, trial = job
-        return _recovery_trial(spec, trial, algorithms, iters, tol)
-
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_job = list(pool.map(work, jobs))
-    else:
-        per_job = [work(j) for j in jobs]
-    reports = []
-    for (gi, _, trial), rows in zip(jobs, per_job):
-        reports.extend(rows)
-    return reports
+    jobs = [(spec, trial) for spec in grid for trial in range(trials)]
+    return _run_trials(jobs, algorithms, iters, tol, threads, traced=False)
 
 
 def run_residual_suite(spec, algorithms, iters, trials=1, tol=1e-6, threads=1):
@@ -254,47 +267,8 @@ def run_residual_suite(spec, algorithms, iters, trials=1, tol=1e-6, threads=1):
     for name in algorithms:
         if name not in traceable:
             raise ValueError(f"residual suite supports {traceable}, got {name!r}")
-
-    def work(trial):
-        instance_seed = derived_seed(spec.seed, trial)
-        truth, tensor = gen_random_cp(replace(spec, seed=instance_seed))
-        if spec.noise_sigma_rel > 0:
-            tensor = add_noise(tensor, spec.noise_sigma_rel, seed=derived_seed(instance_seed, 977))
-        rows = []
-        for algo_idx, name in enumerate(algorithms):
-            algo_seed = derived_seed(spec.seed, trial, algo_idx)
-            start = time.perf_counter()
-            model, used, trace = _run_algorithm(
-                name, tensor, spec.k, algo_seed, iters, tol, record_trace=True
-            )
-            wall = time.perf_counter() - start
-            rows.append(
-                TrialReport(
-                    algo=name,
-                    d=spec.d,
-                    k=spec.k,
-                    weight_ratio=spec.weight_ratio,
-                    noise=spec.noise_sigma_rel,
-                    seed=instance_seed,
-                    trial=trial,
-                    recovered_count=match_factors(truth, model, RECOVERY_THRESHOLD).recovered_count,
-                    residual_final=float(trace[-1]),
-                    iterations=used,
-                    wall_time_s=wall,
-                    residual_trace=trace,
-                )
-            )
-        return rows
-
-    if threads > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(work, range(trials)))
-    else:
-        per_trial = [work(t) for t in range(trials)]
-    reports = []
-    for rows in per_trial:
-        reports.extend(rows)
-    return reports
+    jobs = [(spec, trial) for trial in range(trials)]
+    return _run_trials(jobs, algorithms, iters, tol, threads, traced=True)
 
 
 def write_recovery_csv(reports, path):

@@ -122,20 +122,21 @@ def _parse_float_list(text):
     return [float(x) for x in text.split(",") if x]
 
 
+def _bench_spec(args, ratio):
+    return SynthSpec(
+        d=args.d,
+        k=args.k,
+        weight_scheme="geometric" if ratio > 1 else "uniform",
+        weight_ratio=ratio,
+        symmetric=args.symmetric,
+        noise_sigma_rel=args.noise,
+        seed=args.seed,
+    )
+
+
 def cmd_bench_recovery(args):
     algos = [a for a in args.algos.split(",") if a]
-    grid = [
-        SynthSpec(
-            d=args.d,
-            k=args.k,
-            weight_scheme="geometric" if ratio > 1 else "uniform",
-            weight_ratio=ratio,
-            symmetric=args.symmetric,
-            noise_sigma_rel=args.noise,
-            seed=args.seed,
-        )
-        for ratio in _parse_float_list(args.ratios)
-    ]
+    grid = [_bench_spec(args, ratio) for ratio in _parse_float_list(args.ratios)]
     reports = run_recovery_suite(
         grid, algos, args.trials, iters=args.iters, tol=args.tol, threads=args.threads
     )
@@ -156,15 +157,7 @@ def _print_recovery_summary(reports):
 
 def cmd_bench_residual(args):
     algos = [a for a in args.algos.split(",") if a]
-    spec = SynthSpec(
-        d=args.d,
-        k=args.k,
-        weight_scheme="geometric" if args.ratio > 1 else "uniform",
-        weight_ratio=args.ratio,
-        symmetric=args.symmetric,
-        noise_sigma_rel=args.noise,
-        seed=args.seed,
-    )
+    spec = _bench_spec(args, args.ratio)
     reports = run_residual_suite(
         spec, algos, args.iters, trials=args.trials, tol=args.tol, threads=args.threads
     )
@@ -374,35 +367,27 @@ def _build_parser():
 
     bench = sub.add_parser("bench", help="synthetic experiment suites")
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
+    suite = argparse.ArgumentParser(add_help=False)
+    suite.add_argument("--d", type=int, required=True)
+    suite.add_argument("--k", type=int, required=True)
+    suite.add_argument("--noise", type=float, default=0.0)
+    suite.add_argument("--symmetric", action="store_true")
+    suite.add_argument("--algos", default="orth-als,als")
+    suite.add_argument("--tol", type=float, default=1e-6)
+    suite.add_argument("--seed", type=int, required=True)
+    suite.add_argument("--threads", type=int, default=_default_threads())
+    suite.add_argument("--out", required=True)
 
-    p = bench_sub.add_parser("recovery", help="factor recovery counts over a grid")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = bench_sub.add_parser("recovery", parents=[suite], help="recovery counts over a grid")
     p.add_argument("--ratios", default="1")
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--symmetric", action="store_true")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--algos", default="orth-als,als")
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=_default_threads())
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench_recovery)
 
-    p = bench_sub.add_parser("residual", help="per-iteration residual traces")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = bench_sub.add_parser("residual", parents=[suite], help="per-iteration residual traces")
     p.add_argument("--ratio", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--symmetric", action="store_true")
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--algos", default="orth-als,als")
     p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=_default_threads())
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench_residual)
 
     p = sub.add_parser("complete", help="tensor completion from observed entries")

@@ -623,7 +623,7 @@ def _project_out(basis, v, tol):
     return res / n if n > tol else None
 
 
-def svd_init(tensor, rank, seed=None, *, rng=None):
+def svd_init(tensor, rank, seed=None):
     """Factor initialization from the singular vectors of a random projection.
 
     Contracts the third mode with a random unit vector, takes the top
@@ -632,9 +632,7 @@ def svd_init(tensor, rank, seed=None, *, rng=None):
     projection has numerical rank below ``rank``, the missing columns are
     padded with random unit vectors (logged).
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    return _svd_init(_Workspace(tensor), rank, rng)
+    return _svd_init(_Workspace(tensor), rank, np.random.default_rng(seed))
 
 
 def _svd_init(ws, rank, rng):

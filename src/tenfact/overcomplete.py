@@ -17,8 +17,8 @@ import numpy as np
 
 from .bench import derived_seed
 from .decompose import DecompConfig, als_run, als_sweep, hybrid_run
-from .errors import NumericalFailureError, TenfactError
-from .tensors import CpModel, DenseTensor3, cp_reconstruct, normalize_columns
+from .errors import InvalidConfigError, NumericalFailureError, TenfactError
+from .tensors import CpModel, DenseTensor3, SparseTensor3, cp_reconstruct, normalize_columns
 
 __all__ = ["deflate_overcomplete"]
 
@@ -30,6 +30,8 @@ _INNER_RUNNERS = {"hybrid": hybrid_run, "als": als_run}
 def deflate_overcomplete(tensor, total_rank, inner_cfg=None, block=None, inner="hybrid"):
     """Recover ``total_rank`` factors of a dense tensor block by block.
 
+    A sparse tensor must fit in one block: the residual after a block is
+    dense, so ``total_rank > block`` raises :class:`InvalidConfigError`.
     ``inner`` selects the per-block decomposition ("hybrid" or "als"); the
     first block runs with ``inner_cfg.seed`` unchanged, so a single-block
     call reproduces the inner algorithm exactly.  A failing inner
@@ -46,6 +48,10 @@ def deflate_overcomplete(tensor, total_rank, inner_cfg=None, block=None, inner="
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     block = min(block, min(tensor.dims))
+    if isinstance(tensor, SparseTensor3) and total_rank > block:
+        raise InvalidConfigError(
+            f"a sparse tensor deflates in one block only: rank {total_rank} > block {block}"
+        )
     if inner_cfg is None:
         inner_cfg = DecompConfig(rank=block)
 

@@ -17,7 +17,7 @@ from tenfact.bench import (
     write_traces_csv,
 )
 from tenfact.decompose import ALGORITHMS
-from tenfact.errors import NumericalFailureError
+from tenfact.errors import InvalidConfigError, NumericalFailureError
 from tenfact.tensors import incoherence, residual_ratio
 
 
@@ -188,6 +188,20 @@ class TestResidualSuite:
         assert rows[0] == bench.TRACE_HEADER
         # one row per (algo, trial, iteration actually executed)
         assert len(rows) - 1 == sum(len(r.residual_trace) for r in reports)
+
+    def test_threads_do_not_change_results(self):
+        spec = SynthSpec(d=8, k=3, seed=5)
+        seq = run_residual_suite(spec, ["orth-als", "als"], iters=10, trials=3, threads=1)
+        par = run_residual_suite(spec, ["orth-als", "als"], iters=10, trials=3, threads=2)
+        assert len(seq) == len(par) == 6
+        for rs, rp in zip(seq, par):
+            for field in ("algo", "seed", "trial", "iterations", "residual_final"):
+                assert getattr(rs, field) == getattr(rp, field)
+            np.testing.assert_array_equal(rs.residual_trace, rp.residual_trace)
+
+    def test_failure_raised_not_recorded(self):
+        with pytest.raises(InvalidConfigError):
+            run_residual_suite(SynthSpec(d=4, k=6, seed=0), ["orth-als"], iters=2)
 
     def test_rejects_untraceable_algorithms(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from tenfact.cli import _build_parser, main
 from tenfact.decompose import ALGORITHMS
 from tenfact.embed import build_trioccurrence
 from tenfact.fileio import read_cpm, write_coo
-from tenfact.tensors import cp_reconstruct, residual_ratio
+from tenfact.tensors import SparseTensor3, cp_reconstruct, residual_ratio
 
 from conftest import diagonal_tensor, random_model
 from test_fileio import reference_coo_bytes
@@ -132,6 +132,17 @@ class TestBenchCommands:
         assert main(args + [str(b), "--threads", "2"]) == 0
         assert strip_wall_ms(a) == strip_wall_ms(b)
 
+    def test_residual_byte_identical_across_threads(self, tmp_path):
+        args = [
+            "bench", "residual", "--d", "8", "--k", "3", "--ratio", "10",
+            "--trials", "3", "--algos", "orth-als,als,als-svd", "--seed", "5",
+            "--iters", "12", "--out",
+        ]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + [str(a), "--threads", "1"]) == 0
+        assert main(args + [str(b), "--threads", "2"]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_residual_suite(self, tmp_path):
         out = tmp_path / "traces.csv"
         code = main([
@@ -201,6 +212,21 @@ class TestCompleteAndOvercomplete:
         ])
         assert code == 0
         assert read_cpm(out).k == 9
+
+    def test_overcomplete_sparse_input_beyond_one_block_exit_1(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        dims = (200, 200, 200)
+        flat = rng.choice(dims[0] * dims[1] * dims[2], size=300, replace=False)
+        idx = np.column_stack(np.unravel_index(flat, dims))
+        coo = tmp_path / "big.coo"
+        write_coo(coo, SparseTensor3(dims, idx, rng.uniform(0.5, 2.0, 300)))
+        out = tmp_path / "m.cpm"
+        code = main([
+            "overcomplete", "--input", str(coo), "--rank", "250", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 class TestEmbedCommands:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from tenfact.bench import SynthSpec, gen_random_cp
 from tenfact.decompose import DecompConfig, hybrid_run
-from tenfact.errors import NumericalFailureError
+from tenfact.errors import InvalidConfigError, NumericalFailureError
 from tenfact.linalg import match_factors
 from tenfact.overcomplete import deflate_overcomplete
-from tenfact.tensors import DenseTensor3, cp_reconstruct, residual_ratio
+from tenfact.tensors import DenseTensor3, SparseTensor3, cp_reconstruct, residual_ratio
 
 from conftest import random_model
 
@@ -72,6 +73,24 @@ class TestDeflateOvercomplete:
             deflate_overcomplete(t, 12, cfg, inner="hybrid")
         assert err.value.partial is not None
         assert err.value.partial.k == 8
+
+    def test_sparse_input_needing_two_blocks_rejected_before_work(self, monkeypatch):
+        dense = gen_random_cp(SynthSpec(d=6, k=8, seed=1))[1]
+        idx = np.argwhere(np.ones(dense.dims, dtype=bool))
+        sparse = SparseTensor3(dense.dims, idx, dense.array[tuple(idx.T)])
+        cfg = DecompConfig(rank=6, max_iters=20)
+        from tenfact import overcomplete as oc
+
+        def no_fit(tensor, inner_cfg):
+            raise AssertionError("a block ran before the check")
+
+        with monkeypatch.context() as m:
+            m.setitem(oc._INNER_RUNNERS, "hybrid", no_fit)
+            with pytest.raises(InvalidConfigError):
+                deflate_overcomplete(sparse, 8, cfg)
+        # One block is still served, and matches the dense input.
+        one = deflate_overcomplete(sparse, 6, cfg)
+        np.testing.assert_allclose(one.weights, deflate_overcomplete(dense, 6, cfg).weights)
 
     def test_validates_arguments(self):
         t = DenseTensor3.zeros((4, 4, 4))
