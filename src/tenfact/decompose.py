@@ -11,10 +11,11 @@ the columns by decreasing weight estimate and replaces each factor matrix by
 the Q of its QR factorization before the sweep; the sort keeps the heaviest
 (earliest-converging) factors anchored at the front, where Gram-Schmidt
 leaves them untouched.  Because the Khatri-Rao Gram of orthonormal factors is
-the identity, the first mode update after orthogonalization reduces to the
-bare MTTKRP with no pseudoinverse.  ``ALGORITHMS`` is the registry of every
-algorithm, with its capabilities, from which the CLI and the benchmark suites
-dispatch; ``ALS_RUNNERS`` is its ALS slice.
+the identity, the first mode update after orthogonalization solves with a
+Gram that is about I, which always takes the fast path of the solve below.
+``ALGORITHMS`` is the registry of every algorithm, with its capabilities,
+from which the CLI and the benchmark suites dispatch; ``ALS_RUNNERS`` is its
+ALS slice.
 
 Every sweep, and every other repeated MTTKRP, runs through one per-run
 ``_Workspace``.  For a dense tensor it keeps the mode-3 partial ``T x_3 C``
@@ -31,8 +32,11 @@ larger one once its residual is below ``_EXPLICIT_REFINE_LEVEL``) adds a
 third GEMM, which writes the model into a residual buffer that the
 workspace allocates on the run's first exact residual and then reuses.
 Each mode update is the exact least-squares step of the standard CP-ALS loop
-(Kolda & Bader, SIAM Review 2009), taken through one Gram-pseudoinverse
-helper shared with ``linalg.ls_solve_kr``.
+(Kolda & Bader, SIAM Review 2009), taken through one guarded Gram solve
+shared with ``linalg.ls_solve_kr`` (``linalg._gram_solve``): it multiplies by
+the inverse of the k x k Khatri-Rao Gram when its condition number is safely
+below ``1/rcond``, and otherwise falls back to the SVD pseudoinverse, so every
+Gram the pseudoinverse would truncate still goes through it.
 
 The tensor power method is the rank-1 special case with simultaneous mode
 updates, run by one kernel on a batch of restarts: ``tpm_multi`` runs many
@@ -689,10 +693,13 @@ def simdiag(tensor, rank, seed=0):
 def _simdiag_from_projections(ws, u, v, rank, rcond=1e-8, gap_rtol=1e-8):
     m1 = contract_mode3(ws.tensor, u)
     m2 = contract_mode3(ws.tensor, v)
-    s2 = np.linalg.svd(m2, compute_uv=False)
+    u2, s2, vh2 = np.linalg.svd(m2, full_matrices=False)
     if s2.size == 0 or s2[0] == 0.0 or (rank <= s2.size and s2[rank - 1] <= rcond * s2[0]):
         raise NumericalFailureError("second projection is numerically singular")
-    m2p = np.linalg.pinv(m2, rcond=rcond)
+    # np.linalg.pinv(m2, rcond) from the SVD already taken, with the same bits.
+    large = s2 > rcond * s2[0]
+    s2_inv = np.divide(1.0, s2, where=large, out=np.zeros_like(s2))
+    m2p = vh2.T @ (s2_inv[:, None] * u2.T)
     vals_a, vecs_a = eig_nonsym(m1 @ m2p)
     vals_b, vecs_b = eig_nonsym((m2p @ m1).T)
     sel_a = np.argsort(-np.abs(vals_a), kind="stable")[:rank]

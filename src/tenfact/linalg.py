@@ -54,9 +54,11 @@ def ls_solve_kr(tmat, p, q, rcond=1e-12):
 
     Solves ``min_X || tmat - X @ khatri_rao(q, p).T ||_F`` via the normal
     equations: ``X = tmat (q ⊙ p) G^+`` with ``G = (q.T q) * (p.T p)``
-    (Hadamard product of Grams).  Singular values of G below ``rcond`` times
-    the largest are truncated.  When p and q are orthonormal, G is the
-    identity and the result reduces to the bare MTTKRP.  A sparse ``tmat``
+    (Hadamard product of Grams), taken by :func:`_gram_solve`: through the
+    inverse of G when G is well conditioned for ``rcond``, otherwise through
+    ``pinv(G, rcond)``, which truncates singular values of G at or below
+    ``rcond`` times the largest.  When p and q are orthonormal, G is the
+    identity and the result is the MTTKRP to rounding.  A sparse ``tmat``
     is split into the (row, p, q) entries of a tensor whose mode-1
     matricization it is (column ``p + q * d_p``), and its MTTKRP runs on that
     tensor's mode-1 fiber plan (see :func:`tenfact.tensors._fiber_plan`).
@@ -82,8 +84,28 @@ def ls_solve_kr(tmat, p, q, rcond=1e-12):
 
 
 def _gram_solve(mtt, p, q, rcond=1e-12):
-    """Normal-equations step ``mtt G^+`` with the Khatri-Rao Gram ``G = (q.T q) * (p.T p)``."""
-    return mtt @ np.linalg.pinv((q.T @ q) * (p.T @ p), rcond=rcond)
+    """Normal-equations step ``mtt G^+`` with the Khatri-Rao Gram ``G = (q.T q) * (p.T p)``.
+
+    G is k x k and symmetric positive semidefinite.  The step multiplies by
+    ``inv(G)`` when that inverse exists and ``||G||_1 ||inv(G)||_1 k rcond < 1``:
+    the product is the 1-norm condition number read off the inverse just
+    formed, and since the 2-norm condition number is at most k times it, no
+    such G has a singular value that ``pinv(G, rcond)`` would truncate.  Every
+    other G (singular or nearly so, non-finite, or k = 0) takes
+    ``pinv(G, rcond)``, whose SVD costs several times the inverse.
+    """
+    gram = (q.T @ q) * (p.T @ p)
+    k = gram.shape[0]
+    if k:
+        try:
+            inv = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            # A NaN condition number compares False and takes the fallback.
+            if np.linalg.norm(gram, 1) * np.linalg.norm(inv, 1) * k * rcond < 1.0:
+                return mtt @ inv
+    return mtt @ np.linalg.pinv(gram, rcond=rcond)
 
 
 def top_svd(m, k):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tenfact import decompose
 from tenfact.decompose import (
     ALGORITHMS,
     DecompConfig,
@@ -98,6 +99,28 @@ class TestAlsRun:
         result = als_run(cp_reconstruct(m), DecompConfig(rank=2, max_iters=7, tol=1e-300, record_trace=True))
         assert result.iterations_used == 7
         assert len(result.residual_trace) == 7
+
+
+    def test_singular_grams_match_pinv_reference(self, rng, monkeypatch):
+        """Every Gram of this fit is singular, so every solve is the old pinv one."""
+        m = random_model(rng, (8, 8, 8), 1)
+        t = cp_reconstruct(m)
+        given = tuple(np.repeat(unit_columns(rng, 8, 1), 3, axis=1) for _ in range(3))
+        cfg = DecompConfig(
+            rank=3, max_iters=15, tol=1e-300, init="given", given=given, record_trace=True
+        )
+        got = als_run(t, cfg)
+        monkeypatch.setattr(
+            decompose,
+            "_gram_solve",
+            lambda mtt, p, q, rcond=1e-12: mtt @ np.linalg.pinv((q.T @ q) * (p.T @ p), rcond=rcond),
+        )
+        expect = als_run(t, cfg)
+        assert got.iterations_used == expect.iterations_used
+        np.testing.assert_array_equal(got.residual_trace, expect.residual_trace)
+        np.testing.assert_array_equal(got.model.weights, expect.model.weights)
+        for g, e in zip(got.model.factors, expect.model.factors):
+            np.testing.assert_array_equal(g, e)
 
 
 class TestOrthAlsRun:

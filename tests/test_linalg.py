@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from tenfact.errors import DegenerateInputError
-from tenfact.linalg import eig_nonsym, ls_solve_kr, match_factors, orth_step, top_svd
+from tenfact.linalg import _gram_solve, eig_nonsym, ls_solve_kr, match_factors, orth_step, top_svd
 from tenfact.tensors import CpModel, cp_reconstruct, khatri_rao, matricize
 
-from conftest import random_model
+from conftest import random_model, unit_columns
 
 
 class TestOrthStep:
@@ -113,6 +113,63 @@ class TestLsSolveKr:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             ls_solve_kr(np.zeros((3, 7)), np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+def pinv_gram_solve(mtt, p, q, rcond=1e-12):
+    """The normal-equations step through the SVD pseudoinverse alone."""
+    return mtt @ np.linalg.pinv((q.T @ q) * (p.T @ p), rcond=rcond)
+
+
+class TestGramSolve:
+    """``_gram_solve`` inverts well-conditioned Grams and keeps ``pinv`` for the rest."""
+
+    @pytest.mark.parametrize("d, k", [(100, 30), (50, 50), (1528, 50)])
+    def test_well_conditioned_matches_pinv_without_svd(self, rng, monkeypatch, d, k):
+        p = unit_columns(rng, d, k)
+        q = unit_columns(rng, d, k)
+        mtt = rng.standard_normal((d, k))
+        expect = pinv_gram_solve(mtt, p, q)
+
+        def no_pinv(*args, **kwargs):
+            raise AssertionError("a well-conditioned Gram took the pinv fallback")
+
+        monkeypatch.setattr(np.linalg, "pinv", no_pinv)
+        got = _gram_solve(mtt, p, q)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_duplicated_column_is_bitwise_pinv(self, rng):
+        p = unit_columns(rng, 20, 4)
+        p[:, 3] = p[:, 1]
+        q = unit_columns(rng, 20, 4)
+        q[:, 3] = q[:, 1]
+        mtt = rng.standard_normal((20, 4))
+        np.testing.assert_array_equal(_gram_solve(mtt, p, q), pinv_gram_solve(mtt, p, q))
+
+    def test_zero_column_is_bitwise_pinv(self, rng):
+        # normalize_columns leaves a dead column all zeros.
+        p = unit_columns(rng, 20, 4)
+        p[:, 2] = 0.0
+        q = unit_columns(rng, 20, 4)
+        mtt = rng.standard_normal((20, 4))
+        np.testing.assert_array_equal(_gram_solve(mtt, p, q), pinv_gram_solve(mtt, p, q))
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-7])
+    def test_ill_conditioned_is_bitwise_pinv(self, rng, s):
+        """G is about diag(1, 1, 1, 1, 1, s^2): condition number 1e12 or 1e14."""
+        u = np.linalg.qr(rng.standard_normal((40, 6)))[0]
+        p = u * np.array([1.0, 1.0, 1.0, 1.0, 1.0, s])
+        mtt = rng.standard_normal((40, 6))
+        np.testing.assert_array_equal(_gram_solve(mtt, p, u), pinv_gram_solve(mtt, p, u))
+
+    def test_rank_zero(self):
+        out = _gram_solve(np.zeros((7, 0)), np.zeros((5, 0)), np.zeros((6, 0)))
+        assert out.shape == (7, 0)
+
+    def test_nan_gram_raises(self, rng):
+        p = unit_columns(rng, 10, 3)
+        p[0, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            _gram_solve(rng.standard_normal((10, 3)), p, unit_columns(rng, 10, 3))
 
 
 class TestTopSvd:
