@@ -50,9 +50,6 @@ from .overcomplete import deflate_overcomplete
 from .tensors import SparseTensor3, residual_ratio
 from .textgen import analogy_quads, planted_analogy_corpus, write_corpus, zipf_corpus
 
-# Tensors up to this many entries are densified for speed and exact residuals.
-_DENSIFY_LIMIT = 4_000_000
-
 
 def _default_threads():
     env = os.environ.get("TENFACT_THREADS")
@@ -79,19 +76,11 @@ def _write_manifest(out_path, subcommand, args, inputs, outputs, seed):
         fh.write("\n")
 
 
-def _load_tensor(path):
-    tensor = read_coo(path)
-    d1, d2, d3 = tensor.dims
-    if d1 * d2 * d3 <= _DENSIFY_LIMIT:
-        return tensor.to_dense()
-    return tensor
-
-
 def cmd_decompose(args):
     algo = ALGORITHMS[args.algo]
     if args.init != "random" and not algo.honours_init:
         raise InvalidConfigError(f"--algo {args.algo} does not take --init {args.init}")
-    tensor = _load_tensor(args.input)
+    tensor = read_coo(args.input)
     cfg = DecompConfig(
         rank=args.rank,
         max_iters=args.iters,
@@ -209,7 +198,7 @@ def cmd_complete(args):
 
 
 def cmd_overcomplete(args):
-    tensor = _load_tensor(args.input)
+    tensor = read_coo(args.input)
     inner_cfg = DecompConfig(
         rank=min(args.block or min(tensor.dims), args.rank),
         max_iters=args.iters,

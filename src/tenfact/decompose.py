@@ -22,6 +22,10 @@ Every sweep, and every other repeated MTTKRP, runs through one per-run
 that modes 1 and 2 of a sweep both contract (the dimension tree of Phan,
 Tichavský & Cichocki, IEEE TSP 2013), so a sweep costs two large GEMMs and
 no Khatri-Rao product; for a sparse tensor it keeps each mode's fiber plan.
+A sparse tensor of at most 4M entries that is at least 10% stored is first
+replaced by its dense copy (``tensors._working_form``, the one density rule
+of the package): from that density on the dense path runs a sweep faster.
+Such an input gives the model of its dense copy bit for bit.
 Both GEMMs put the small factor on the left, ``C^T @ T^T`` over the
 ``(d1*d2, d3)`` layout and ``A^T @ T_(1)`` over ``(d1, d2*d3)``, because
 OpenBLAS packs the large operand faster that way round (see
@@ -73,6 +77,7 @@ from .tensors import (
     _mode3_partial,
     _mode_plan,
     _relative,
+    _working_form,
     normalize_columns,
 )
 
@@ -174,7 +179,15 @@ class DecompResult:
 class _Workspace:
     """Per-run cache of what repeated MTTKRPs share.
 
-    A sparse tensor keeps the fiber plan of each mode's nonzeros (see
+    The workspace first puts the tensor in its working form
+    (``tensors._working_form``): a sparse tensor of at most
+    ``_DENSE_MAX_ENTRIES`` entries with at least ``_DENSE_MIN_DENSITY`` of
+    them stored is replaced by its dense copy.  Every run reads the tensor
+    through ``self.tensor`` (its norm, the MTTKRPs, the SVD start's and
+    simdiag's projections, the final weight re-estimation), so such a sparse
+    input gives the model of its dense copy bit for bit.
+
+    A tensor that stays sparse keeps the fiber plan of each mode's nonzeros (see
     ``tensors._fiber_plan``), built on the mode's first use and reused for
     the rest of the run.  A dense tensor is read in its row-major layout
     (see ``tensors._dense_mttkrp``) and keeps the last mode-3 partial
@@ -197,7 +210,7 @@ class _Workspace:
     """
 
     def __init__(self, tensor):
-        self.tensor = tensor
+        self.tensor = tensor = _working_form(tensor)
         self.dims = tensor.dims
         self.size = self.dims[0] * self.dims[1] * self.dims[2]
         self.tnorm = tensor.norm()

@@ -11,6 +11,7 @@ current estimates.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,14 @@ import numpy as np
 from .bench import derived_seed
 from .decompose import DecompConfig, als_run, als_sweep, hybrid_run
 from .errors import InvalidConfigError, NumericalFailureError, TenfactError
-from .tensors import CpModel, DenseTensor3, SparseTensor3, cp_reconstruct, normalize_columns
+from .tensors import (
+    _DENSE_MAX_ENTRIES,
+    CpModel,
+    DenseTensor3,
+    SparseTensor3,
+    cp_reconstruct,
+    normalize_columns,
+)
 
 __all__ = ["deflate_overcomplete"]
 
@@ -28,10 +36,14 @@ _INNER_RUNNERS = {"hybrid": hybrid_run, "als": als_run}
 
 
 def deflate_overcomplete(tensor, total_rank, inner_cfg=None, block=None, inner="hybrid"):
-    """Recover ``total_rank`` factors of a dense tensor block by block.
+    """Recover ``total_rank`` factors of a tensor block by block.
 
-    A sparse tensor must fit in one block: the residual after a block is
-    dense, so ``total_rank > block`` raises :class:`InvalidConfigError`.
+    The residual after a block is dense, so a sparse tensor that needs more
+    than one block (``total_rank > block``) is densified once, up front,
+    when it has at most ``tensors._DENSE_MAX_ENTRIES`` entries, and raises
+    :class:`InvalidConfigError` before any block runs when it has more.  A
+    sparse tensor that fits in one block is decomposed as it is, in the
+    format the workspace's density rule gives it.
     ``inner`` selects the per-block decomposition ("hybrid" or "als"); the
     first block runs with ``inner_cfg.seed`` unchanged, so a single-block
     call reproduces the inner algorithm exactly.  A failing inner
@@ -49,9 +61,12 @@ def deflate_overcomplete(tensor, total_rank, inner_cfg=None, block=None, inner="
         raise ValueError(f"block must be >= 1, got {block}")
     block = min(block, min(tensor.dims))
     if isinstance(tensor, SparseTensor3) and total_rank > block:
-        raise InvalidConfigError(
-            f"a sparse tensor deflates in one block only: rank {total_rank} > block {block}"
-        )
+        if math.prod(tensor.dims) > _DENSE_MAX_ENTRIES:
+            raise InvalidConfigError(
+                f"a sparse tensor of more than {_DENSE_MAX_ENTRIES} entries deflates in one "
+                f"block only: rank {total_rank} > block {block}"
+            )
+        tensor = tensor.to_dense()
     if inner_cfg is None:
         inner_cfg = DecompConfig(rank=block)
 

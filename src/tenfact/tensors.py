@@ -39,6 +39,12 @@ cache, the blocking idea of CSF and of HiCOO (Li et al., SC 2018).  Every
 output row sums its own fibers in the same order whatever the blocks, so
 blocking changes no bit of the result.
 
+Which of the two kernels a sparse tensor gets is decided in one place,
+:func:`_working_form`: one that is small and dense enough is computed on as
+its dense copy, the choice of storage by density of Bader & Kolda (SIAM J.
+Sci. Comput. 2007).  The public :func:`mttkrp` and :func:`contract_mode3`
+run on the tensor they are given.
+
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely across threads.
 """
@@ -72,6 +78,14 @@ __all__ = [
 # fibers of a 760k-nonzero tensor in one block, so rank-1 updates pay no
 # per-block overhead.
 _BLOCK_FLOATS = 1 << 18
+
+# A sparse tensor is computed on as a dense copy when it has at most this many
+# entries (a 32 MB array) and at least this share of them is stored.  From
+# 10% stored on, the dense GEMM path ran the three MTTKRPs of a sweep faster
+# than the fiber kernel at every size measured up to 158^3 (1 BLAS thread of
+# a 2-core VM); near 5% the two were even.
+_DENSE_MAX_ENTRIES = 4_000_000
+_DENSE_MIN_DENSITY = 0.1
 
 
 class DenseTensor3:
@@ -184,6 +198,20 @@ class SparseTensor3:
 
     def __repr__(self):
         return f"SparseTensor3(dims={self.dims}, nnz={self.nnz})"
+
+
+def _working_form(tensor):
+    """The format a tensor is computed on: the one density rule of the package.
+
+    A :class:`SparseTensor3` of at most ``_DENSE_MAX_ENTRIES`` entries, at
+    least ``_DENSE_MIN_DENSITY`` of them stored, becomes its dense copy;
+    every other tensor, a dense one included, is returned as it is.
+    """
+    if isinstance(tensor, SparseTensor3):
+        size = math.prod(tensor.dims)
+        if size <= _DENSE_MAX_ENTRIES and tensor.nnz >= _DENSE_MIN_DENSITY * size:
+            return tensor.to_dense()
+    return tensor
 
 
 def _canonical_coo(idx, vals):
@@ -579,10 +607,14 @@ def residual_ratio(tensor, model):
     """Relative Frobenius reconstruction error ``||T - T_hat|| / ||T||``.
 
     A zero tensor yields 0.0 when the model also reconstructs zero and
-    ``math.inf`` otherwise, so callers can branch deterministically.
+    ``math.inf`` otherwise, so callers can branch deterministically.  A
+    sparse tensor that :func:`_working_form` densifies gets the dense
+    residual, with the bits of its dense copy; a sparser one gets the Gram
+    identity, which loses accuracy to cancellation near an exact fit.
     """
     if tensor.dims != model.dims:
         raise ValueError(f"tensor dims {tensor.dims} != model dims {model.dims}")
+    tensor = _working_form(tensor)
     if isinstance(tensor, DenseTensor3):
         rnorm = _dense_residual_norm(tensor.array, model.weights, *model.factors)
     else:

@@ -34,6 +34,7 @@ from tenfact.tensors import (
     khatri_rao,
     matricize,
     residual_ratio,
+    _working_form,
 )
 
 from conftest import diagonal_tensor, random_model, random_sparse, unit_columns
@@ -505,6 +506,17 @@ class TestConfigValidation:
             DecompConfig(rank=1, orth_mode="sometimes")
 
 
+def registry_outcomes(name, tensors, cfg):
+    """The registry entry's result on each tensor, or the type of the typed error it raised."""
+    outcomes = []
+    for t in tensors:
+        try:
+            outcomes.append(ALGORITHMS[name].run(t, cfg, 8))
+        except TenfactError as exc:
+            outcomes.append(type(exc))
+    return outcomes
+
+
 class TestDenseSparseEquivalence:
     """A sparse tensor and its dense copy give the same model for the same seed."""
 
@@ -552,14 +564,89 @@ class TestDenseSparseEquivalence:
         idx = np.argwhere(np.ones(dims, dtype=bool))
         sparse = SparseTensor3(dims, idx, dense.array[tuple(idx.T)])
         cfg = DecompConfig(rank=k, max_iters=10, seed=seed)
-        outcomes = []
-        for t in (sparse, dense):
-            try:
-                outcomes.append(ALGORITHMS[name].run(t, cfg, 8).model)
-            except TenfactError as exc:
-                outcomes.append(type(exc))
-        got, expect = outcomes
+        got, expect = registry_outcomes(name, (sparse, dense), cfg)
         if isinstance(expect, type) or isinstance(got, type):
             assert got is expect
         else:
-            self.assert_same_model(got, expect)
+            self.assert_same_model(got.model, expect.model)
+
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    def test_dense_enough_sparse_input_gives_dense_bits(self, pair, name):
+        """Above the density threshold the workspace runs the dense copy,
+        so the result is bitwise that of the dense input."""
+        sparse, dense = pair
+        assert _working_form(sparse) is not sparse
+        cfg = DecompConfig(rank=3, max_iters=15, tol=1e-300, seed=5)
+        got, expect = registry_outcomes(name, pair, cfg)
+        if isinstance(expect, type) or isinstance(got, type):
+            assert got is expect
+            return
+        assert got.iterations_used == expect.iterations_used
+        for g, e in zip((got.model.weights, *got.model.factors), (expect.model.weights, *expect.model.factors)):
+            assert g.tobytes() == e.tobytes()
+
+
+def sparse_factor_model(rng, dims, k, share=0.25):
+    """A CP model whose unit columns each have ``share`` of their entries nonzero.
+
+    Row 0 is nonzero in every column, so that the sign rule of
+    ``CpModel.canonical`` reads a true entry, not roundoff at a zero one.
+    """
+    factors = []
+    for d in dims:
+        f = np.zeros((d, k))
+        for r in range(k):
+            rows = np.append(0, 1 + rng.choice(d - 1, round(share * d) - 1, replace=False))
+            f[rows, r] = rng.standard_normal(rows.size)
+        factors.append(f / np.linalg.norm(f, axis=0))
+    return CpModel(rng.uniform(0.5, 2.0, k), *factors)
+
+
+class TestDenseSparseEquivalenceLowDensity(TestDenseSparseEquivalence):
+    """The same equivalences on tensors about 2% stored, below the density
+    threshold, so the sparse side runs the fiber kernel."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        sparse = random_sparse(np.random.default_rng(32), (24, 20, 28), 270)
+        assert _working_form(sparse) is sparse
+        return sparse, sparse.to_dense()
+
+    # The dense bits need the dense copy; below the threshold there is none.
+    test_dense_enough_sparse_input_gives_dense_bits = None
+
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    @settings(max_examples=25)
+    @given(
+        dims=st.tuples(st.integers(20, 30), st.integers(20, 30), st.integers(20, 30)),
+        data=st.data(),
+    )
+    def test_every_registry_entry(self, name, dims, data):
+        k = data.draw(st.integers(1, 3), label="k")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        exact = cp_reconstruct(sparse_factor_model(rng, dims, k)).array
+        # The stored entries carry 0.1% noise, so that no fit is exact: near
+        # an exact fit the sparse stop metric, the Gram identity, cancels to
+        # 0.0 and ends the sparse run sweeps before the dense one.
+        idx = np.argwhere(exact != 0.0)
+        vals = exact[tuple(idx.T)] * (1.0 + 1e-3 * rng.standard_normal(len(idx)))
+        sparse = SparseTensor3(dims, idx, vals)
+        dense = sparse.to_dense()
+        assert _working_form(sparse) is sparse
+        cfg = DecompConfig(rank=k, max_iters=10, tol=1e-300, seed=seed)
+        got, expect = registry_outcomes(name, (sparse, dense), cfg)
+        if isinstance(expect, type) or isinstance(got, type):
+            assert got is expect
+        elif name == "tpm":
+            # Restarts that reach one component tie in weight to the last
+            # bits, and which of them heads its cluster may differ between
+            # the kernels; such heads agree to about 1e-8.
+            got, expect = got.model, expect.model
+            np.testing.assert_allclose(
+                got.weights, expect.weights, rtol=0, atol=1e-9 * np.abs(expect.weights).max()
+            )
+            for g, e in zip(got.factors, expect.factors):
+                np.testing.assert_allclose(g, e, rtol=0, atol=1e-6)
+        else:
+            self.assert_same_model(got.model, expect.model)

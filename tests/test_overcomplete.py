@@ -75,10 +75,14 @@ class TestDeflateOvercomplete:
         assert err.value.partial.k == 8
 
     def test_sparse_input_needing_two_blocks_rejected_before_work(self, monkeypatch):
-        dense = gen_random_cp(SynthSpec(d=6, k=8, seed=1))[1]
-        idx = np.argwhere(np.ones(dense.dims, dtype=bool))
-        sparse = SparseTensor3(dense.dims, idx, dense.array[tuple(idx.T)])
-        cfg = DecompConfig(rank=6, max_iters=20)
+        # Above the 4M-entry cap a sparse tensor is not densified, so it
+        # still deflates in one block only.
+        rng = np.random.default_rng(4)
+        dims = (200, 200, 200)
+        flat = rng.choice(dims[0] * dims[1] * dims[2], size=300, replace=False)
+        idx = np.column_stack(np.unravel_index(flat, dims))
+        sparse = SparseTensor3(dims, idx, rng.uniform(0.5, 2.0, 300))
+        cfg = DecompConfig(rank=3, max_iters=20)
         from tenfact import overcomplete as oc
 
         def no_fit(tensor, inner_cfg):
@@ -87,10 +91,24 @@ class TestDeflateOvercomplete:
         with monkeypatch.context() as m:
             m.setitem(oc._INNER_RUNNERS, "hybrid", no_fit)
             with pytest.raises(InvalidConfigError):
-                deflate_overcomplete(sparse, 8, cfg)
+                deflate_overcomplete(sparse, 4, cfg, block=3)
         # One block is still served, and matches the dense input.
-        one = deflate_overcomplete(sparse, 6, cfg)
-        np.testing.assert_allclose(one.weights, deflate_overcomplete(dense, 6, cfg).weights)
+        one = deflate_overcomplete(sparse, 3, cfg, block=3)
+        dense = deflate_overcomplete(sparse.to_dense(), 3, cfg, block=3)
+        np.testing.assert_allclose(one.weights, dense.weights)
+
+    def test_sparse_input_needing_two_blocks_matches_dense(self):
+        """Under the cap a multi-block sparse deflation densifies once and
+        gives the dense deflation bit for bit."""
+        dense = gen_random_cp(SynthSpec(d=6, k=8, seed=1))[1]
+        idx = np.argwhere(np.ones(dense.dims, dtype=bool))
+        sparse = SparseTensor3(dense.dims, idx, dense.array[tuple(idx.T)])
+        cfg = DecompConfig(rank=6, max_iters=20)
+        got = deflate_overcomplete(sparse, 8, cfg)
+        expect = deflate_overcomplete(dense, 8, cfg)
+        assert got.k == 8
+        for g, e in zip((got.weights, *got.factors), (expect.weights, *expect.factors)):
+            assert g.tobytes() == e.tobytes()
 
     def test_validates_arguments(self):
         t = DenseTensor3.zeros((4, 4, 4))

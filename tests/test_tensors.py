@@ -22,9 +22,12 @@ from tenfact.tensors import (
     mttkrp,
     normalize_columns,
     residual_ratio,
+    _DENSE_MAX_ENTRIES,
+    _DENSE_MIN_DENSITY,
     _fiber_plan,
     _mode3_partial,
     _mode_plan,
+    _working_form,
 )
 
 from conftest import diagonal_tensor, loop_reconstruct, random_model, random_sparse, unit_columns
@@ -338,9 +341,71 @@ class TestReconstructAndResidual:
             assert residual_ratio(t, empty) == 0.0
 
     def test_sparse_residual_agrees_with_dense(self, rng):
-        s = random_sparse(rng, (5, 5, 5), 30)
-        m = random_model(rng, (5, 5, 5), 2)
-        assert residual_ratio(s, m) == pytest.approx(residual_ratio(s.to_dense(), m), rel=1e-10)
+        # The first tensor is densified; the second, 2% stored, keeps the
+        # sparse Gram identity.
+        for dims, nnz in (((5, 5, 5), 30), ((20, 20, 20), 160)):
+            s = random_sparse(rng, dims, nnz)
+            m = random_model(rng, dims, 2)
+            assert residual_ratio(s, m) == pytest.approx(residual_ratio(s.to_dense(), m), rel=1e-10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_copy_of_near_exact_fit_has_dense_residual(self, seed):
+        """A full sparse copy reports the dense residual, not the Gram
+        identity's, which cancels to 2e-8 or 0.0 at these fits."""
+        rng = np.random.default_rng(seed)
+        m = random_model(rng, (20, 20, 20), 5)
+        arr = cp_reconstruct(m).array + 1e-9 * rng.standard_normal((20, 20, 20))
+        dense = DenseTensor3(arr)
+        idx = np.argwhere(np.ones(arr.shape, dtype=bool))
+        sparse = SparseTensor3(arr.shape, idx, arr[tuple(idx.T)])
+        expect = residual_ratio(dense, m)
+        assert 1e-9 < expect < 1e-7
+        assert residual_ratio(sparse, m) == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+class TestWorkingForm:
+    """The one density rule: which sparse tensors are computed on densely."""
+
+    @staticmethod
+    def first_entries(dims, nnz):
+        flat = np.arange(nnz)
+        return SparseTensor3(dims, np.column_stack(np.unravel_index(flat, dims)), np.ones(nnz))
+
+    def test_density_threshold(self):
+        dims = (7, 9, 11)
+        least = math.ceil(_DENSE_MIN_DENSITY * 7 * 9 * 11)
+        below = self.first_entries(dims, least - 1)
+        assert _working_form(below) is below
+        at = self.first_entries(dims, least)
+        got = _working_form(at)
+        assert isinstance(got, DenseTensor3)
+        assert got.array.tobytes() == at.to_dense().array.tobytes()
+
+    def test_size_cap(self, monkeypatch):
+        # Above the cap at the threshold density: 4,096,000 entries, 409,600 stored.
+        dims = (160, 160, 160)
+        big = self.first_entries(dims, math.ceil(_DENSE_MIN_DENSITY * 160**3))
+        assert 160**3 > _DENSE_MAX_ENTRIES
+        assert _working_form(big) is big
+        # Every entry stored: dense exactly at the cap, sparse one entry above it.
+        full = self.first_entries((4, 5, 6), 120)
+        monkeypatch.setattr(tensors, "_DENSE_MAX_ENTRIES", 120)
+        assert isinstance(_working_form(full), DenseTensor3)
+        monkeypatch.setattr(tensors, "_DENSE_MAX_ENTRIES", 119)
+        assert _working_form(full) is full
+
+    def test_no_entries_stays_sparse(self):
+        for dims in ((1, 1, 1), (3, 4, 5)):
+            empty = SparseTensor3.empty(dims)
+            assert _working_form(empty) is empty
+            ws = _Workspace(empty)
+            assert ws.tensor is empty and ws.tnorm == 0.0
+            assert not ws.mttkrp(1, np.ones((dims[1], 2)), np.ones((dims[2], 2))).any()
+
+    def test_dense_input_not_copied(self, rng):
+        dense = DenseTensor3(rng.standard_normal((3, 4, 5)))
+        assert _working_form(dense) is dense
+        assert _Workspace(dense).tensor is dense
 
 
 class TestMttkrpIdentity:
