@@ -26,6 +26,11 @@ A sparse tensor of at most 4M entries that is at least 10% stored is first
 replaced by its dense copy (``tensors._working_form``, the one density rule
 of the package): from that density on the dense path runs a sweep faster.
 Such an input gives the model of its dense copy bit for bit.
+A run may also be handed ``_Deflated(T, M)``, a tensor minus a CP model, as
+block deflation does; its workspace reads ``T`` and subtracts ``M``'s share
+from every MTTKRP, mode-3 projection and norm at O(d k r) extra cost (Bader &
+Kolda, SIAM J. Sci. Comput. 2007), so the residual ``T - M`` is never formed
+and a sparse ``T`` stays sparse.
 Both GEMMs put the small factor on the left, ``C^T @ T^T`` over the
 ``(d1*d2, d3)`` layout and ``A^T @ T_(1)`` over ``(d1, d2*d3)``, because
 OpenBLAS packs the large operand faster that way round (see
@@ -66,13 +71,14 @@ from .errors import (
     InvalidConfigError,
     NumericalFailureError,
 )
-from .linalg import _gram_solve, eig_nonsym, orth_step
+from .linalg import _gram_solve, eig_nonsym, orth_step, top_svd
 from .tensors import (
     CpModel,
     DenseTensor3,
     contract_mode3,
     _dense_mttkrp,
     _dense_residual_norm,
+    _residual_norm,
     _fiber_mttkrp,
     _mode3_partial,
     _mode_plan,
@@ -113,6 +119,15 @@ _EXPLICIT_REFINE_LEVEL = 1e-5
 _EXPLICIT_SIZE_LIMIT = 40_000
 # Relative residual at which a fit counts as exact regardless of tol.
 _RESIDUAL_FLOOR = 1e-13
+# A factor column whose correlation with its previous value falls below
+# 1 - this has moved (for ``factor_convergence_steps``).
+_MOVED_CORR_TOL = 1e-9
+# simdiag: relative cut of the second projection's pseudoinverse, smallest
+# relative gap between the eigenvalues it separates, and the largest
+# relative imaginary residue of a realized eigenvector.
+_PINV_RCOND = 1e-8
+_GAP_RTOL = 1e-8
+_IMAG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -176,6 +191,20 @@ class DecompResult:
     factor_convergence_steps: np.ndarray | None = None
 
 
+@dataclass(frozen=True)
+class _Deflated:
+    """The tensor ``T - M`` of a tensor ``T`` minus a CP model ``M``, never formed.
+
+    A run that reads its tensor only through a :class:`_Workspace` (the ALS
+    family, ``svd_init``, ``tpm_run``, ``tpm_multi``) accepts it in place of
+    a tensor: the workspace reads ``T`` and subtracts ``M``'s share from each
+    result.
+    """
+
+    tensor: object
+    model: CpModel
+
+
 class _Workspace:
     """Per-run cache of what repeated MTTKRPs share.
 
@@ -183,9 +212,19 @@ class _Workspace:
     (``tensors._working_form``): a sparse tensor of at most
     ``_DENSE_MAX_ENTRIES`` entries with at least ``_DENSE_MIN_DENSITY`` of
     them stored is replaced by its dense copy.  Every run reads the tensor
-    through ``self.tensor`` (its norm, the MTTKRPs, the SVD start's and
+    through the workspace (its norm, the MTTKRPs, the SVD start's and
     simdiag's projections, the final weight re-estimation), so such a sparse
     input gives the model of its dense copy bit for bit.
+
+    A :class:`_Deflated` input ``T - M`` is unwrapped: ``self.tensor`` is
+    ``T`` and ``self.model`` the subtracted model ``M = [[w; A, B, C]]``
+    (None for a plain tensor).  The residual ``T - M`` is never formed, the
+    MTTKRP on a sum of a sparse and a factored tensor of Bader & Kolda (SIAM
+    J. Sci. Comput. 2007): the mode-1 MTTKRP is ``T``'s minus
+    ``A diag(w) ((B^T p) * (C^T q))`` and cyclically, the mode-3 projection
+    is ``T``'s minus ``A diag(w * C^T v) B^T``, each O(d k r) on top of
+    ``T``'s own, and ``tnorm`` is ``||T - M||`` (``tensors._residual_norm``:
+    exact for a dense ``T``, from the Gram identity for a sparse one).
 
     A tensor that stays sparse keeps the fiber plan of each mode's nonzeros (see
     ``tensors._fiber_plan``), built on the mode's first use and reused for
@@ -203,17 +242,22 @@ class _Workspace:
 
     The exact residual (``explicit_ratio``) writes the model in the
     tensor's row-major ``(d1, d2*d3)`` layout into one buffer and subtracts
-    the tensor in place (``tensors._dense_residual_norm``).  The buffer is
-    allocated only for a dense tensor, on the run's first explicit residual,
-    and reused by every later one, so a converging fit allocates no
-    tensor-sized temporaries per sweep.
+    the tensor in place (``tensors._dense_residual_norm``); against ``T - M``
+    the model written is the fit and ``M`` side by side, ``[w, w_M]`` over
+    the concatenated factors.  The buffer is allocated only for a dense
+    tensor, on the run's first explicit residual, and reused by every later
+    one, so a converging fit allocates no tensor-sized temporaries per sweep.
     """
 
     def __init__(self, tensor):
+        model = None
+        if isinstance(tensor, _Deflated):
+            tensor, model = tensor.tensor, tensor.model
         self.tensor = tensor = _working_form(tensor)
+        self.model = model
         self.dims = tensor.dims
         self.size = self.dims[0] * self.dims[1] * self.dims[2]
-        self.tnorm = tensor.norm()
+        self.tnorm = _residual_norm(tensor, model)
         self.tnorm_sq = self.tnorm**2
         self.dense = isinstance(tensor, DenseTensor3)
         self._modes = [None, None, None]
@@ -227,14 +271,27 @@ class _Workspace:
 
     def mttkrp(self, mode, p, q):
         if not self.dense:
-            return _fiber_mttkrp(self._mode(mode), p, q)
-        arr = self.tensor.array
-        if mode == 3:
-            return _dense_mttkrp(arr, 3, p, q)
-        if self._partial_q is None or not np.array_equal(self._partial_q, q):
-            self._partial = _mode3_partial(arr, q)
-            self._partial_q = np.array(q)
-        return _dense_mttkrp(arr, mode, p, q, self._partial)
+            out = _fiber_mttkrp(self._mode(mode), p, q)
+        else:
+            # Mode 3 contracts no mode-3 partial.
+            if mode != 3 and (self._partial_q is None or not np.array_equal(self._partial_q, q)):
+                self._partial = _mode3_partial(self.tensor.array, q)
+                self._partial_q = np.array(q)
+            out = _dense_mttkrp(self.tensor.array, mode, p, q, self._partial)
+        if self.model is not None:
+            f = self.model.factors
+            fp, fq = (f[i] for i in range(3) if i != mode - 1)
+            out -= (f[mode - 1] * self.model.weights) @ ((fp.T @ p) * (fq.T @ q))
+        return out
+
+    def contract_mode3(self, v):
+        """The mode-3 projection ``P[i, j] = sum_k R[i, j, k] v[k]`` of the
+        workspace's tensor ``R`` (``T - M`` for a deflated one)."""
+        out = contract_mode3(self.tensor, v)
+        if self.model is not None:
+            m = self.model
+            out -= (m.A * (m.weights * (m.C.T @ v))) @ m.B.T
+        return out
 
     def ls_update(self, mode, p, q):
         """Exact least-squares factor update; also returns the MTTKRP."""
@@ -249,6 +306,9 @@ class _Workspace:
         if self._residual is None:
             d1, d2, d3 = self.dims
             self._residual = np.empty((d1, d2 * d3))
+        if self.model is not None:
+            pairs = zip((w, a, b, c), (self.model.weights, *self.model.factors))
+            w, a, b, c = (np.concatenate(x, axis=-1) for x in pairs)
         rnorm = _dense_residual_norm(self.tensor.array, w, a, b, c, out=self._residual)
         return _relative(rnorm, self.tnorm)
 
@@ -423,11 +483,11 @@ def _driver(tensor, cfg):
     return result
 
 
-def _columns_moved(old, new, corr_tol=1e-9):
+def _columns_moved(old, new):
     moved = np.zeros(old[0].shape[1], dtype=bool)
     for o, n in zip(old, new):
         corr = np.abs(np.einsum("ir,ir->r", o, n))
-        moved |= corr < 1.0 - corr_tol
+        moved |= corr < 1.0 - _MOVED_CORR_TOL
     return moved
 
 
@@ -579,10 +639,8 @@ def _draw_tpm_init(ws, rng, init):
         )
     if init != "svd":
         raise ValueError(f"unknown TPM init {init!r}")
-    v = _random_unit_columns(rng, d3, 1)[:, 0]
-    m = contract_mode3(ws.tensor, v)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    x0, y0 = u[:, 0], vh[0]
+    u, _, v = _projection_svd(ws, rng, 1)
+    x0, y0 = u[:, 0], v[:, 0]
     z0 = _rank1_update(ws, 3, x0, y0)
     n = np.linalg.norm(z0)
     if n == 0.0:
@@ -657,12 +715,9 @@ def _svd_init(ws, rank, rng):
     d1, d2, d3 = ws.dims
     if rank > min(d1, d2):
         raise InvalidConfigError(f"rank {rank} exceeds min(d1, d2)={min(d1, d2)}")
-    v = _random_unit_columns(rng, d3, 1)[:, 0]
-    m = contract_mode3(ws.tensor, v)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    u, s, v = _projection_svd(ws, rng, rank)
     numerical_rank = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
-    a0 = np.array(u[:, :rank])
-    b0 = np.array(vh[:rank].T)
+    a0, b0 = np.array(u), np.array(v)
     if numerical_rank < rank:
         logger.warning(
             "svd_init: projection rank %d < requested %d; padding with random columns",
@@ -673,6 +728,13 @@ def _svd_init(ws, rank, rng):
         b0[:, numerical_rank:] = _random_unit_columns(rng, d2, rank - numerical_rank)
     c0, _ = ws.ls_update(3, a0, b0)
     return a0, b0, normalize_columns(c0)[0]
+
+
+def _projection_svd(ws, rng, k):
+    """Top ``k`` singular triples ``(U, S, V)`` of the workspace tensor's
+    mode-3 projection onto a random unit vector drawn from ``rng``."""
+    v = _random_unit_columns(rng, ws.dims[2], 1)[:, 0]
+    return top_svd(ws.contract_mode3(v), k)
 
 
 def simdiag(tensor, rank, seed=0):
@@ -703,14 +765,14 @@ def simdiag(tensor, rank, seed=0):
     raise NumericalFailureError(f"simdiag failed after one redraw: {last_error}")
 
 
-def _simdiag_from_projections(ws, u, v, rank, rcond=1e-8, gap_rtol=1e-8):
-    m1 = contract_mode3(ws.tensor, u)
-    m2 = contract_mode3(ws.tensor, v)
+def _simdiag_from_projections(ws, u, v, rank):
+    m1 = ws.contract_mode3(u)
+    m2 = ws.contract_mode3(v)
     u2, s2, vh2 = np.linalg.svd(m2, full_matrices=False)
-    if s2.size == 0 or s2[0] == 0.0 or (rank <= s2.size and s2[rank - 1] <= rcond * s2[0]):
+    if s2.size == 0 or s2[0] == 0.0 or (rank <= s2.size and s2[rank - 1] <= _PINV_RCOND * s2[0]):
         raise NumericalFailureError("second projection is numerically singular")
-    # np.linalg.pinv(m2, rcond) from the SVD already taken, with the same bits.
-    large = s2 > rcond * s2[0]
+    # np.linalg.pinv(m2, _PINV_RCOND) from the SVD already taken, with the same bits.
+    large = s2 > _PINV_RCOND * s2[0]
     s2_inv = np.divide(1.0, s2, where=large, out=np.zeros_like(s2))
     m2p = vh2.T @ (s2_inv[:, None] * u2.T)
     vals_a, vecs_a = eig_nonsym(m1 @ m2p)
@@ -720,7 +782,7 @@ def _simdiag_from_projections(ws, u, v, rank, rcond=1e-8, gap_rtol=1e-8):
     lam = vals_a[sel_a]
     gaps = np.abs(lam[:, None] - lam[None, :])
     np.fill_diagonal(gaps, np.inf)
-    if gaps.min() < gap_rtol * np.abs(lam).max():
+    if gaps.min() < _GAP_RTOL * np.abs(lam).max():
         raise NumericalFailureError("eigenvalue gap below tolerance; factors not separable")
     # Pair mode-2 eigenvectors to mode-1 ones through their shared eigenvalues.
     lam_b = vals_b[sel_b]
@@ -739,7 +801,7 @@ def _simdiag_from_projections(ws, u, v, rank, rcond=1e-8, gap_rtol=1e-8):
     return CpModel(w, a, b, c).canonical()
 
 
-def _realize_eigvecs(vecs, imag_tol=1e-6):
+def _realize_eigvecs(vecs):
     """Phase-align eigenvectors and take real parts; reject complex residue."""
     out = np.empty(vecs.shape)
     for r in range(vecs.shape[1]):
@@ -747,7 +809,7 @@ def _realize_eigvecs(vecs, imag_tol=1e-6):
         lead = col[int(np.argmax(np.abs(col)))]
         phase = lead / abs(lead) if lead != 0 else 1.0
         aligned = col / phase
-        if np.linalg.norm(aligned.imag) > imag_tol * np.linalg.norm(aligned):
+        if np.linalg.norm(aligned.imag) > _IMAG_TOL * np.linalg.norm(aligned):
             raise NumericalFailureError(
                 f"eigenvector {r} has complex residue beyond tolerance"
             )

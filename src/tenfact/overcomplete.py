@@ -2,7 +2,12 @@
 
 Rank beyond the dimension rules out direct orthogonalization, so factors are
 recovered in blocks of at most ``block`` (default: the smallest dimension):
-decompose the current residual tensor, subtract the recovered block, repeat.
+decompose the residual ``T - M`` of the tensor against the model ``M``
+recovered so far, append the recovered block to ``M``, repeat.  The residual
+is never formed: each block's run gets ``decompose._Deflated(T, M)``, whose
+workspace takes every MTTKRP, projection and norm from ``T`` and corrects it
+by ``M``'s factors, so a dense and a sparse tensor deflate by the same code,
+each in the format the workspace's density rule gives it, at any rank.
 After every block past the first, all factors recovered so far are refined by
 one full plain-ALS sweep against the original tensor, initialized at the
 current estimates.
@@ -11,22 +16,14 @@ current estimates.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import replace
 
 import numpy as np
 
 from .bench import derived_seed
-from .decompose import DecompConfig, als_run, als_sweep, hybrid_run
-from .errors import InvalidConfigError, NumericalFailureError, TenfactError
-from .tensors import (
-    _DENSE_MAX_ENTRIES,
-    CpModel,
-    DenseTensor3,
-    SparseTensor3,
-    cp_reconstruct,
-    normalize_columns,
-)
+from .decompose import DecompConfig, _Deflated, als_run, als_sweep, hybrid_run
+from .errors import NumericalFailureError, TenfactError
+from .tensors import CpModel, normalize_columns
 
 __all__ = ["deflate_overcomplete"]
 
@@ -38,17 +35,15 @@ _INNER_RUNNERS = {"hybrid": hybrid_run, "als": als_run}
 def deflate_overcomplete(tensor, total_rank, inner_cfg=None, block=None, inner="hybrid"):
     """Recover ``total_rank`` factors of a tensor block by block.
 
-    The residual after a block is dense, so a sparse tensor that needs more
-    than one block (``total_rank > block``) is densified once, up front,
-    when it has at most ``tensors._DENSE_MAX_ENTRIES`` entries, and raises
-    :class:`InvalidConfigError` before any block runs when it has more.  A
-    sparse tensor that fits in one block is decomposed as it is, in the
-    format the workspace's density rule gives it.
-    ``inner`` selects the per-block decomposition ("hybrid" or "als"); the
-    first block runs with ``inner_cfg.seed`` unchanged, so a single-block
-    call reproduces the inner algorithm exactly.  A failing inner
-    decomposition raises :class:`NumericalFailureError` whose ``partial``
-    attribute carries the factors accumulated so far.
+    Each block after the first decomposes ``T - M``, the tensor minus the
+    model accumulated so far, without forming it (``decompose._Deflated``),
+    so a sparse tensor stays sparse at any rank and no block allocates a
+    tensor-sized residual.  ``inner`` selects the per-block decomposition
+    ("hybrid" or "als"); the first block runs on the tensor itself with
+    ``inner_cfg.seed`` unchanged, so a single-block call reproduces the inner
+    algorithm exactly.  A failing inner decomposition raises
+    :class:`NumericalFailureError` whose ``partial`` attribute carries the
+    factors accumulated so far.
     """
     if total_rank < 1:
         raise ValueError(f"total_rank must be >= 1, got {total_rank}")
@@ -60,24 +55,17 @@ def deflate_overcomplete(tensor, total_rank, inner_cfg=None, block=None, inner="
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     block = min(block, min(tensor.dims))
-    if isinstance(tensor, SparseTensor3) and total_rank > block:
-        if math.prod(tensor.dims) > _DENSE_MAX_ENTRIES:
-            raise InvalidConfigError(
-                f"a sparse tensor of more than {_DENSE_MAX_ENTRIES} entries deflates in one "
-                f"block only: rank {total_rank} > block {block}"
-            )
-        tensor = tensor.to_dense()
     if inner_cfg is None:
         inner_cfg = DecompConfig(rank=block)
 
     accumulated = None
-    residual = tensor
     block_index = 0
     while accumulated is None or accumulated.k < total_rank:
         remaining = total_rank - (0 if accumulated is None else accumulated.k)
         rank_b = min(block, remaining)
         seed_b = inner_cfg.seed if block_index == 0 else derived_seed(inner_cfg.seed, block_index)
         cfg_b = replace(inner_cfg, rank=rank_b, seed=seed_b, record_trace=False)
+        residual = tensor if accumulated is None else _Deflated(tensor, accumulated)
         try:
             result = runner(residual, cfg_b)
         except TenfactError as exc:
@@ -88,13 +76,11 @@ def deflate_overcomplete(tensor, total_rank, inner_cfg=None, block=None, inner="
         if accumulated is None:
             accumulated = piece
         else:
-            accumulated = CpModel(
-                np.concatenate([accumulated.weights, piece.weights]),
-                np.hstack([accumulated.A, piece.A]),
-                np.hstack([accumulated.B, piece.B]),
-                np.hstack([accumulated.C, piece.C]),
+            pairs = zip(
+                (accumulated.weights, *accumulated.factors), (piece.weights, *piece.factors)
             )
-            accumulated = _refine_once(tensor, accumulated)
+            joined = CpModel(*(np.concatenate(x, axis=-1) for x in pairs))
+            accumulated = _refine_once(tensor, joined)
         logger.info(
             "deflation block %d: rank %d accumulated %d/%d",
             block_index,
@@ -102,8 +88,6 @@ def deflate_overcomplete(tensor, total_rank, inner_cfg=None, block=None, inner="
             accumulated.k,
             total_rank,
         )
-        if accumulated.k < total_rank:
-            residual = DenseTensor3(tensor.array - cp_reconstruct(accumulated).array)
         block_index += 1
     return accumulated
 

@@ -610,16 +610,12 @@ def residual_ratio(tensor, model):
     ``math.inf`` otherwise, so callers can branch deterministically.  A
     sparse tensor that :func:`_working_form` densifies gets the dense
     residual, with the bits of its dense copy; a sparser one gets the Gram
-    identity, which loses accuracy to cancellation near an exact fit.
+    identity (see :func:`_residual_norm`).
     """
     if tensor.dims != model.dims:
         raise ValueError(f"tensor dims {tensor.dims} != model dims {model.dims}")
     tensor = _working_form(tensor)
-    if isinstance(tensor, DenseTensor3):
-        rnorm = _dense_residual_norm(tensor.array, model.weights, *model.factors)
-    else:
-        rnorm = math.sqrt(max(_sparse_residual_sq(tensor, model), 0.0))
-    return _relative(rnorm, tensor.norm())
+    return _relative(_residual_norm(tensor, model), tensor.norm())
 
 
 def _relative(rnorm, tnorm):
@@ -645,21 +641,25 @@ def _dense_residual_norm(arr, w, a, b, c, out=None):
     return math.sqrt(v @ v)
 
 
-def _sparse_residual_sq(tensor, model):
-    """||T - T_hat||_F^2 for sparse T without densifying.
+def _residual_norm(tensor, model):
+    """``||T - M||_F`` of a tensor in its working form and a CP model, or of
+    the tensor alone when ``model`` is None.
 
-    The cross term ``<T, T_hat> = sum_r w_r <A[:, r], mttkrp(T, (A, B, C), 1)[:, r]>``
-    comes from the mode-1 MTTKRP, whose fibers need no sort.
+    A dense tensor gets the exact residual of :func:`_dense_residual_norm`.
+    A sparse one is never densified: ``||T||^2 - 2 <T, M> + ||M||^2``, with
+    the cross term ``sum_r w_r <A[:, r], mttkrp(T, (A, B, C), 1)[:, r]>`` from
+    the mode-1 MTTKRP, whose fibers need no sort.  That Gram identity loses
+    accuracy to cancellation near an exact fit.
     """
-    w, A, B, C = model.weights, model.A, model.B, model.C
+    if model is None:
+        return tensor.norm()
+    w, (a, b, c) = model.weights, model.factors
+    if isinstance(tensor, DenseTensor3):
+        return _dense_residual_norm(tensor.array, w, a, b, c)
     vals = tensor.values
-    tnorm_sq = float(vals @ vals)
-    if model.k == 0:
-        return tnorm_sq
-    inner = float(np.einsum("ir,ir->r", A, mttkrp(tensor, model.factors, 1)) @ w)
-    gram = (A.T @ A) * (B.T @ B) * (C.T @ C)
-    model_sq = float(w @ gram @ w)
-    return tnorm_sq - 2.0 * inner + model_sq
+    inner = float(np.einsum("ir,ir->r", a, mttkrp(tensor, model.factors, 1)) @ w)
+    model_sq = float(w @ ((a.T @ a) * (b.T @ b) * (c.T @ c)) @ w)
+    return math.sqrt(max(float(vals @ vals) - 2.0 * inner + model_sq, 0.0))
 
 
 def incoherence(factor, norm_tol=1e-9):

@@ -10,6 +10,7 @@ from tenfact import decompose
 from tenfact.decompose import (
     ALGORITHMS,
     DecompConfig,
+    _Deflated,
     _Workspace,
     als_run,
     als_sweep,
@@ -241,6 +242,42 @@ class TestExplicitResidual:
         finally:
             tracemalloc.stop()
         assert peak < t.array.nbytes, peak
+
+
+class TestDeflatedWorkspace:
+    """``_Workspace(_Deflated(T, M))`` against a workspace on the formed ``T - M``,
+    for a dense ``T`` and a sparse one that stays sparse; only the dense one
+    has an exact residual (``explicit_ratio``) to compare."""
+
+    @staticmethod
+    def assert_close(got, expect):
+        expect = np.asarray(expect)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("fmt", ["dense", "sparse"])
+    def test_matches_formed_residual(self, rng, fmt):
+        dims = (14, 15, 16)
+        if fmt == "dense":
+            t = DenseTensor3(rng.standard_normal(dims))
+        else:
+            # About 2% stored, so the workspace keeps the fiber kernel.
+            t = random_sparse(rng, dims, round(0.02 * math.prod(dims)))
+            assert _working_form(t) is t
+        m = random_model(rng, dims, 5)
+        implicit = _Workspace(_Deflated(t, m))
+        dense_t = t if fmt == "dense" else t.to_dense()
+        formed = _Workspace(DenseTensor3(dense_t.array - cp_reconstruct(m).array))
+        assert implicit.dense == (fmt == "dense")
+        self.assert_close(implicit.tnorm, formed.tnorm)
+        fit = random_model(rng, dims, 3)
+        for mode in (1, 2, 3):
+            p, q = (f for i, f in enumerate(fit.factors) if i != mode - 1)
+            self.assert_close(implicit.mttkrp(mode, p, q), formed.mttkrp(mode, p, q))
+        v = rng.standard_normal(dims[2])
+        self.assert_close(implicit.contract_mode3(v), formed.contract_mode3(v))
+        if implicit.dense:
+            got = implicit.explicit_ratio(fit.weights, *fit.factors)
+            self.assert_close(got, formed.explicit_ratio(fit.weights, *fit.factors))
 
 
 class TestTpmRun:
