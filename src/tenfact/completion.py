@@ -37,7 +37,7 @@ import numpy as np
 
 from .decompose import DecompConfig, _redraw_columns, _sweep_engine
 from .errors import InvalidConfigError
-from .tensors import SparseTensor3, cp_reconstruct, normalize_columns
+from .tensors import SparseTensor3, _checked_indices, cp_reconstruct, normalize_columns
 
 __all__ = [
     "CompletionProblem",
@@ -67,13 +67,9 @@ class CompletionProblem:
     p: float | None = None
 
     def __post_init__(self):
-        zeros = np.asarray(self.zero_entries, dtype=np.int64).reshape(-1, 3)
-        object.__setattr__(self, "zero_entries", zeros)
         if self.observed.dims != tuple(self.dims):
             raise ValueError("observed tensor dims disagree with problem dims")
-        if zeros.size:
-            if zeros.min() < 0 or (zeros >= np.array(self.dims)).any():
-                raise ValueError("zero-entry index out of range")
+        object.__setattr__(self, "zero_entries", _checked_indices(self.zero_entries, self.dims))
         self._check_no_duplicates()
 
     def _check_no_duplicates(self):

@@ -18,28 +18,13 @@ from which the CLI and the benchmark suites dispatch; ``ALS_RUNNERS`` is its
 ALS slice.
 
 Every sweep, and every other repeated MTTKRP, runs through one per-run
-``_Workspace``.  For a dense tensor it keeps the mode-3 partial ``T x_3 C``
-that modes 1 and 2 of a sweep both contract (the dimension tree of Phan,
-Tichavský & Cichocki, IEEE TSP 2013), so a sweep costs two large GEMMs and
-no Khatri-Rao product; for a sparse tensor it keeps each mode's fiber plan.
-A sparse tensor of at most 4M entries that is at least 10% stored is first
-replaced by its dense copy (``tensors._working_form``, the one density rule
-of the package): from that density on the dense path runs a sweep faster.
-Such an input gives the model of its dense copy bit for bit.
+``_Workspace``: it puts the tensor in its working form, keeps what repeated
+MTTKRPs share, and reads each sweep's stop metric (``_Workspace.stop_ratio``).
 A run may also be handed ``_Deflated(T, M)``, a tensor minus a CP model, as
 block deflation does; its workspace reads ``T`` and subtracts ``M``'s share
 from every MTTKRP, mode-3 projection and norm at O(d k r) extra cost (Bader &
 Kolda, SIAM J. Sci. Comput. 2007), so the residual ``T - M`` is never formed
 and a sparse ``T`` stays sparse.
-Both GEMMs put the small factor on the left, ``C^T @ T^T`` over the
-``(d1*d2, d3)`` layout and ``A^T @ T_(1)`` over ``(d1, d2*d3)``, because
-OpenBLAS packs the large operand faster that way round (see
-``tensors._mode3_partial``; its bits match ``T @ C`` at d = 100, k = 30,
-not at every shape).  A dense sweep that takes the exact residual (every
-sweep of a tensor of at most ``_EXPLICIT_SIZE_LIMIT`` entries, and of a
-larger one once its residual is below ``_EXPLICIT_REFINE_LEVEL``) adds a
-third GEMM, which writes the model into a residual buffer that the
-workspace allocates on the run's first exact residual and then reuses.
 Each mode update is the exact least-squares step of the standard CP-ALS loop
 (Kolda & Bader, SIAM Review 2009), taken through one guarded Gram solve
 shared with ``linalg.ls_solve_kr`` (``linalg._gram_solve``): it multiplies by
@@ -78,6 +63,7 @@ from .tensors import (
     contract_mode3,
     _dense_mttkrp,
     _dense_residual_norm,
+    _gram_residual_norm,
     _residual_norm,
     _fiber_mttkrp,
     _mode3_partial,
@@ -112,11 +98,10 @@ logger = logging.getLogger(__name__)
 _INIT_MODES = ("random", "svd", "given")
 _ORTH_MODES = ("none", "always", "first_s")
 
-# Residuals below this level are recomputed from an explicit reconstruction:
-# the Gram-identity shortcut loses accuracy to cancellation near zero.
+# Below this relative residual a dense tensor's stop metric is the exact
+# residual: the Gram identity reads it with a relative error of about
+# eps / level^2, 2e-6 here and of order 1 near 1e-8.
 _EXPLICIT_REFINE_LEVEL = 1e-5
-# Tensors at most this large always get the explicit (exact) residual.
-_EXPLICIT_SIZE_LIMIT = 40_000
 # Relative residual at which a fit counts as exact regardless of tol.
 _RESIDUAL_FLOOR = 1e-13
 # A factor column whose correlation with its previous value falls below
@@ -177,11 +162,14 @@ class DecompConfig:
 class DecompResult:
     """Outcome of a decomposition run.
 
-    ``residual_trace`` holds the per-iteration relative residual and is
-    present iff the config asked for it; its length equals
-    ``iterations_used``.  ``factor_convergence_steps[r]`` is the first
-    iteration after which column r stopped moving (-1 if it was still moving
-    at termination); recorded only alongside the trace.
+    ``residual_trace`` holds the per-iteration relative residual
+    ``||T - X|| / ||T||`` as the stop rule read it: from the Gram identity,
+    and for a dense tensor exactly once that reading is below 1e-5 (see
+    ``_Workspace.stop_ratio``).  It is present iff the config asked for it,
+    and its length equals ``iterations_used``.
+    ``factor_convergence_steps[r]`` is the first iteration after which
+    column r stopped moving (-1 if it was still moving at termination);
+    recorded only alongside the trace.
     """
 
     model: CpModel
@@ -206,15 +194,14 @@ class _Deflated:
 
 
 class _Workspace:
-    """Per-run cache of what repeated MTTKRPs share.
+    """Per-run cache of what repeated MTTKRPs share, and the run's stop metric.
 
-    The workspace first puts the tensor in its working form
-    (``tensors._working_form``): a sparse tensor of at most
-    ``_DENSE_MAX_ENTRIES`` entries with at least ``_DENSE_MIN_DENSITY`` of
-    them stored is replaced by its dense copy.  Every run reads the tensor
-    through the workspace (its norm, the MTTKRPs, the SVD start's and
-    simdiag's projections, the final weight re-estimation), so such a sparse
-    input gives the model of its dense copy bit for bit.
+    The workspace first puts the tensor in its working form (see
+    ``tensors._working_form``).  Every run reads the tensor through the
+    workspace (its norm, the MTTKRPs, the SVD start's and simdiag's
+    projections, the final weight re-estimation), so a sparse input that
+    the density rule densifies gives the model of its dense copy bit for
+    bit.
 
     A :class:`_Deflated` input ``T - M`` is unwrapped: ``self.tensor`` is
     ``T`` and ``self.model`` the subtracted model ``M = [[w; A, B, C]]``
@@ -226,27 +213,24 @@ class _Workspace:
     ``T``'s own, and ``tnorm`` is ``||T - M||`` (``tensors._residual_norm``:
     exact for a dense ``T``, from the Gram identity for a sparse one).
 
-    A tensor that stays sparse keeps the fiber plan of each mode's nonzeros (see
-    ``tensors._fiber_plan``), built on the mode's first use and reused for
-    the rest of the run.  A dense tensor is read in its row-major layout
-    (see ``tensors._dense_mttkrp``) and keeps the last mode-3 partial
-    ``Y = T x_3 q`` with a copy of the ``q`` it came from.  A mode-1 or
-    mode-2 call reuses ``Y`` when its ``q`` equals that copy by value, so an
-    ALS sweep, whose first two modes both contract the old third factor,
-    forms ``Y`` once (the dimension tree of Phan, Tichavský & Cichocki, IEEE
-    TSP 2013).  Values, not identities, are compared because callers may
-    change an array in place.  ``Y`` comes from ``tensors._mode3_partial``,
-    whose GEMM puts ``q^T`` on the left, the orientation OpenBLAS runs
-    fastest; its bits match ``T @ q`` at d = 100, k = 30 but not at every
-    shape.
+    A tensor that stays sparse keeps the fiber plan of each mode's nonzeros
+    (see ``tensors._fiber_plan``), built on the mode's first use and reused
+    for the rest of the run.  A dense tensor keeps the last mode-3 partial
+    ``Y = T x_3 q`` (``tensors._mode3_partial``) with a copy of the ``q`` it
+    came from.  A mode-1 or mode-2 call reuses ``Y`` when its ``q`` equals
+    that copy by value, so an ALS sweep, whose first two modes both contract
+    the old third factor, forms ``Y`` once and costs two large GEMMs and no
+    Khatri-Rao product: the dimension tree of Phan, Tichavský & Cichocki
+    (IEEE TSP 2013).  Values, not identities, are compared because callers
+    may change an array in place.
 
     The exact residual (``explicit_ratio``) writes the model in the
     tensor's row-major ``(d1, d2*d3)`` layout into one buffer and subtracts
     the tensor in place (``tensors._dense_residual_norm``); against ``T - M``
     the model written is the fit and ``M`` side by side, ``[w, w_M]`` over
-    the concatenated factors.  The buffer is allocated only for a dense
-    tensor, on the run's first explicit residual, and reused by every later
-    one, so a converging fit allocates no tensor-sized temporaries per sweep.
+    the concatenated factors.  The buffer is allocated on the run's first
+    exact residual and reused by every later one, so a converging fit
+    allocates no tensor-sized temporaries per sweep.
     """
 
     def __init__(self, tensor):
@@ -256,9 +240,7 @@ class _Workspace:
         self.tensor = tensor = _working_form(tensor)
         self.model = model
         self.dims = tensor.dims
-        self.size = self.dims[0] * self.dims[1] * self.dims[2]
         self.tnorm = _residual_norm(tensor, model)
-        self.tnorm_sq = self.tnorm**2
         self.dense = isinstance(tensor, DenseTensor3)
         self._modes = [None, None, None]
         self._partial = self._partial_q = None
@@ -298,11 +280,22 @@ class _Workspace:
         mtt = self.mttkrp(mode, p, q)
         return _gram_solve(mtt, p, q), mtt
 
-    def ratio_from_sq(self, inner, model_sq):
-        res_sq = max(self.tnorm_sq - 2.0 * inner + model_sq, 0.0)
-        return _relative(math.sqrt(res_sq), self.tnorm)
+    def stop_ratio(self, inner, model_sq, w, a, b, c):
+        """The relative residual of the fit ``X = [[w; a, b, c]]``, a sweep's stop metric.
+
+        It is read from the Gram identity (``tensors._gram_residual_norm``)
+        with ``inner = <T, X>`` and ``model_sq = ||X||^2``, which the sweep
+        has at hand.  For a dense tensor, once that reading falls below
+        ``_EXPLICIT_REFINE_LEVEL``, where the identity cancels, it is the
+        exact residual (``explicit_ratio``), one more GEMM per sweep.
+        """
+        ratio = _relative(_gram_residual_norm(self.tnorm**2, inner, model_sq), self.tnorm)
+        if self.dense and ratio < _EXPLICIT_REFINE_LEVEL:
+            return self.explicit_ratio(w, a, b, c)
+        return ratio
 
     def explicit_ratio(self, w, a, b, c):
+        """The exact relative residual of ``[[w; a, b, c]]``, for a dense tensor."""
         if self._residual is None:
             d1, d2, d3 = self.dims
             self._residual = np.empty((d1, d2 * d3))
@@ -311,12 +304,6 @@ class _Workspace:
             w, a, b, c = (np.concatenate(x, axis=-1) for x in pairs)
         rnorm = _dense_residual_norm(self.tensor.array, w, a, b, c, out=self._residual)
         return _relative(rnorm, self.tnorm)
-
-    def refine_ratio(self, ratio, w, a, b, c):
-        """Swap in the exact residual where cancellation would dominate."""
-        if self.dense and (self.size <= _EXPLICIT_SIZE_LIMIT or ratio < _EXPLICIT_REFINE_LEVEL):
-            return self.explicit_ratio(w, a, b, c)
-        return ratio
 
 
 def _random_unit_columns(rng, d, k):
@@ -465,12 +452,11 @@ def _driver(tensor, cfg):
         a1, b1, c1, m3 = _sweep(ws, a, b, c)
         inner = float(np.sum(c1 * m3))
         model_sq = float(((a1.T @ a1) * (b1.T @ b1) * (c1.T @ c1)).sum())
-        res = ws.ratio_from_sq(inner, model_sq)
         a, na = normalize_columns(a1)
         b, nb = normalize_columns(b1)
         c, nc = normalize_columns(c1)
         weights = na * nb * nc
-        return a, b, c, weights, ws.refine_ratio(res, weights, a, b, c)
+        return a, b, c, weights, ws.stop_ratio(inner, model_sq, weights, a, b, c)
 
     result = _sweep_engine(cfg, ws.dims, step, ws)
     m = result.model

@@ -6,8 +6,9 @@ decompose the residual ``T - M`` of the tensor against the model ``M``
 recovered so far, append the recovered block to ``M``, repeat.  The residual
 is never formed: each block's run gets ``decompose._Deflated(T, M)``, whose
 workspace takes every MTTKRP, projection and norm from ``T`` and corrects it
-by ``M``'s factors, so a dense and a sparse tensor deflate by the same code,
-each in the format the workspace's density rule gives it, at any rank.
+by ``M``'s factors, so a dense and a sparse tensor deflate by the same code
+at any rank.  ``T`` is put in its working form (``tensors._working_form``)
+once, and every block and refine sweep reads that form.
 After every block past the first, all factors recovered so far are refined by
 one full plain-ALS sweep against the original tensor, initialized at the
 current estimates.
@@ -23,7 +24,7 @@ import numpy as np
 from .bench import derived_seed
 from .decompose import DecompConfig, _Deflated, als_run, als_sweep, hybrid_run
 from .errors import NumericalFailureError, TenfactError
-from .tensors import CpModel, normalize_columns
+from .tensors import CpModel, _working_form, normalize_columns
 
 __all__ = ["deflate_overcomplete"]
 
@@ -57,6 +58,7 @@ def deflate_overcomplete(tensor, total_rank, inner_cfg=None, block=None, inner="
     block = min(block, min(tensor.dims))
     if inner_cfg is None:
         inner_cfg = DecompConfig(rank=block)
+    tensor = _working_form(tensor)
 
     accumulated = None
     block_index = 0
@@ -93,9 +95,11 @@ def deflate_overcomplete(tensor, total_rank, inner_cfg=None, block=None, inner="
 
 
 def _refine_once(tensor, model):
-    """One plain-ALS sweep over all accumulated factors against the original."""
-    a = model.A * model.weights
-    a1, b1, c1 = als_sweep(tensor, a, model.B, model.C)
+    """One plain-ALS sweep over all accumulated factors against the original.
+
+    The sweep's mode-1 solve reads only the B and C factors.
+    """
+    a1, b1, c1 = als_sweep(tensor, model.A, model.B, model.C)
     a, na = normalize_columns(a1)
     b, nb = normalize_columns(b1)
     c, nc = normalize_columns(c1)

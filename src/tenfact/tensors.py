@@ -17,15 +17,12 @@ entry ``(i, j, k)`` to row ``i``, column ``j + k * d2``, and
 
 Dense MTTKRPs all go through one kernel on the row-major array, which never
 builds a matricization or a full Khatri-Rao product.  Modes 1 and 2 contract
-the mode-3 partial ``Y = T x_3 q`` (one GEMM ``q^T @ T^T`` over the array's
-natural ``(d1*d2, d3)`` layout) with the remaining factor; mode 3 contracts
-``X = p^T x_1 T`` (one GEMM over the ``(d1, d2*d3)`` layout) with ``q``.
-Both GEMMs put the small factor on the left, where OpenBLAS packs the large
-operand fastest.
-Sequential ALS updates modes 1 and 2 against the same third factor, so a
-caller that keeps ``Y`` (``decompose._Workspace``) pays two large GEMMs per
-sweep instead of three: the dimension tree of Phan, Tichavský & Cichocki
-(IEEE TSP 2013).
+the mode-3 partial ``Y = T x_3 q`` (one GEMM over the array's natural
+``(d1*d2, d3)`` layout, oriented as :func:`_mode3_partial` explains) with the
+remaining factor; mode 3 contracts ``X = p^T x_1 T`` (one GEMM
+``p^T @ T_(1)`` over the ``(d1, d2*d3)`` layout) with ``q``.  A sweep that
+keeps ``Y`` for its first two modes is the dimension tree of
+``decompose._Workspace``.
 
 Sparse MTTKRPs all go through one fiber-compressed kernel, the CSF idea of
 SPLATT (Smith & Karypis, IPDPS 2015).  A plan sorts the nonzeros by (output
@@ -40,9 +37,7 @@ output row sums its own fibers in the same order whatever the blocks, so
 blocking changes no bit of the result.
 
 Which of the two kernels a sparse tensor gets is decided in one place,
-:func:`_working_form`: one that is small and dense enough is computed on as
-its dense copy, the choice of storage by density of Bader & Kolda (SIAM J.
-Sci. Comput. 2007).  The public :func:`mttkrp` and :func:`contract_mode3`
+:func:`_working_form`.  The public :func:`mttkrp` and :func:`contract_mode3`
 run on the tensor they are given.
 
 All types are immutable after construction and all operations are pure
@@ -149,17 +144,12 @@ class SparseTensor3:
         d1, d2, d3 = (int(d) for d in dims)
         if min(d1, d2, d3) < 1:
             raise ValueError(f"dims must be positive, got {dims}")
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
+        idx = _checked_indices(indices, (d1, d2, d3))
         vals = np.asarray(values, dtype=np.float64).reshape(-1)
         if idx.shape[0] != vals.shape[0]:
             raise ValueError("indices and values disagree on entry count")
         if vals.size and not np.isfinite(vals).all():
             raise ValueError("tensor entries must be finite")
-        if idx.size:
-            lo = idx.min(axis=0)
-            hi = idx.max(axis=0)
-            if (lo < 0).any() or (hi >= np.array([d1, d2, d3])).any():
-                raise ValueError("entry index out of range for dims")
         idx, vals = _canonical_coo(idx, vals)
         idx.flags.writeable = False
         vals.flags.writeable = False
@@ -173,11 +163,8 @@ class SparseTensor3:
     @classmethod
     def from_entries(cls, dims, entries):
         """Build from an iterable of (i, j, k, value) tuples."""
-        entries = list(entries)
-        if not entries:
-            return cls(dims, np.empty((0, 3), dtype=np.int64), np.empty(0))
-        arr = np.asarray(entries, dtype=np.float64).reshape(-1, 4)
-        return cls(dims, arr[:, :3].astype(np.int64), arr[:, 3])
+        arr = np.asarray(list(entries), dtype=np.float64).reshape(-1, 4)
+        return cls(dims, arr[:, :3], arr[:, 3])
 
     @classmethod
     def empty(cls, dims):
@@ -200,12 +187,33 @@ class SparseTensor3:
         return f"SparseTensor3(dims={self.dims}, nnz={self.nnz})"
 
 
+def _checked_indices(indices, dims):
+    """Entry indices as an ``(n, 3)`` int64 array, each within ``dims``.
+
+    Input of a non-integer dtype must hold integral values, so that a float
+    index is never silently truncated.  Integer input is not checked for
+    that, so the large index arrays the package builds itself cost no extra
+    pass.
+    """
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":
+        idx = idx.astype(np.float64)
+        if not (np.isfinite(idx) & (idx == np.trunc(idx))).all():
+            raise ValueError("entry indices must be integers")
+    idx = idx.astype(np.int64, copy=False).reshape(-1, 3)
+    if idx.size and ((idx.min(axis=0) < 0).any() or (idx.max(axis=0) >= np.array(dims)).any()):
+        raise ValueError("entry index out of range for dims")
+    return idx
+
+
 def _working_form(tensor):
     """The format a tensor is computed on: the one density rule of the package.
 
     A :class:`SparseTensor3` of at most ``_DENSE_MAX_ENTRIES`` entries, at
-    least ``_DENSE_MIN_DENSITY`` of them stored, becomes its dense copy;
-    every other tensor, a dense one included, is returned as it is.
+    least ``_DENSE_MIN_DENSITY`` of them stored, becomes its dense copy, on
+    which the GEMM kernel runs a sweep faster than the fiber kernel: the
+    choice of storage by density of Bader & Kolda (SIAM J. Sci. Comput.
+    2007).  Every other tensor, a dense one included, is returned as it is.
     """
     if isinstance(tensor, SparseTensor3):
         size = math.prod(tensor.dims)
@@ -641,15 +649,25 @@ def _dense_residual_norm(arr, w, a, b, c, out=None):
     return math.sqrt(v @ v)
 
 
+def _gram_residual_norm(t_sq, inner, model_sq):
+    """``||T - M||_F`` by the Gram identity ``||T||^2 - 2 <T, M> + ||M||^2``.
+
+    It needs no model-sized array, only ``t_sq = ||T||^2``, the inner
+    product ``<T, M>`` and ``model_sq = ||M||^2``, but it loses accuracy to
+    cancellation near an exact fit: a relative residual ``rho`` is read with
+    an absolute error of order ``eps / rho``.
+    """
+    return math.sqrt(max(t_sq - 2.0 * inner + model_sq, 0.0))
+
+
 def _residual_norm(tensor, model):
     """``||T - M||_F`` of a tensor in its working form and a CP model, or of
     the tensor alone when ``model`` is None.
 
     A dense tensor gets the exact residual of :func:`_dense_residual_norm`.
-    A sparse one is never densified: ``||T||^2 - 2 <T, M> + ||M||^2``, with
-    the cross term ``sum_r w_r <A[:, r], mttkrp(T, (A, B, C), 1)[:, r]>`` from
-    the mode-1 MTTKRP, whose fibers need no sort.  That Gram identity loses
-    accuracy to cancellation near an exact fit.
+    A sparse one is never densified: it gets :func:`_gram_residual_norm`,
+    with the cross term ``sum_r w_r <A[:, r], mttkrp(T, (A, B, C), 1)[:, r]>``
+    from the mode-1 MTTKRP, whose fibers need no sort.
     """
     if model is None:
         return tensor.norm()
@@ -659,7 +677,7 @@ def _residual_norm(tensor, model):
     vals = tensor.values
     inner = float(np.einsum("ir,ir->r", a, mttkrp(tensor, model.factors, 1)) @ w)
     model_sq = float(w @ ((a.T @ a) * (b.T @ b) * (c.T @ c)) @ w)
-    return math.sqrt(max(float(vals @ vals) - 2.0 * inner + model_sq, 0.0))
+    return _gram_residual_norm(float(vals @ vals), inner, model_sq)
 
 
 def incoherence(factor, norm_tol=1e-9):

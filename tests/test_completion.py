@@ -30,6 +30,13 @@ class TestCompletionProblem:
         with pytest.raises(ValueError):
             CompletionProblem(dims=(2, 2, 2), observed=obs, zero_entries=np.array([[0, 0, 0]]))
 
+    def test_rejects_non_integral_zero_entries(self):
+        obs = SparseTensor3.from_entries((3, 3, 3), [(0, 0, 0, 1.0)])
+        with pytest.raises(ValueError, match="integers"):
+            CompletionProblem(dims=(3, 3, 3), observed=obs, zero_entries=[[1.5, 2.9, 0]])
+        prob = CompletionProblem(dims=(3, 3, 3), observed=obs, zero_entries=[[1.0, 2.0, 0.0]])
+        assert prob.zero_entries.dtype == np.int64 and prob.zero_entries.tolist() == [[1, 2, 0]]
+
     def test_zero_entries_tracked_separately(self, rng):
         t = cp_reconstruct(random_model(rng, (3, 3, 3), 1))
         arr = np.array(t.array)

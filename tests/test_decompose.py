@@ -200,6 +200,19 @@ def reference_explicit_ratio(ws, w, a, b, c):
     return float(np.linalg.norm(flat - (a * w) @ khatri_rao(b, c).T)) / ws.tnorm
 
 
+def count_explicit(monkeypatch):
+    """Record the value of every ``_Workspace.explicit_ratio`` call from now on."""
+    calls = []
+    real = _Workspace.explicit_ratio
+
+    def counted(ws, w, a, b, c):
+        calls.append(real(ws, w, a, b, c))
+        return calls[-1]
+
+    monkeypatch.setattr(_Workspace, "explicit_ratio", counted)
+    return calls
+
+
 class TestExplicitResidual:
     """``_Workspace.explicit_ratio`` subtracts in a reused buffer, with the reference's bits."""
 
@@ -215,7 +228,8 @@ class TestExplicitResidual:
         np.testing.assert_array_equal(t.array, before)
 
     def test_hybrid_run_bits_match_reference(self, rng, monkeypatch):
-        """At d = 30 every sweep takes the explicit residual (size <= 40,000)."""
+        """An exact fit whose last sweeps, below ``_EXPLICIT_REFINE_LEVEL``,
+        take the explicit residual, with the reference's bits."""
         m = random_model(rng, (30, 30, 30), 8)
         t = cp_reconstruct(m)
         cfg = DecompConfig(rank=8, max_iters=60, seed=3, record_trace=True)
@@ -228,6 +242,24 @@ class TestExplicitResidual:
         np.testing.assert_array_equal(got.model.weights, expect.model.weights)
         for g, e in zip(got.model.factors, expect.model.factors):
             np.testing.assert_array_equal(g, e)
+
+    def test_noisy_fit_reads_only_the_gram_identity(self, rng, monkeypatch):
+        m = random_model(rng, (30, 30, 30), 8)
+        arr = cp_reconstruct(m).array
+        t = DenseTensor3(arr + 1e-3 * np.linalg.norm(arr) / 30**1.5 * rng.standard_normal(arr.shape))
+        calls = count_explicit(monkeypatch)
+        got = hybrid_run(t, DecompConfig(rank=8, max_iters=60, seed=3, record_trace=True))
+        assert got.residual_trace.min() > decompose._EXPLICIT_REFINE_LEVEL
+        assert calls == []
+
+    def test_exact_fit_takes_exact_residual_below_refine_level(self, rng, monkeypatch):
+        m = random_model(rng, (30, 30, 30), 8)
+        calls = count_explicit(monkeypatch)
+        got = hybrid_run(cp_reconstruct(m), DecompConfig(rank=8, max_iters=60, seed=3, record_trace=True))
+        trace, n = got.residual_trace, len(calls)
+        assert 0 < n < got.iterations_used
+        assert trace[-n:].tolist() == calls
+        assert (trace[:-n] >= decompose._EXPLICIT_REFINE_LEVEL).all()
 
     def test_later_calls_allocate_less_than_the_tensor(self, rng):
         """Only the first explicit residual of a run allocates a tensor-sized buffer."""

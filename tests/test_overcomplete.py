@@ -15,7 +15,7 @@ from tenfact.tensors import (
 )
 
 from conftest import random_model
-from test_decompose import sparse_factor_model
+from test_decompose import count_explicit, sparse_factor_model
 
 
 def skewed_model(seed, d, r, consecutive_ratio=1.05):
@@ -81,6 +81,17 @@ class TestDeflateOvercomplete:
         assert err.value.partial is not None
         assert err.value.partial.k == 8
 
+    @pytest.mark.parametrize("inner", ["hybrid", "als"])
+    def test_blocks_above_refine_level_read_only_the_gram_identity(self, inner, monkeypatch):
+        """No block of a d = 30, r = 40 deflation fits below the refine
+        level, so no sweep forms the model for an exact residual."""
+        spec = SynthSpec(d=30, k=40, weight_scheme="geometric", weight_ratio=1.05**39, seed=0)
+        _, t = gen_random_cp(spec)
+        calls = count_explicit(monkeypatch)
+        out = deflate_overcomplete(t, 40, DecompConfig(rank=30, max_iters=60, seed=0), inner=inner)
+        assert out.k == 40
+        assert calls == []
+
     def test_sparse_input_above_cap_deflates_without_dense_copy(self, monkeypatch):
         # Above the 4M-entry cap a sparse tensor stays sparse, and every block
         # past the first fits the implicit residual, so no dense copy exists.
@@ -100,14 +111,19 @@ class TestDeflateOvercomplete:
         assert two.k == 4
         assert residual_ratio(sparse, two) <= residual_ratio(sparse, one)
 
-    def test_sparse_input_needing_two_blocks_matches_dense(self):
-        """Under the cap every block's workspace computes on the dense copy,
-        so a multi-block sparse deflation gives the dense one bit for bit."""
+    def test_sparse_input_needing_two_blocks_matches_dense(self, monkeypatch):
+        """Under the cap the deflation forms one dense copy, which every block
+        and refine sweep computes on, so a multi-block sparse deflation gives
+        the dense one bit for bit."""
         dense = gen_random_cp(SynthSpec(d=6, k=8, seed=1))[1]
         idx = np.argwhere(np.ones(dense.dims, dtype=bool))
         sparse = SparseTensor3(dense.dims, idx, dense.array[tuple(idx.T)])
         cfg = DecompConfig(rank=6, max_iters=20)
+        copies = []
+        to_dense = SparseTensor3.to_dense
+        monkeypatch.setattr(SparseTensor3, "to_dense", lambda s: copies.append(s) or to_dense(s))
         got = deflate_overcomplete(sparse, 8, cfg)
+        assert len(copies) == 1
         expect = deflate_overcomplete(dense, 8, cfg)
         assert got.k == 8
         for g, e in zip((got.weights, *got.factors), (expect.weights, *expect.factors)):

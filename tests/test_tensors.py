@@ -115,6 +115,20 @@ class TestTensorTypes:
         with pytest.raises(ValueError):
             SparseTensor3.from_entries((2, 2, 2), [(2, 0, 0, 1.0)])
 
+    def test_sparse_rejects_non_integral_indices(self):
+        for bad in ([[1.7, 0, 0]], [[0, 0, np.nan]], [[0, np.inf, 0]]):
+            with pytest.raises(ValueError, match="integers"):
+                SparseTensor3((3, 3, 3), bad, [2.0])
+        # Integral floats are indices, as ``from_entries`` passes them.
+        s = SparseTensor3((3, 3, 3), [[1.0, 2.0, 0.0]], [2.0])
+        assert s.indices.dtype == np.int64 and s.indices.tolist() == [[1, 2, 0]]
+
+    def test_from_entries_rejects_non_integral_indices(self):
+        with pytest.raises(ValueError, match="integers"):
+            SparseTensor3.from_entries((3, 3, 3), [(1, 2.5, 0, 1.0)])
+        s = SparseTensor3.from_entries((3, 3, 3), [(1, 2, 0, 1.5)])
+        assert s.indices.tolist() == [[1, 2, 0]]
+
     def test_sparse_to_dense_roundtrip(self, rng):
         s = random_sparse(rng, (4, 3, 5), 20)
         d = s.to_dense()
