@@ -22,9 +22,14 @@ time) regardless of execution order or worker count.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import glob
 import logging
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -227,17 +232,63 @@ def _trial(spec, trial, algorithms, iters, tol, traced):
 
 
 def _run_trials(jobs, algorithms, iters, tol, threads, traced):
-    """Run ``(spec, trial)`` jobs, on a thread pool when asked, in job order."""
+    """Run ``(spec, trial)`` jobs, on a thread pool when asked, in job order.
+
+    BLAS runs at one thread throughout (:func:`_one_blas_thread`), at every
+    worker count, so that the last bits of a suite's results do not depend
+    on the machine's core count or on ``threads``.
+    """
 
     def work(job):
         return _trial(*job, algorithms, iters, tol, traced)
 
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_job = list(pool.map(work, jobs))
-    else:
-        per_job = [work(j) for j in jobs]
+    with _one_blas_thread():
+        if threads > 1 and len(jobs) > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                per_job = list(pool.map(work, jobs))
+        else:
+            per_job = [work(j) for j in jobs]
     return [report for rows in per_job for report in rows]
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set numpy's OpenBLAS to one thread inside the block, then restore its count.
+
+    The count is process-wide, so it is set here, in the calling thread,
+    never from a worker.  Where the library or its symbols are missing (a
+    numpy built on another BLAS), the block runs as it is.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    set_threads, get_threads = calls
+    old = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """``(set, get)`` thread-count calls of the OpenBLAS bundled in numpy's
+    wheel, the calls threadpoolctl uses, or None, logged once, without one."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        try:
+            set_threads = lib.scipy_openblas_set_num_threads64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
+        except AttributeError:
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return set_threads, get_threads
+    logger.info("numpy's bundled OpenBLAS not found; bench suites run BLAS at its own thread count")
+    return None
 
 
 def run_recovery_suite(grid, algorithms, trials, iters=100, tol=1e-6, threads=1):

@@ -61,13 +61,14 @@ from .tensors import (
     CpModel,
     DenseTensor3,
     contract_mode3,
+    _block_budget,
+    _blocked_plan,
     _dense_mttkrp,
     _dense_residual_norm,
     _gram_residual_norm,
     _residual_norm,
     _fiber_mttkrp,
     _mode3_partial,
-    _mode_plan,
     _relative,
     _working_form,
     normalize_columns,
@@ -214,8 +215,10 @@ class _Workspace:
     exact for a dense ``T``, from the Gram identity for a sparse one).
 
     A tensor that stays sparse keeps the fiber plan of each mode's nonzeros
-    (see ``tensors._fiber_plan``), built on the mode's first use and reused
-    for the rest of the run.  A dense tensor keeps the last mode-3 partial
+    (see ``tensors._fiber_plan``) as its row blocks
+    (``tensors._BlockedPlan``), built on the mode's first use and reused
+    for the rest of the run; a call at a rank with another block budget
+    builds them again.  A dense tensor keeps the last mode-3 partial
     ``Y = T x_3 q`` (``tensors._mode3_partial``) with a copy of the ``q`` it
     came from.  A mode-1 or mode-2 call reuses ``Y`` when its ``q`` equals
     that copy by value, so an ALS sweep, whose first two modes both contract
@@ -246,14 +249,15 @@ class _Workspace:
         self._partial = self._partial_q = None
         self._residual = None
 
-    def _mode(self, mode):
-        if self._modes[mode - 1] is None:
-            self._modes[mode - 1] = _mode_plan(self.tensor, mode)
-        return self._modes[mode - 1]
+    def _plan(self, mode, k):
+        kept = self._modes[mode - 1]
+        if kept is None or kept.budget != _block_budget(k):
+            kept = self._modes[mode - 1] = _blocked_plan(self.tensor, mode, k)
+        return kept
 
     def mttkrp(self, mode, p, q):
         if not self.dense:
-            out = _fiber_mttkrp(self._mode(mode), p, q)
+            out = _fiber_mttkrp(self._plan(mode, p.shape[1]), p, q)
         else:
             # Mode 3 contracts no mode-3 partial.
             if mode != 3 and (self._partial_q is None or not np.array_equal(self._partial_q, q)):

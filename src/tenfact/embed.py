@@ -156,24 +156,45 @@ def _expand_symmetric(sorted_triples, values, v):
     """All distinct permutations of each sorted index triple, same value.
 
     Each permutation ``(a, b, c)`` is packed into the code ``(a*v + b)*v +
-    c``, so one sort of the codes gives (i, j, k) order.  Triples with
-    repeated indices produce coinciding permutations; those are
-    deduplicated here (keeping the value once) because the COO constructor
-    would otherwise sum them.
+    c``, so sorted codes give (i, j, k) order.  Triples with repeated
+    indices produce coinciding permutations; those are deduplicated here
+    (keeping the value once) because the COO constructor would otherwise
+    sum them.  One in-place sort of the key ``code * n + row``, where row
+    is the permutation's source row among the ``n`` triples, orders the
+    codes and carries each one's row along, as ``key % n``; coinciding
+    codes come from one row, so keeping the first of each run keeps its
+    value.  Where ``v**3 * n`` would overflow int64, ``np.unique`` finds
+    the rows instead.
     """
     perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     t = sorted_triples
+    n = len(values)
     codes = np.concatenate([(t[:, a] * v + t[:, b]) * v + t[:, c] for a, b, c in perms])
-    codes, first = np.unique(codes, return_index=True)
+    if v**3 * n <= np.iinfo(np.int64).max:
+        codes *= n
+        codes += np.tile(np.arange(n), len(perms))
+        codes.sort()
+        codes, rows = np.divmod(codes, n)
+        first = np.ones(codes.size, dtype=bool)
+        first[1:] = codes[1:] != codes[:-1]
+        codes, rows = codes[first], rows[first]
+    else:
+        codes, rows = np.unique(codes, return_index=True)
+        rows %= n
     idx = np.column_stack([codes // (v * v), (codes // v) % v, codes % v])
-    return idx, values[first % len(values)]
+    return idx, values[rows]
 
 
 def scale_log1p(tensor):
-    """Elementwise ``log(1 + x)`` on the stored values; sparsity preserved."""
+    """Elementwise ``log(1 + x)`` on the stored values; sparsity preserved.
+
+    Counts are non-negative, and ``log1p`` keeps a positive count positive,
+    so the result has the same stored entries and shares the tensor's
+    read-only index array; only its values are new.
+    """
     if tensor.nnz and tensor.values.min() < 0:
         raise ValueError("log1p scaling requires non-negative counts")
-    return SparseTensor3(tensor.dims, tensor.indices, np.log1p(tensor.values))
+    return tensor._with_values(np.log1p(tensor.values))
 
 
 @dataclass(frozen=True)

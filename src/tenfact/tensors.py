@@ -136,7 +136,14 @@ class DenseTensor3:
 
 
 class SparseTensor3:
-    """COO third-order tensor: sorted, deduplicated, no stored zeros."""
+    """COO third-order tensor: sorted, deduplicated, no stored zeros.
+
+    Both arrays are read-only.  As in the sparse storage of Bader & Kolda
+    (SIAM J. Sci. Comput. 2007), coordinates are validated once and then
+    shared: a tensor derived from another by a value-only transform
+    (:meth:`_with_values`) shares its index array.  The arrays passed to
+    the constructor are never shared.
+    """
 
     __slots__ = ("dims", "indices", "values")
 
@@ -150,15 +157,34 @@ class SparseTensor3:
             raise ValueError("indices and values disagree on entry count")
         if vals.size and not np.isfinite(vals).all():
             raise ValueError("tensor entries must be finite")
-        idx, vals = _canonical_coo(idx, vals)
+        idx, vals = _canonical_coo(idx, vals, (d1, d2, d3))
+        self._set((d1, d2, d3), idx, vals)
+
+    def _set(self, dims, idx, vals):
         idx.flags.writeable = False
         vals.flags.writeable = False
-        object.__setattr__(self, "dims", (d1, d2, d3))
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseTensor3 is immutable")
+
+    def _with_values(self, values):
+        """This tensor's sparsity pattern with new ``values``, one per stored entry.
+
+        The result shares this tensor's read-only index array, and
+        ``values``, which must be a fresh array, becomes its value array.
+        Only the values are checked: if one is zero or non-finite, or their
+        count differs, the full constructor takes them instead, and drops
+        the zeros or raises its error.
+        """
+        vals = np.asarray(values, dtype=np.float64)
+        if vals.shape != self.values.shape or not (np.isfinite(vals).all() and vals.all()):
+            return SparseTensor3(self.dims, self.indices, vals)
+        out = object.__new__(SparseTensor3)
+        out._set(self.dims, self.indices, vals)
+        return out
 
     @classmethod
     def from_entries(cls, dims, entries):
@@ -201,7 +227,9 @@ def _checked_indices(indices, dims):
         if not (np.isfinite(idx) & (idx == np.trunc(idx))).all():
             raise ValueError("entry indices must be integers")
     idx = idx.astype(np.int64, copy=False).reshape(-1, 3)
-    if idx.size and ((idx.min(axis=0) < 0).any() or (idx.max(axis=0) >= np.array(dims)).any()):
+    # One 1-D pass per column: a strided axis-0 reduction over the (n, 3)
+    # array took about 6 times as long on 760k entries.
+    if idx.size and any(col.min() < 0 or col.max() >= dim for col, dim in zip(idx.T, dims)):
         raise ValueError("entry index out of range for dims")
     return idx
 
@@ -222,19 +250,34 @@ def _working_form(tensor):
     return tensor
 
 
-def _canonical_coo(idx, vals):
+def _canonical_coo(idx, vals, dims):
     """Sort lexicographically by (i, j, k), sum duplicates, drop zeros.
 
-    Input whose index rows already strictly increase only has its zeros
-    dropped; the result is the same, in fresh arrays either way.
+    ``idx`` must be in range for ``dims``.  Input whose linear keys
+    ``(i*d2 + j)*d3 + k`` strictly increase is already sorted and free of
+    duplicates, and only has its zeros dropped; in range, distinct index
+    rows have distinct keys in (i, j, k) order.  Where ``d1*d2*d3`` would
+    overflow int64 the input is sorted whatever its order, which gives the
+    same result.  The arrays returned never share memory with the input.
     """
+    n = idx.shape[0]
+    if n and math.prod(dims) <= np.iinfo(np.int64).max:
+        key = idx[:, 0] * dims[1]
+        key += idx[:, 1]
+        key *= dims[2]
+        key += idx[:, 2]
+        if (key[1:] > key[:-1]).all():
+            keep = vals != 0.0
+            if keep.all():
+                return idx.copy(), vals.copy()
+            return idx[keep], vals[keep]
+    return _lexsort_coo(idx, vals)
+
+
+def _lexsort_coo(idx, vals):
+    """:func:`_canonical_coo` for input in any order, by one lexsort."""
     if idx.shape[0] == 0:
         return idx.astype(np.int64), vals.astype(np.float64)
-    step = idx[1:] - idx[:-1]
-    di, dj, dk = step[:, 0], step[:, 1], step[:, 2]
-    if ((di > 0) | ((di == 0) & ((dj > 0) | ((dj == 0) & (dk > 0))))).all():
-        keep = vals != 0.0
-        return idx[keep], vals[keep]
     order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
     idx = idx[order]
     vals = vals[order]
@@ -540,6 +583,31 @@ def _mode_plan(tensor, mode):
     return _fiber_plan(out_idx, p_idx, q_idx, vals, tensor.dims[mode - 1], tensor.dims[other[1]])
 
 
+class _BlockedPlan(NamedTuple):
+    """A fiber plan held as its row blocks (see :func:`_row_blocks`) for
+    one block budget, in place of its whole CSR matrices.
+
+    ``decompose._Workspace`` keeps one per mode, so that the blocks' CSR
+    matrices are built once per run, not on every MTTKRP.
+    """
+
+    n_rows: int
+    budget: int
+    blocks: tuple
+
+
+def _block_budget(k):
+    """Fibers per row block at rank ``k``: ``_BLOCK_FLOATS // k``, at least one."""
+    return max(1, _BLOCK_FLOATS // max(1, k))
+
+
+def _blocked_plan(tensor, mode, k):
+    """The :class:`_BlockedPlan` of a sparse tensor's mode-``mode`` MTTKRP at rank ``k``."""
+    plan = _mode_plan(tensor, mode)
+    budget = _block_budget(k)
+    return _BlockedPlan(plan.rows.shape[0], budget, tuple(_row_blocks(plan, budget)))
+
+
 def _fiber_mttkrp(plan, p, q):
     """Apply a fiber plan: ``Y = fibers @ Q``, scale each fiber by its P row,
     then sum each output row's fibers.  Rows without nonzeros come out zero.
@@ -547,12 +615,17 @@ def _fiber_mttkrp(plan, p, q):
     Works in blocks of whole output rows (see :func:`_row_blocks`), so that
     every temporary holds at most ``_BLOCK_FLOATS`` floats, or one output
     row's fibers times ``k`` when a single row has more, and stays in cache.
-    Each output row still sums its own fibers in the same order, so the
-    blocks change no bit of the result.
+    A :class:`_FiberPlan` is cut into blocks on the fly; a
+    :class:`_BlockedPlan` brings its own.  Each output row still sums its
+    own fibers in the same order, so the blocks change no bit of the result.
     """
     k = p.shape[1]
-    out = np.empty((plan.rows.shape[0], k))
-    for r0, r1, fibers, sums, fiber_p in _row_blocks(plan, max(1, _BLOCK_FLOATS // max(1, k))):
+    if isinstance(plan, _BlockedPlan):
+        n_rows, blocks = plan.n_rows, plan.blocks
+    else:
+        n_rows, blocks = plan.rows.shape[0], _row_blocks(plan, _block_budget(k))
+    out = np.empty((n_rows, k))
+    for r0, r1, fibers, sums, fiber_p in blocks:
         y = fibers @ q
         y *= np.take(p, fiber_p, axis=0)
         out[r0:r1] = sums @ y
@@ -567,7 +640,10 @@ def _row_blocks(plan, per_block):
     and each fiber's p.  Each run holds as many rows as fit in
     ``per_block`` fibers, and at least one row.  A plan that fits whole is
     yielded as it is, which spares small tensors and rank-1 updates the cost
-    of building block matrices.
+    of building block matrices.  Otherwise the block matrices hold copies
+    of their slices of the plan's CSR arrays (scipy would copy only the
+    smaller slices and keep the plan alive under the others), so blocks
+    kept together hold the plan's matrices once, not beside them.
     """
     fibers, rows = plan.fibers, plan.rows
     n_rows, n_fibers = rows.shape
@@ -585,11 +661,11 @@ def _row_blocks(plan, per_block):
         # of ``rows`` count 0, 1, 2, ..., so its first f1 - f0 serve.
         lo, hi = fibers.indptr[f0], fibers.indptr[f1]
         block = scipy.sparse.csr_matrix(
-            (fibers.data[lo:hi], fibers.indices[lo:hi], fibers.indptr[f0 : f1 + 1] - lo),
+            (fibers.data[lo:hi].copy(), fibers.indices[lo:hi].copy(), fibers.indptr[f0 : f1 + 1] - lo),
             shape=(f1 - f0, fibers.shape[1]),
         )
         sums = scipy.sparse.csr_matrix(
-            (rows.data[f0:f1], rows.indices[: f1 - f0], bounds[r0 : r1 + 1] - f0),
+            (rows.data[f0:f1].copy(), rows.indices[: f1 - f0].copy(), bounds[r0 : r1 + 1] - f0),
             shape=(r1 - r0, f1 - f0),
         )
         yield r0, r1, block, sums, plan.fiber_p[f0:f1]

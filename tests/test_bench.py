@@ -137,6 +137,21 @@ class TestRecoverySuite:
         assert files[0].count(b"\n") == 1 + 2 * 2 * len(algos)
         assert files[0] == files[1]
 
+    def test_trials_run_blas_at_one_thread_then_restore(self, monkeypatch):
+        """Workers see one BLAS thread at every worker count, and the caller's
+        count comes back after the suite."""
+        calls = bench._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        get_threads = calls[1]
+        seen = []
+        monkeypatch.setattr(bench, "_trial", lambda *args: seen.append(get_threads()) or [])
+        before = get_threads()
+        for threads in (1, 2):
+            assert bench._run_trials([(None, 0), (None, 1)], [], 1, 0.0, threads, False) == []
+            assert get_threads() == before
+        assert seen == [1, 1, 1, 1]
+
     def test_failure_recorded_not_raised(self, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalFailureError("synthetic failure")

@@ -19,6 +19,7 @@ from tenfact.embed import (
     _expand_symmetric,
 )
 from tenfact.errors import UndefinedResultError
+from tenfact.fileio import read_coo, write_coo
 from tenfact.tensors import CpModel, SparseTensor3
 
 from conftest import random_model
@@ -170,8 +171,64 @@ class TestExpandSymmetric:
             assert got.dtype == expect.dtype and got.shape == expect.shape
             assert got.tobytes() == expect.tobytes()
 
+    def test_overflowing_packed_key_matches_lexsort_reference(self, rng):
+        """At v = 2**21, ``v**3 * n`` overflows int64 and the codes do not."""
+        v = 2**21
+        sorted_triples = np.sort(rng.integers(0, v, (30, 3)), axis=1)
+        sorted_triples[:3] = [[0, 0, 0], [5, 5, v - 1], [1, v - 1, v - 1]]
+        sorted_triples = np.unique(sorted_triples, axis=0)
+        values = rng.integers(1, 9, sorted_triples.shape[0]).astype(np.float64)
+        idx, vals = _expand_symmetric(sorted_triples, values, v)
+        ref_idx, ref_vals = lexsort_expand_symmetric(sorted_triples, values)
+        assert idx.tobytes() == ref_idx.tobytes() and vals.tobytes() == ref_vals.tobytes()
+
+
+class TestCountsOracle:
+    @pytest.mark.parametrize("window", [3, 4])
+    def test_build_and_coo_round_trip_match_dict_oracle(self, tmp_path, window):
+        corpus = "the cat sat on the mat the cat ran off the mat and the dog sat on the cat"
+        vocab, tensor = build_trioccurrence([corpus], max_vocab=7, window=window)
+        expect = {}
+        for key, count in brute_force_counts(tokenize(corpus), vocab, window).items():
+            for perm in itertools.permutations(key):
+                expect[perm] = float(count)
+        keys = sorted(expect)
+        assert tensor.indices.tolist() == [list(key) for key in keys]
+        assert tensor.values.tolist() == [expect[key] for key in keys]
+        path = tmp_path / "counts.coo"
+        write_coo(path, tensor)
+        loaded = read_coo(path)
+        assert loaded.dims == tensor.dims
+        for got, want in ((loaded.indices, tensor.indices), (loaded.values, tensor.values)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestScaleLog1p:
+    @pytest.mark.parametrize("nnz", [0, 1, 50])
+    def test_shares_read_only_indices(self, rng, nnz):
+        idx = np.column_stack([rng.integers(0, d, nnz) for d in (5, 6, 7)])
+        t = SparseTensor3((5, 6, 7), idx, rng.integers(1, 20, nnz).astype(np.float64))
+        before = t.indices.copy(), t.values.copy()
+        scaled = scale_log1p(t)
+        assert scaled.dims == t.dims
+        assert np.shares_memory(scaled.indices, t.indices) or nnz == 0
+        assert not np.shares_memory(scaled.values, t.values)
+        assert scaled.values.tobytes() == np.log1p(t.values).tobytes()
+        for arr in (t.indices, t.values, scaled.indices, scaled.values):
+            assert not arr.flags.writeable
+        assert t.indices.tobytes() == before[0].tobytes() and t.values.tobytes() == before[1].tobytes()
+
+    def test_with_values_falls_back_to_constructor(self):
+        t = SparseTensor3.from_entries((2, 2, 2), [(0, 0, 0, 1.0), (1, 0, 1, 2.0), (1, 1, 1, 3.0)])
+        dropped = t._with_values(np.array([4.0, 0.0, -0.0]))
+        assert dropped.indices.tolist() == [[0, 0, 0]] and dropped.values.tolist() == [4.0]
+        assert not np.shares_memory(dropped.indices, t.indices)
+        for bad in ([1.0, np.nan, 1.0], [1.0, 1.0, np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                t._with_values(np.array(bad))
+        with pytest.raises(ValueError, match="entry count"):
+            t._with_values(np.array([1.0, 2.0]))
+
     def test_empty_stays_empty(self):
         empty = SparseTensor3.empty((3, 3, 3))
         assert scale_log1p(empty).nnz == 0

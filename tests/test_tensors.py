@@ -111,6 +111,76 @@ class TestTensorTypes:
         vals = np.array([e[3] for e in entries], dtype=np.float64)
         assert_matches_coo_oracle(SparseTensor3(dims, idx, vals), idx, vals)
 
+    @given(
+        dims=st.tuples(*(st.integers(1, 4),) * 3),
+        entries=st.lists(
+            st.tuples(*(st.integers(0, 3),) * 3, st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0])),
+            max_size=40,
+        ),
+        order=st.sampled_from(["as_drawn", "sorted", "canonical"]),
+        bad=st.none() | st.tuples(st.integers(0, 39), st.integers(0, 2), st.sampled_from([-1, 0, 1])),
+    )
+    # (0, d2, 0) just before (1, 0, 1): their keys still increase.
+    @example(dims=(2, 3, 2), entries=[(0, 1, 0, 1.0), (1, 0, 1, 2.0)], order="canonical", bad=(0, 1, 0))
+    # Unsorted in i only, then in j only: a key that left that column out
+    # would still increase.
+    @example(dims=(2, 2, 2), entries=[(1, 0, 0, 1.0), (0, 1, 1, 2.0)], order="as_drawn", bad=None)
+    @example(dims=(2, 2, 2), entries=[(0, 1, 0, 1.0), (0, 0, 1, 2.0)], order="as_drawn", bad=None)
+    def test_constructor_matches_lexsort_path(self, dims, entries, order, bad):
+        """Sorted, unsorted, duplicated and stored-zero input, with at most one
+        entry pushed out of range in one column (to -1 or to its dim, plus
+        ``bad[2]``): the constructor gives the sort path's bits or its error."""
+        entries = [(i % dims[0], j % dims[1], k % dims[2], v) for i, j, k, v in entries]
+        if order == "sorted":
+            entries = sorted(entries)
+        elif order == "canonical":
+            entries = sorted({e[:3]: e for e in entries}.values())
+        idx = np.array([e[:3] for e in entries], dtype=np.int64).reshape(-1, 3)
+        vals = np.array([e[3] for e in entries], dtype=np.float64)
+        if bad is not None and entries:
+            row, col, shift = bad
+            idx[row % len(entries), col] = -1 if shift < 0 else dims[col] + shift
+        if ((idx < 0) | (idx >= np.array(dims))).any():
+            with pytest.raises(ValueError, match="out of range"):
+                SparseTensor3(dims, idx, vals)
+            return
+        s = SparseTensor3(dims, idx, vals)
+        expect_idx, expect_vals = tensors._lexsort_coo(idx, vals)
+        assert_same_bits(s.indices, expect_idx)
+        assert_same_bits(s.values, expect_vals)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Each row is out of range in one column, and with it the
+            # linear keys (i*d2 + j)*d3 + k still strictly increase.
+            [(0, 0, 0), (0, 3, 0), (1, 0, 1)],
+            [(0, 0, 0), (0, 2, 2), (1, 0, 1)],
+            [(0, 0, 0), (1, 2, 1), (2, 0, 0)],
+            [(0, -1, 0), (0, 0, 1)],
+            [(0, 1, -1), (0, 1, 0)],
+            [(-1, 2, 1), (0, 0, 0)],
+        ],
+    )
+    def test_out_of_range_row_with_increasing_keys_rejected(self, rows):
+        with pytest.raises(ValueError, match="out of range"):
+            SparseTensor3((2, 3, 2), rows, np.ones(len(rows)))
+
+    @pytest.mark.parametrize(
+        "dims, first", [((4, 2**31, 2**32), 1), ((2**62, 2, 2), 2**61), ((2**40, 2**40, 2**40), 1)]
+    )
+    def test_dims_overflowing_int64_take_the_sort_path(self, dims, first):
+        """The wrapped int64 key of ``(first, 0, 0)`` lies below that of
+        ``(0, 0, 1)``, so a key test would take these rows as sorted."""
+        rows = np.array([(first, 0, 0), (0, 0, 1)])
+        vals = np.array([1.0, 2.0])
+        s = SparseTensor3(dims, rows, vals)
+        assert s.indices.tolist() == [[0, 0, 1], [first, 0, 0]]
+        assert s.values.tolist() == [2.0, 1.0]
+        expect_idx, expect_vals = tensors._lexsort_coo(rows, vals)
+        assert_same_bits(s.indices, expect_idx)
+        assert_same_bits(s.values, expect_vals)
+
     def test_sparse_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             SparseTensor3.from_entries((2, 2, 2), [(2, 0, 0, 1.0)])
