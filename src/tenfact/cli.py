@@ -4,10 +4,10 @@ Subcommands: ``decompose``, ``bench recovery``, ``bench residual``,
 ``complete``, ``overcomplete``, ``embed build|factorize|eval|gen-corpus``.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 numerical failure.  Every
-command writes a ``<output>.manifest.json`` sidecar recording the resolved
-configuration, master seed, inputs/outputs, tool version and timestamp, so
-runs can be reproduced byte-for-byte (wall-clock columns and the manifest
-timestamp excepted).
+command that writes a file also writes a ``<output>.manifest.json`` sidecar
+recording the resolved configuration, master seed, inputs/outputs, tool
+version and timestamp, so runs can be reproduced byte-for-byte (wall-clock
+columns and the manifest timestamp excepted).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .embed import (
     extract_embeddings,
     scale_log1p,
     EmbeddingMatrix,
+    Vocab,
 )
 from .errors import (
     DegenerateInputError,
@@ -46,7 +47,7 @@ from .errors import (
     UndefinedResultError,
 )
 from .fileio import _parse_coo, read_coo, write_coo, write_cpm
-from .overcomplete import deflate_overcomplete
+from .overcomplete import _INNER_RUNNERS, deflate_overcomplete
 from .tensors import SparseTensor3, residual_ratio
 from .textgen import analogy_quads, planted_analogy_corpus, write_corpus, zipf_corpus
 
@@ -76,19 +77,23 @@ def _write_manifest(out_path, subcommand, args, inputs, outputs, seed):
         fh.write("\n")
 
 
+def _fit_config(args, **overrides):
+    """The ``DecompConfig`` of the shared fit flags plus a command's own fields."""
+    return DecompConfig(
+        rank=args.rank, max_iters=args.iters, tol=args.tol, seed=args.seed, **overrides
+    )
+
+
 def cmd_decompose(args):
     algo = ALGORITHMS[args.algo]
     if args.init != "random" and not algo.honours_init:
         raise InvalidConfigError(f"--algo {args.algo} does not take --init {args.init}")
     tensor = read_coo(args.input)
-    cfg = DecompConfig(
-        rank=args.rank,
-        max_iters=args.iters,
-        tol=args.tol,
+    cfg = _fit_config(
+        args,
         init=args.init,
         orth_steps=args.hybrid_switch,
         rerandomize_period=args.rerand_period,
-        seed=args.seed,
         record_trace=args.trace is not None,
     )
     result = algo.run(tensor, cfg, args.inits)
@@ -170,13 +175,10 @@ def cmd_complete(args):
         zero_entries=idx[zero],
         p=args.p,
     )
-    cfg = DecompConfig(
-        rank=args.rank,
-        max_iters=args.iters,
-        tol=args.tol,
+    cfg = _fit_config(
+        args,
         orth_mode="none" if args.algo == "als" else "first_s",
         orth_steps=args.hybrid_switch,
-        seed=args.seed,
     )
     model = complete_masked(problem, args.rank, cfg, ridge=args.ridge)
     write_cpm(args.out, model)
@@ -199,14 +201,8 @@ def cmd_complete(args):
 
 def cmd_overcomplete(args):
     tensor = read_coo(args.input)
-    inner_cfg = DecompConfig(
-        rank=min(args.block or min(tensor.dims), args.rank),
-        max_iters=args.iters,
-        tol=args.tol,
-        seed=args.seed,
-    )
     model = deflate_overcomplete(
-        tensor, args.rank, inner_cfg, block=args.block, inner=args.inner
+        tensor, args.rank, _fit_config(args), block=args.block, inner=args.inner
     )
     write_cpm(args.out, model)
     _write_manifest(args.out, "overcomplete", args, [args.input], [args.out], args.seed)
@@ -228,8 +224,6 @@ def cmd_embed_build(args):
 def _read_vocab(path):
     with open(path, "r", encoding="utf-8") as fh:
         words = [line.strip() for line in fh if line.strip()]
-    from .embed import Vocab
-
     return Vocab(words=tuple(words), index={w: i for i, w in enumerate(words)})
 
 
@@ -238,15 +232,7 @@ def cmd_embed_factorize(args):
     vocab = _read_vocab(args.vocab_file)
     if args.scale == "log1p":
         tensor = scale_log1p(tensor)
-    cfg = DecompConfig(
-        rank=args.rank,
-        max_iters=args.iters,
-        tol=args.tol,
-        orth_steps=args.hybrid_switch,
-        seed=args.seed,
-        record_trace=False,
-    )
-    result = ALS_RUNNERS[args.algo](tensor, cfg)
+    result = ALS_RUNNERS[args.algo](tensor, _fit_config(args, orth_steps=args.hybrid_switch))
     embeddings = extract_embeddings(result.model, vocab)
     _write_embeddings_tsv(args.out, embeddings)
     outputs = [args.out]
@@ -279,24 +265,10 @@ def _read_embeddings_tsv(path):
     return EmbeddingMatrix(words=tuple(words), vectors=vectors, valid=valid)
 
 
-def _read_pairs_tsv(path):
-    pairs = []
+def _read_fields(path, n):
+    """The first ``n`` whitespace-separated fields of every line that has them."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if len(parts) >= 3:
-                pairs.append((parts[0], parts[1], float(parts[2])))
-    return pairs
-
-
-def _read_quads_tsv(path):
-    quads = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if len(parts) >= 4:
-                quads.append(tuple(parts[:4]))
-    return quads
+        return [tuple(parts[:n]) for parts in map(str.split, fh) if len(parts) >= n]
 
 
 def cmd_embed_eval(args):
@@ -304,13 +276,14 @@ def cmd_embed_eval(args):
         raise InvalidConfigError("embed eval needs --similarity and/or --analogy")
     embeddings = _read_embeddings_tsv(args.embeddings)
     if args.similarity:
-        result = eval_similarity(embeddings, _read_pairs_tsv(args.similarity))
+        pairs = [(a, b, float(score)) for a, b, score in _read_fields(args.similarity, 3)]
+        result = eval_similarity(embeddings, pairs)
         print(
             f"similarity: spearman {result.correlation:.4f} "
             f"({result.pairs_used} pairs, {result.pairs_skipped} skipped)"
         )
     if args.analogy:
-        result = eval_analogy(embeddings, _read_quads_tsv(args.analogy))
+        result = eval_analogy(embeddings, _read_fields(args.analogy, 4))
         print(
             f"analogy: accuracy {result.accuracy:.4f} "
             f"({result.quads_used} quads, {result.quads_skipped} skipped)"
@@ -334,23 +307,35 @@ def cmd_embed_gen_corpus(args):
     return 0
 
 
+def _fit_flags(rank=None, iters=100, tol=1e-6, hybrid_switch=True):
+    """A fresh parent parser of the flags the fitting commands share.
+
+    Each command gets its own: argparse hands a parent's ``Action`` objects
+    to every child, so one child's ``set_defaults`` would change the others'
+    defaults.  ``rank=None`` makes ``--rank`` required.
+    """
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--input", required=True)
+    flags.add_argument("--rank", type=int, default=rank, required=rank is None)
+    flags.add_argument("--iters", type=int, default=iters)
+    flags.add_argument("--tol", type=float, default=tol)
+    flags.add_argument("--seed", type=int, default=0)
+    if hybrid_switch:
+        flags.add_argument("--hybrid-switch", type=int, default=5)
+    flags.add_argument("--out", required=True)
+    return flags
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="tenfact", description=__doc__)
     parser.add_argument("--version", action="version", version=f"tenfact {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", help="factor a .coo tensor")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("decompose", parents=[_fit_flags()], help="factor a .coo tensor")
     p.add_argument("--algo", default="orth-als", choices=list(ALGORITHMS))
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init", default="random", choices=["random", "svd"])
-    p.add_argument("--hybrid-switch", type=int, default=5)
     p.add_argument("--rerand-period", type=int, default=None)
     p.add_argument("--inits", type=int, default=100, help="restarts for tpm")
-    p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None)
     p.set_defaults(func=cmd_decompose)
 
@@ -379,28 +364,21 @@ def _build_parser():
     p.add_argument("--iters", type=int, default=50)
     p.set_defaults(func=cmd_bench_residual)
 
-    p = sub.add_parser("complete", help="tensor completion from observed entries")
-    p.add_argument("--input", required=True, help=".coo file of observed entries")
-    p.add_argument("--rank", type=int, required=True)
+    p = sub.add_parser(
+        "complete", parents=[_fit_flags()], help="tensor completion from observed entries"
+    )
     p.add_argument("--algo", default="hybrid", choices=["hybrid", "als"])
-    p.add_argument("--hybrid-switch", type=int, default=5)
     p.add_argument("--ridge", type=float, default=1e-8)
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--p", type=float, default=None, help="sampling probability metadata")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_complete)
 
-    p = sub.add_parser("overcomplete", help="deflation for rank beyond the dimension")
-    p.add_argument("--input", required=True)
-    p.add_argument("--rank", type=int, required=True)
+    p = sub.add_parser(
+        "overcomplete",
+        parents=[_fit_flags(hybrid_switch=False)],
+        help="deflation for rank beyond the dimension",
+    )
     p.add_argument("--block", type=int, default=None)
-    p.add_argument("--inner", default="hybrid", choices=["hybrid", "als"])
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--inner", default="hybrid", choices=list(_INNER_RUNNERS))
     p.set_defaults(func=cmd_overcomplete)
 
     embed = sub.add_parser("embed", help="word-embedding pipeline")
@@ -414,17 +392,14 @@ def _build_parser():
     p.add_argument("--vocab-out", required=True)
     p.set_defaults(func=cmd_embed_build)
 
-    p = embed_sub.add_parser("factorize", help="tensor -> embedding table")
-    p.add_argument("--input", required=True)
+    p = embed_sub.add_parser(
+        "factorize",
+        parents=[_fit_flags(rank=50, iters=30, tol=1e-5)],
+        help="tensor -> embedding table",
+    )
     p.add_argument("--vocab-file", required=True)
-    p.add_argument("--rank", type=int, default=50)
     p.add_argument("--algo", default="orth-als", choices=list(ALS_RUNNERS))
-    p.add_argument("--hybrid-switch", type=int, default=5)
     p.add_argument("--scale", default="log1p", choices=["log1p", "none"])
-    p.add_argument("--iters", type=int, default=30)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.add_argument("--model-out", default=None)
     p.set_defaults(func=cmd_embed_factorize)
 

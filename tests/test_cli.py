@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from tenfact.cli import _build_parser, main
-from tenfact.decompose import ALGORITHMS
+from tenfact.decompose import ALGORITHMS, ALS_RUNNERS
 from tenfact.embed import build_trioccurrence
 from tenfact.fileio import read_cpm, write_coo
+from tenfact.overcomplete import _INNER_RUNNERS
 from tenfact.tensors import SparseTensor3, cp_reconstruct, residual_ratio
 
 from conftest import diagonal_tensor, random_model
@@ -21,6 +22,17 @@ def diag_coo(tmp_path):
     path = tmp_path / "diag.coo"
     write_coo(path, tensor)
     return model, tensor, str(path)
+
+
+def leaf_parser(parser, *names):
+    for name in names:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return parser
+
+
+def choices(parser, dest):
+    return next(a for a in parser._actions if a.dest == dest).choices
 
 
 def strip_wall_ms(path):
@@ -75,9 +87,9 @@ class TestDecomposeCommand:
 
     def test_algo_choices_are_the_registry(self):
         parser = _build_parser()
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        algo = next(a for a in sub.choices["decompose"]._actions if a.dest == "algo")
-        assert algo.choices == list(ALGORITHMS)
+        assert choices(leaf_parser(parser, "decompose"), "algo") == list(ALGORITHMS)
+        assert choices(leaf_parser(parser, "embed", "factorize"), "algo") == list(ALS_RUNNERS)
+        assert choices(leaf_parser(parser, "overcomplete"), "inner") == list(_INNER_RUNNERS)
 
     @pytest.mark.parametrize("algo", ["orth-tpm", "simdiag"])
     def test_init_svd_rejected_where_ignored(self, diag_coo, tmp_path, capsys, algo):
@@ -229,6 +241,16 @@ class TestCompleteAndOvercomplete:
         assert code == 0
         assert read_cpm(out).k == 4
 
+    def test_overcomplete_negative_block_names_block(self, diag_coo, tmp_path, capsys):
+        _, _, coo = diag_coo
+        out = tmp_path / "never.cpm"
+        code = main([
+            "overcomplete", "--input", coo, "--rank", "4", "--block", "-1", "--out", str(out),
+        ])
+        assert code == 1
+        assert "block" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEmbedCommands:
     def test_pipeline_and_eval(self, tmp_path):
@@ -276,3 +298,89 @@ class TestEmbedCommands:
         sim.write_text("gamma delta 1.0\n")
         code = main(["embed", "eval", "--embeddings", str(emb), "--similarity", str(sim)])
         assert code == 2
+
+
+# The manifest's ``config`` is the parsed namespace without ``func``, so this
+# table also pins every subcommand's manifest keys and defaults.
+PARSED = [
+    (
+        ["decompose", "--input", "T.coo", "--rank", "3", "--out", "m.cpm"],
+        {
+            "command": "decompose", "input": "T.coo", "algo": "orth-als", "rank": 3,
+            "iters": 100, "tol": 1e-6, "seed": 0, "init": "random", "hybrid_switch": 5,
+            "rerand_period": None, "inits": 100, "out": "m.cpm", "trace": None,
+        },
+    ),
+    (
+        ["bench", "recovery", "--d", "8", "--k", "2", "--seed", "1", "--trials", "2",
+         "--out", "r.csv"],
+        {
+            "command": "bench", "bench_command": "recovery", "d": 8, "k": 2, "noise": 0.0,
+            "symmetric": False, "algos": "orth-als,als", "tol": 1e-6, "seed": 1,
+            "threads": 3, "out": "r.csv", "ratios": "1", "trials": 2, "iters": 100,
+        },
+    ),
+    (
+        ["bench", "residual", "--d", "8", "--k", "2", "--seed", "1", "--out", "t.csv"],
+        {
+            "command": "bench", "bench_command": "residual", "d": 8, "k": 2, "noise": 0.0,
+            "symmetric": False, "algos": "orth-als,als", "tol": 1e-6, "seed": 1,
+            "threads": 3, "out": "t.csv", "ratio": 1.0, "trials": 1, "iters": 50,
+        },
+    ),
+    (
+        ["complete", "--input", "o.coo", "--rank", "2", "--out", "m.cpm"],
+        {
+            "command": "complete", "input": "o.coo", "rank": 2, "algo": "hybrid",
+            "hybrid_switch": 5, "ridge": 1e-8, "iters": 100, "tol": 1e-6, "seed": 0,
+            "p": None, "out": "m.cpm",
+        },
+    ),
+    (
+        ["overcomplete", "--input", "T.coo", "--rank", "9", "--out", "m.cpm"],
+        {
+            "command": "overcomplete", "input": "T.coo", "rank": 9, "block": None,
+            "inner": "hybrid", "iters": 100, "tol": 1e-6, "seed": 0, "out": "m.cpm",
+        },
+    ),
+    (
+        ["embed", "build", "--corpus", "c.txt", "--out", "t.coo", "--vocab-out", "v.txt"],
+        {
+            "command": "embed", "embed_command": "build", "corpus": "c.txt", "vocab": 2000,
+            "window": 3, "out": "t.coo", "vocab_out": "v.txt",
+        },
+    ),
+    (
+        ["embed", "factorize", "--input", "t.coo", "--vocab-file", "v.txt", "--out", "e.tsv"],
+        {
+            "command": "embed", "embed_command": "factorize", "input": "t.coo",
+            "vocab_file": "v.txt", "rank": 50, "algo": "orth-als", "hybrid_switch": 5,
+            "scale": "log1p", "iters": 30, "tol": 1e-5, "seed": 0, "out": "e.tsv",
+            "model_out": None,
+        },
+    ),
+    (
+        ["embed", "eval", "--embeddings", "e.tsv"],
+        {
+            "command": "embed", "embed_command": "eval", "embeddings": "e.tsv",
+            "similarity": None, "analogy": None,
+        },
+    ),
+    (
+        ["embed", "gen-corpus", "--out", "c.txt"],
+        {
+            "command": "embed", "embed_command": "gen-corpus", "kind": "desk",
+            "tokens": 200_000, "seed": 0, "out": "c.txt", "quads_out": None,
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", PARSED, ids=[" ".join(a for a in argv[:2] if a[0] != "-") for argv, _ in PARSED]
+)
+def test_parsed_namespace(monkeypatch, argv, expected):
+    monkeypatch.setenv("TENFACT_THREADS", "3")
+    parsed = vars(_build_parser().parse_args(argv))
+    assert callable(parsed.pop("func"))
+    assert parsed == expected
