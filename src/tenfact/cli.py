@@ -52,14 +52,17 @@ from .tensors import SparseTensor3, residual_ratio
 from .textgen import analogy_quads, planted_analogy_corpus, write_corpus, zipf_corpus
 
 
-def _default_threads():
-    env = os.environ.get("TENFACT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _positive_int(text):
+    """Parse ``--threads``, or ``TENFACT_THREADS`` in its place: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"--threads and TENFACT_THREADS take a positive integer, got {text!r}"
+        )
+    return value
 
 
 def _write_manifest(out_path, subcommand, args, inputs, outputs, seed):
@@ -349,7 +352,12 @@ def _build_parser():
     suite.add_argument("--algos", default="orth-als,als")
     suite.add_argument("--tol", type=float, default=1e-6)
     suite.add_argument("--seed", type=int, required=True)
-    suite.add_argument("--threads", type=int, default=_default_threads())
+    # argparse parses a string default with ``type`` when the flag is absent.
+    suite.add_argument(
+        "--threads",
+        type=_positive_int,
+        default=os.environ.get("TENFACT_THREADS") or os.cpu_count() or 1,
+    )
     suite.add_argument("--out", required=True)
 
     p = bench_sub.add_parser("recovery", parents=[suite], help="recovery counts over a grid")

@@ -62,13 +62,13 @@ from .tensors import (
     DenseTensor3,
     contract_mode3,
     _block_budget,
-    _blocked_plan,
     _dense_mttkrp,
     _dense_residual_norm,
     _gram_residual_norm,
     _residual_norm,
     _fiber_mttkrp,
     _mode3_partial,
+    _mode_plan,
     _relative,
     _working_form,
     normalize_columns,
@@ -214,11 +214,10 @@ class _Workspace:
     ``T``'s own, and ``tnorm`` is ``||T - M||`` (``tensors._residual_norm``:
     exact for a dense ``T``, from the Gram identity for a sparse one).
 
-    A tensor that stays sparse keeps the fiber plan of each mode's nonzeros
-    (see ``tensors._fiber_plan``) as its row blocks
-    (``tensors._BlockedPlan``), built on the mode's first use and reused
-    for the rest of the run; a call at a rank with another block budget
-    builds them again.  A dense tensor keeps the last mode-3 partial
+    A tensor that stays sparse keeps each mode's fiber plan, cut into row
+    blocks for the rank (``tensors._mode_plan``), built on the mode's first
+    use and reused for the rest of the run; a call at a rank with another
+    block budget builds it again.  A dense tensor keeps the last mode-3 partial
     ``Y = T x_3 q`` (``tensors._mode3_partial``) with a copy of the ``q`` it
     came from.  A mode-1 or mode-2 call reuses ``Y`` when its ``q`` equals
     that copy by value, so an ALS sweep, whose first two modes both contract
@@ -252,7 +251,7 @@ class _Workspace:
     def _plan(self, mode, k):
         kept = self._modes[mode - 1]
         if kept is None or kept.budget != _block_budget(k):
-            kept = self._modes[mode - 1] = _blocked_plan(self.tensor, mode, k)
+            kept = self._modes[mode - 1] = _mode_plan(self.tensor, mode, k)
         return kept
 
     def mttkrp(self, mode, p, q):

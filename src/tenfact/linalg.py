@@ -61,7 +61,7 @@ def ls_solve_kr(tmat, p, q, rcond=1e-12):
     identity and the result is the MTTKRP to rounding.  A sparse ``tmat``
     is split into the (row, p, q) entries of a tensor whose mode-1
     matricization it is (column ``p + q * d_p``), and its MTTKRP runs on that
-    tensor's mode-1 fiber plan (see :func:`tenfact.tensors._fiber_plan`).
+    tensor's mode-1 fiber plan (see :func:`tenfact.tensors._mode_plan`).
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -77,7 +77,7 @@ def ls_solve_kr(tmat, p, q, rcond=1e-12):
         q_idx, p_idx = np.divmod(coo.col, p.shape[0])
         dims = (tmat.shape[0], p.shape[0], q.shape[0])
         entries = SparseTensor3(dims, np.column_stack([coo.row, p_idx, q_idx]), coo.data)
-        mtt = _fiber_mttkrp(_mode_plan(entries, 1), p, q)
+        mtt = _fiber_mttkrp(_mode_plan(entries, 1, p.shape[1]), p, q)
     else:
         mtt = np.asarray(tmat) @ khatri_rao(q, p)
     return _gram_solve(mtt, p, q, rcond)

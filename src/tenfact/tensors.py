@@ -25,13 +25,14 @@ keeps ``Y`` for its first two modes is the dimension tree of
 ``decompose._Workspace``.
 
 Sparse MTTKRPs all go through one fiber-compressed kernel, the CSF idea of
-SPLATT (Smith & Karypis, IPDPS 2015).  A plan sorts the nonzeros by (output
-index, first other index) and stores each such fiber as one row of a CSR
-matrix over the second other index; applying it costs one sparse-times-dense
+SPLATT (Smith & Karypis, IPDPS 2015), on one plan type, :class:`_ModePlan`,
+built by :func:`_mode_plan`.  A plan sorts the nonzeros by (output index,
+first other index) and stores each such fiber as one row of a CSR matrix
+over the second other index; applying it costs one sparse-times-dense
 product, one gather-and-scale per fiber and one segment sum per output row,
 so each factor-row product is formed once per fiber, not once per nonzero.
-The kernel runs these three steps block by block, each block a run of whole
-output rows with all of their fibers, sized so that its temporaries stay in
+The plan is cut into blocks, each a run of whole output rows with all of
+their fibers, sized for rank ``k`` so that the kernel's temporaries stay in
 cache, the blocking idea of CSF and of HiCOO (Li et al., SC 2018).  Every
 output row sums its own fibers in the same order whatever the blocks, so
 blocking changes no bit of the result.
@@ -479,22 +480,26 @@ def mttkrp(tensor, factors, mode):
     materialized.  A dense tensor goes through :func:`_dense_mttkrp`, which
     contracts the row-major array with ``q`` (modes 1 and 2) or ``p`` (mode
     3) in one GEMM and the other factor in one small contraction.  A sparse
-    tensor gets a fiber plan for this one call (see :func:`_fiber_plan`).
+    tensor gets a fiber plan for this one call (see :func:`_mode_plan`).
     Callers that repeat a mode keep the plan, or the dense mode-3 partial,
-    in a ``decompose._Workspace`` instead.
+    in a ``decompose._Workspace`` instead.  The two factors used must be
+    ``(d_n, k)`` for their modes' dims ``d_n`` and one ``k``; the factor of
+    ``mode`` itself is not read.
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    A, B, C = (np.asarray(f, dtype=np.float64) for f in factors)
-    if mode == 1:
-        p, q = B, C
-    elif mode == 2:
-        p, q = A, C
-    else:
-        p, q = A, B
+    used = [m for m in range(3) if m != mode - 1]
+    p, q = (np.asarray(factors[m], dtype=np.float64) for m in used)
+    k = p.shape[-1] if p.ndim else 0
+    need = [(tensor.dims[m], k) for m in used]
+    if [p.shape, q.shape] != need:
+        raise ValueError(
+            f"mode-{mode} factors {'ABC'[used[0]]}, {'ABC'[used[1]]} have shapes "
+            f"{p.shape}, {q.shape}; expected {need[0]}, {need[1]}"
+        )
     if isinstance(tensor, DenseTensor3):
         return _dense_mttkrp(tensor.array, mode, p, q)
-    return _fiber_mttkrp(_mode_plan(tensor, mode), p, q)
+    return _fiber_mttkrp(_mode_plan(tensor, mode, k), p, q)
 
 
 def _mode3_partial(arr, q):
@@ -531,64 +536,56 @@ def _dense_mttkrp(arr, mode, p, q, partial=None):
     return np.einsum("ijr,jr->ir" if mode == 1 else "ijr,ir->jr", partial, p)
 
 
-class _FiberPlan(NamedTuple):
-    """Sparse MTTKRP ``out[o] = sum_(p, q) T[o, p, q] P[p] * Q[q]`` by fibers.
+def _mode_order(tensor, mode):
+    """The stable order of a sparse tensor's nonzeros by their mode-``mode`` index.
 
-    A fiber is the run of nonzeros sharing one (o, p) pair.  ``fibers`` holds
-    one CSR row per fiber over the q index, ``fiber_p`` each fiber's p, and
-    ``rows`` is the 0/1 CSR matrix (output rows x fibers) that sums each
-    output row's fibers.
+    For mode 2 or 3 it turns the canonical (i, j, k) order into (j, i, k)
+    or (k, i, j) order.  The sort key is the index in the narrowest
+    unsigned type that holds it, because numpy radix-sorts 8- and 16-bit
+    keys; the order is the same as for the int64 key.
     """
-
-    fibers: scipy.sparse.csr_matrix
-    fiber_p: np.ndarray
-    rows: scipy.sparse.csr_matrix
+    key = tensor.indices[:, mode - 1].astype(np.min_scalar_type(tensor.dims[mode - 1] - 1))
+    return np.argsort(key, kind="stable")
 
 
-def _fiber_plan(out_idx, p_idx, q_idx, vals, out_dim, q_dim):
-    """Compress nonzeros already ordered by (out, p) into a :class:`_FiberPlan`."""
-    n = vals.size
-    new_fiber = np.ones(n, dtype=bool)
-    new_fiber[1:] = (out_idx[1:] != out_idx[:-1]) | (p_idx[1:] != p_idx[:-1])
-    starts = np.flatnonzero(new_fiber)
-    n_fibers = starts.size
-    fibers = scipy.sparse.csr_matrix(
-        (vals, q_idx, np.append(starts, n)), shape=(n_fibers, q_dim)
-    )
-    row_bounds = np.zeros(out_dim + 1, dtype=np.int64)
-    np.cumsum(np.bincount(out_idx[starts], minlength=out_dim), out=row_bounds[1:])
-    rows = scipy.sparse.csr_matrix(
-        (np.ones(n_fibers), np.arange(n_fibers), row_bounds), shape=(out_dim, n_fibers)
-    )
-    return _FiberPlan(fibers, p_idx[starts], rows)
+def _mode_fibers(tensor, mode):
+    """The fibers of a sparse tensor's mode-``mode`` MTTKRP, as its row blocks need them.
 
-
-def _mode_plan(tensor, mode):
-    """Fiber plan of a sparse tensor's mode-``mode`` MTTKRP.
-
-    Mode 1 fibers are (i, j) pairs and the canonical (i, j, k) order already
-    groups them.  For modes 2 and 3 a stable sort on the output index turns
-    that order into (j, i, k) or (k, i, j) order.  The sort key is the
-    output index in the narrowest unsigned type that holds it, because
-    numpy radix-sorts 8- and 16-bit keys; the order is the same.
+    A fiber is the run of nonzeros sharing one (output, p) index pair.
+    Returns ``(fiber_bounds, row_bounds, fiber_p, q_idx, vals)``: the q
+    indices and values in (output, p, q) order, fiber ``f`` holding entries
+    ``fiber_bounds[f]:fiber_bounds[f + 1]`` and output row ``r`` fibers
+    ``row_bounds[r]:row_bounds[r + 1]``, and each fiber's p index.  Mode 1
+    needs no sort: the canonical (i, j, k) order already groups its (i, j)
+    fibers.  The sorted output and p indices are freed on return.
     """
     idx, vals = tensor.indices, tensor.values
     other = [0, 1, 2]
     other.remove(mode - 1)
     out_idx, p_idx, q_idx = idx[:, mode - 1], idx[:, other[0]], idx[:, other[1]]
     if mode != 1:
-        key = out_idx.astype(np.min_scalar_type(tensor.dims[mode - 1] - 1))
-        order = np.argsort(key, kind="stable")
+        order = _mode_order(tensor, mode)
         out_idx, p_idx, q_idx, vals = out_idx[order], p_idx[order], q_idx[order], vals[order]
-    return _fiber_plan(out_idx, p_idx, q_idx, vals, tensor.dims[mode - 1], tensor.dims[other[1]])
+    n = vals.size
+    new_fiber = np.ones(n, dtype=bool)
+    new_fiber[1:] = (out_idx[1:] != out_idx[:-1]) | (p_idx[1:] != p_idx[:-1])
+    starts = np.flatnonzero(new_fiber)
+    out_dim = tensor.dims[mode - 1]
+    row_bounds = np.zeros(out_dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(out_idx[starts], minlength=out_dim), out=row_bounds[1:])
+    return np.append(starts, n), row_bounds, p_idx[starts], q_idx, vals
 
 
-class _BlockedPlan(NamedTuple):
-    """A fiber plan held as its row blocks (see :func:`_row_blocks`) for
-    one block budget, in place of its whole CSR matrices.
+class _ModePlan(NamedTuple):
+    """Sparse MTTKRP ``out[o] = sum_(p, q) T[o, p, q] P[p] * Q[q]`` by fibers, in row blocks.
 
-    ``decompose._Workspace`` keeps one per mode, so that the blocks' CSR
-    matrices are built once per run, not on every MTTKRP.
+    ``blocks`` holds one ``(r0, r1, fibers, sums, fiber_p)`` per run of
+    whole output rows ``r0:r1``: their fibers as CSR rows over the q index,
+    the 0/1 CSR matrix that sums each row's fibers, and each fiber's p.
+    ``budget`` is the block budget in fibers the plan was cut for (see
+    :func:`_block_budget`).  ``decompose._Workspace`` keeps one per mode,
+    so that the blocks' CSR matrices are built once per run, not on every
+    MTTKRP.
     """
 
     n_rows: int
@@ -601,75 +598,56 @@ def _block_budget(k):
     return max(1, _BLOCK_FLOATS // max(1, k))
 
 
-def _blocked_plan(tensor, mode, k):
-    """The :class:`_BlockedPlan` of a sparse tensor's mode-``mode`` MTTKRP at rank ``k``."""
-    plan = _mode_plan(tensor, mode)
+def _mode_plan(tensor, mode, k):
+    """The :class:`_ModePlan` of a sparse tensor's mode-``mode`` MTTKRP at rank ``k``.
+
+    Each block holds as many whole output rows as fit in
+    ``_block_budget(k)`` fibers, and at least one row, so a plan within
+    budget is one block.  The blocks' CSR matrices are cut straight from
+    the sorted q indices and values of :func:`_mode_fibers`.  scipy copies
+    a slice smaller than half of its base array, so blocks of a plan cut
+    many ways hold the sorted arrays about once and a one-block plan
+    shares them (mode 1 shares the tensor's values).
+    """
+    fiber_bounds, row_bounds, fiber_p, q_idx, vals = _mode_fibers(tensor, mode)
+    n_rows = row_bounds.size - 1
+    q_dim = tensor.dims[1 if mode == 3 else 2]
     budget = _block_budget(k)
-    return _BlockedPlan(plan.rows.shape[0], budget, tuple(_row_blocks(plan, budget)))
+    blocks = []
+    r0 = 0
+    while r0 < n_rows:
+        f0 = int(row_bounds[r0])
+        r1 = int(np.searchsorted(row_bounds, f0 + budget, side="right")) - 1
+        r1 = min(max(r1, r0 + 1), n_rows)
+        f1 = int(row_bounds[r1])
+        lo, hi = fiber_bounds[f0], fiber_bounds[f1]
+        fibers = scipy.sparse.csr_matrix(
+            (vals[lo:hi], q_idx[lo:hi], fiber_bounds[f0 : f1 + 1] - lo), shape=(f1 - f0, q_dim)
+        )
+        sums = scipy.sparse.csr_matrix(
+            (np.ones(f1 - f0), np.arange(f1 - f0), row_bounds[r0 : r1 + 1] - f0),
+            shape=(r1 - r0, f1 - f0),
+        )
+        blocks.append((r0, r1, fibers, sums, fiber_p[f0:f1]))
+        r0 = r1
+    return _ModePlan(n_rows, budget, tuple(blocks))
 
 
 def _fiber_mttkrp(plan, p, q):
-    """Apply a fiber plan: ``Y = fibers @ Q``, scale each fiber by its P row,
-    then sum each output row's fibers.  Rows without nonzeros come out zero.
+    """Apply a :class:`_ModePlan`: in each row block ``Y = fibers @ Q``, scale
+    each fiber by its P row, then sum each output row's fibers.  Rows
+    without nonzeros come out zero.
 
-    Works in blocks of whole output rows (see :func:`_row_blocks`), so that
-    every temporary holds at most ``_BLOCK_FLOATS`` floats, or one output
-    row's fibers times ``k`` when a single row has more, and stays in cache.
-    A :class:`_FiberPlan` is cut into blocks on the fly; a
-    :class:`_BlockedPlan` brings its own.  Each output row still sums its
-    own fibers in the same order, so the blocks change no bit of the result.
+    Every temporary holds one block's fibers times ``k``.  Each output row
+    sums its own fibers in the same order whatever the blocks, so the
+    blocks change no bit of the result.
     """
-    k = p.shape[1]
-    if isinstance(plan, _BlockedPlan):
-        n_rows, blocks = plan.n_rows, plan.blocks
-    else:
-        n_rows, blocks = plan.rows.shape[0], _row_blocks(plan, _block_budget(k))
-    out = np.empty((n_rows, k))
-    for r0, r1, fibers, sums, fiber_p in blocks:
+    out = np.empty((plan.n_rows, p.shape[1]))
+    for r0, r1, fibers, sums, fiber_p in plan.blocks:
         y = fibers @ q
         y *= np.take(p, fiber_p, axis=0)
         out[r0:r1] = sums @ y
     return out
-
-
-def _row_blocks(plan, per_block):
-    """Split a fiber plan into runs of whole output rows.
-
-    Yields ``(r0, r1, fibers, sums, fiber_p)``: output rows ``r0:r1``, their
-    fibers as CSR rows, the 0/1 CSR matrix that sums them per output row,
-    and each fiber's p.  Each run holds as many rows as fit in
-    ``per_block`` fibers, and at least one row.  A plan that fits whole is
-    yielded as it is, which spares small tensors and rank-1 updates the cost
-    of building block matrices.  Otherwise the block matrices hold copies
-    of their slices of the plan's CSR arrays (scipy would copy only the
-    smaller slices and keep the plan alive under the others), so blocks
-    kept together hold the plan's matrices once, not beside them.
-    """
-    fibers, rows = plan.fibers, plan.rows
-    n_rows, n_fibers = rows.shape
-    if n_fibers <= per_block:
-        yield 0, n_rows, fibers, rows, plan.fiber_p
-        return
-    bounds = rows.indptr
-    r0 = 0
-    while r0 < n_rows:
-        f0 = int(bounds[r0])
-        r1 = int(np.searchsorted(bounds, f0 + per_block, side="right")) - 1
-        r1 = min(max(r1, r0 + 1), n_rows)
-        f1 = int(bounds[r1])
-        # CSR matrices over slices of the plan's arrays; the column indices
-        # of ``rows`` count 0, 1, 2, ..., so its first f1 - f0 serve.
-        lo, hi = fibers.indptr[f0], fibers.indptr[f1]
-        block = scipy.sparse.csr_matrix(
-            (fibers.data[lo:hi].copy(), fibers.indices[lo:hi].copy(), fibers.indptr[f0 : f1 + 1] - lo),
-            shape=(f1 - f0, fibers.shape[1]),
-        )
-        sums = scipy.sparse.csr_matrix(
-            (rows.data[f0:f1].copy(), rows.indices[: f1 - f0].copy(), bounds[r0 : r1 + 1] - f0),
-            shape=(r1 - r0, f1 - f0),
-        )
-        yield r0, r1, block, sums, plan.fiber_p[f0:f1]
-        r0 = r1
 
 
 def cp_reconstruct(model):

@@ -133,6 +133,30 @@ class TestBenchCommands:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("suite", ["recovery", "residual"])
+    @pytest.mark.parametrize(
+        "flag,env", [("-4", None), ("0", None), ("abc", None), (None, "abc"), (None, "-2"), (None, "0")]
+    )
+    def test_rejects_bad_thread_count(self, tmp_path, monkeypatch, capsys, suite, flag, env):
+        """A malformed or non-positive ``--threads`` or ``TENFACT_THREADS`` exits 1
+        and writes no output."""
+        monkeypatch.delenv("TENFACT_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("TENFACT_THREADS", env)
+        out = tmp_path / "x.csv"
+        argv = ["bench", suite, "--d", "6", "--k", "2", "--trials", "1", "--algos", "als",
+                "--seed", "3", "--iters", "2", "--out", str(out)]
+        if flag is not None:
+            argv += ["--threads", flag]
+        assert main(argv) == 1
+        assert "TENFACT_THREADS take a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_flag_overrides_environment(self, monkeypatch):
+        monkeypatch.setenv("TENFACT_THREADS", "abc")
+        argv = ["bench", "residual", "--d", "6", "--k", "2", "--seed", "3", "--out", "x.csv"]
+        assert _build_parser().parse_args(argv + ["--threads", "2"]).threads == 2
+
     def test_byte_identical_reruns_modulo_walltime(self, tmp_path):
         args = [
             "bench", "recovery", "--d", "8", "--k", "2", "--ratios", "1,10",

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import defaultdict
 
@@ -24,8 +25,8 @@ from tenfact.tensors import (
     residual_ratio,
     _DENSE_MAX_ENTRIES,
     _DENSE_MIN_DENSITY,
-    _fiber_plan,
     _mode3_partial,
+    _mode_order,
     _mode_plan,
     _working_form,
 )
@@ -527,6 +528,23 @@ class TestMttkrpIdentity:
             factors = tuple(rng.standard_normal((d, 3)) for d in dims)
             assert_sparse_kernels_match_dense(tensor, factors, check_ls=True, case=case)
 
+    @pytest.mark.parametrize("fmt", ["dense", "sparse"])
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    @pytest.mark.parametrize("used", [0, 1])
+    @pytest.mark.parametrize("change", ["too_long", "too_short", "other_k"])
+    def test_mttkrp_rejects_factor_shape(self, rng, fmt, mode, used, change):
+        """Either factor the mode uses, with a row too many or too few or another k."""
+        dims = (4, 5, 6)
+        tensor = random_sparse(rng, dims, 40)
+        if fmt == "dense":
+            tensor = tensor.to_dense()
+        factors = [rng.standard_normal((d, 2)) for d in dims]
+        m = [n for n in range(3) if n != mode - 1][used]
+        rows, k = {"too_long": (dims[m] + 1, 2), "too_short": (dims[m] - 1, 2), "other_k": (dims[m], 3)}[change]
+        factors[m] = rng.standard_normal((rows, k))
+        with pytest.raises(ValueError, match="shapes"):
+            mttkrp(tensor, factors, mode)
+
     @pytest.mark.parametrize("case", ["random", "zero"])
     def test_dense_mttkrp_matches_matricized_product(self, rng, case):
         dims = (4, 7, 5)
@@ -616,7 +634,39 @@ class TestMttkrpIdentity:
         factors = tuple(rng.standard_normal((d, rank)) for d in dims)
         assert_blocks_match_one_block(tensor, factors, budget)
 
-    def test_mode_plan_narrow_sort_key_matches_int64_argsort(self, rng):
+    @pytest.mark.parametrize("budget", [1, 2, 5, 12])
+    def test_mode_plan_cuts_whole_rows_within_budget(self, rng, budget):
+        """Blocks tile the output rows, each as many whole rows as fit in the
+        budget (one row if that row alone has more fibers)."""
+        dims = (6, 7, 5)
+        cases = {
+            "random": random_sparse(rng, dims, 60),
+            "long_row": SparseTensor3.from_entries(
+                dims, [(0, j, j % 5, 1.0 + j) for j in range(7)] + [(3, 2, 4, -2.0)]
+            ),
+        }
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensors, "_BLOCK_FLOATS", budget)
+            for (case, tensor), mode, rank in itertools.product(cases.items(), (1, 2, 3), (1, 3)):
+                label = f"{case} mode {mode} k={rank}"
+                plan = _mode_plan(tensor, mode, rank)
+                assert (plan.n_rows, plan.budget) == (dims[mode - 1], max(1, budget // rank)), label
+                fiber_rows = np.unique(np.delete(tensor.indices, 1 if mode == 3 else 2, axis=1), axis=0)
+                row_fibers = np.bincount(fiber_rows[:, 0 if mode == 1 else 1], minlength=plan.n_rows)
+                r = 0
+                for r0, r1, fibers, sums, fiber_p in plan.blocks:
+                    n_fibers = row_fibers[r0:r1].sum()
+                    assert r0 == r and r1 > r0, label
+                    assert fibers.shape[0] == sums.shape[1] == fiber_p.size == n_fibers, label
+                    assert sums.shape[0] == r1 - r0, label
+                    assert n_fibers <= plan.budget or r1 - r0 == 1, label
+                    if r1 < plan.n_rows:
+                        assert n_fibers + row_fibers[r1] > plan.budget, label
+                    r = r1
+                assert r == plan.n_rows, label
+                assert (len(plan.blocks) == 1) == (row_fibers.sum() <= plan.budget), label
+
+    def test_mode_order_narrow_sort_key_matches_int64_argsort(self, rng):
         """Mode 2 sorts on a uint32 key (d2 > 65535) and mode 3 on a uint8 key (d3 <= 255)."""
         dims = (3, 70_000, 200)
         n = 2000
@@ -626,18 +676,15 @@ class TestMttkrpIdentity:
         ])
         tensor = SparseTensor3(dims, idx, rng.standard_normal(n))
         for mode in (1, 2, 3):
-            got = _mode_plan(tensor, mode)
-            other = [m for m in range(3) if m != mode - 1]
-            ix = tensor.indices
-            order = np.argsort(ix[:, mode - 1], kind="stable")
-            expect = _fiber_plan(
-                ix[order, mode - 1], ix[order, other[0]], ix[order, other[1]], tensor.values[order],
-                dims[mode - 1], dims[other[1]],
-            )
-            for name in ("data", "indices", "indptr"):
-                assert_same_bits(getattr(got.fibers, name), getattr(expect.fibers, name))
-                assert_same_bits(getattr(got.rows, name), getattr(expect.rows, name))
-            assert_same_bits(got.fiber_p, expect.fiber_p)
+            expect = np.argsort(tensor.indices[:, mode - 1].astype(np.int64), kind="stable")
+            # Mode 1 is not sorted: the canonical order already is its stable order.
+            got = _mode_order(tensor, mode) if mode != 1 else np.arange(tensor.nnz)
+            assert_same_bits(got, expect, f"mode {mode}")
+            # The plan's fibers hold the q indices and values in that order.
+            fibers = [block[2] for block in _mode_plan(tensor, mode, 1).blocks]
+            assert_same_bits(np.concatenate([f.data for f in fibers]), tensor.values[expect])
+            q_idx = tensor.indices[expect, 1 if mode == 3 else 2]
+            assert np.array_equal(np.concatenate([f.indices for f in fibers]), q_idx), f"mode {mode}"
 
 
 def assert_matches_coo_oracle(s, idx, vals):
