@@ -63,7 +63,7 @@ from .tensors import (
     contract_mode3,
     _block_budget,
     _dense_mttkrp,
-    _dense_residual_norm,
+    _exact_residual,
     _gram_residual_norm,
     _residual_norm,
     _fiber_mttkrp,
@@ -165,9 +165,9 @@ class DecompResult:
 
     ``residual_trace`` holds the per-iteration relative residual
     ``||T - X|| / ||T||`` as the stop rule read it: from the Gram identity,
-    and for a dense tensor exactly once that reading is below 1e-5 (see
-    ``_Workspace.stop_ratio``).  It is present iff the config asked for it,
-    and its length equals ``iterations_used``.
+    and exactly below 1e-5 for a tensor of at most 4M entries in either
+    format (see ``_Workspace.stop_ratio``).  It is present iff the config
+    asked for it, and its length equals ``iterations_used``.
     ``factor_convergence_steps[r]`` is the first iteration after which
     column r stopped moving (-1 if it was still moving at termination);
     recorded only alongside the trace.
@@ -211,8 +211,7 @@ class _Workspace:
     J. Sci. Comput. 2007): the mode-1 MTTKRP is ``T``'s minus
     ``A diag(w) ((B^T p) * (C^T q))`` and cyclically, the mode-3 projection
     is ``T``'s minus ``A diag(w * C^T v) B^T``, each O(d k r) on top of
-    ``T``'s own, and ``tnorm`` is ``||T - M||`` (``tensors._residual_norm``:
-    exact for a dense ``T``, from the Gram identity for a sparse one).
+    ``T``'s own, and ``tnorm`` is ``||T - M||`` (``tensors._residual_norm``).
 
     A tensor that stays sparse keeps each mode's fiber plan, cut into row
     blocks for the rank (``tensors._mode_plan``), built on the mode's first
@@ -228,11 +227,11 @@ class _Workspace:
 
     The exact residual (``explicit_ratio``) writes the model in the
     tensor's row-major ``(d1, d2*d3)`` layout into one buffer and subtracts
-    the tensor in place (``tensors._dense_residual_norm``); against ``T - M``
-    the model written is the fit and ``M`` side by side, ``[w, w_M]`` over
-    the concatenated factors.  The buffer is allocated on the run's first
-    exact residual and reused by every later one, so a converging fit
-    allocates no tensor-sized temporaries per sweep.
+    the tensor in place (``tensors._residual_norm``); against ``T - M`` the
+    model written is the fit and ``M`` side by side, ``[w, w_M]`` over the
+    concatenated factors.  The buffer is allocated on the run's first exact
+    residual and reused by every later one, so a converging fit allocates
+    no tensor-sized temporaries per sweep.
     """
 
     def __init__(self, tensor):
@@ -242,7 +241,10 @@ class _Workspace:
         self.tensor = tensor = _working_form(tensor)
         self.model = model
         self.dims = tensor.dims
-        self.tnorm = _residual_norm(tensor, model)
+        if model is None:
+            self.tnorm = tensor.norm()
+        else:
+            self.tnorm = _residual_norm(tensor, model.weights, *model.factors)
         self.dense = isinstance(tensor, DenseTensor3)
         self._modes = [None, None, None]
         self._partial = self._partial_q = None
@@ -288,25 +290,25 @@ class _Workspace:
 
         It is read from the Gram identity (``tensors._gram_residual_norm``)
         with ``inner = <T, X>`` and ``model_sq = ||X||^2``, which the sweep
-        has at hand.  For a dense tensor, once that reading falls below
-        ``_EXPLICIT_REFINE_LEVEL``, where the identity cancels, it is the
-        exact residual (``explicit_ratio``), one more GEMM per sweep.
+        has at hand.  Once that reading falls below ``_EXPLICIT_REFINE_LEVEL``,
+        where the identity cancels, it is the exact residual
+        (``explicit_ratio``), one more GEMM per sweep, for every tensor that
+        has one (``tensors._exact_residual``).
         """
         ratio = _relative(_gram_residual_norm(self.tnorm**2, inner, model_sq), self.tnorm)
-        if self.dense and ratio < _EXPLICIT_REFINE_LEVEL:
+        if ratio < _EXPLICIT_REFINE_LEVEL and _exact_residual(self.tensor):
             return self.explicit_ratio(w, a, b, c)
         return ratio
 
     def explicit_ratio(self, w, a, b, c):
-        """The exact relative residual of ``[[w; a, b, c]]``, for a dense tensor."""
-        if self._residual is None:
+        """The relative residual of ``[[w; a, b, c]]`` (``tensors._residual_norm``)."""
+        if self._residual is None and _exact_residual(self.tensor):
             d1, d2, d3 = self.dims
             self._residual = np.empty((d1, d2 * d3))
         if self.model is not None:
             pairs = zip((w, a, b, c), (self.model.weights, *self.model.factors))
             w, a, b, c = (np.concatenate(x, axis=-1) for x in pairs)
-        rnorm = _dense_residual_norm(self.tensor.array, w, a, b, c, out=self._residual)
-        return _relative(rnorm, self.tnorm)
+        return _relative(_residual_norm(self.tensor, w, a, b, c, out=self._residual), self.tnorm)
 
 
 def _random_unit_columns(rng, d, k):
@@ -595,17 +597,10 @@ def tpm_multi(
     order = [i for i in np.argsort(-np.abs(weights), kind="stable") if alive[i]]
     rep_idx = []
     for i in order:
-        joined = False
         for j in rep_idx:
-            corr = min(
-                abs(float(xs[:, i] @ xs[:, j])),
-                abs(float(ys[:, i] @ ys[:, j])),
-                abs(float(zs[:, i] @ zs[:, j])),
-            )
-            if corr >= cluster_threshold:
-                joined = True
+            if min(abs(float(f[:, i] @ f[:, j])) for f in (xs, ys, zs)) >= cluster_threshold:
                 break
-        if not joined:
+        else:
             rep_idx.append(i)
     if len(rep_idx) < rank:
         logger.warning(
@@ -619,13 +614,8 @@ def tpm_multi(
 
 
 def _draw_tpm_init(ws, rng, init):
-    d1, d2, d3 = ws.dims
     if init == "random":
-        return (
-            _random_unit_columns(rng, d1, 1)[:, 0],
-            _random_unit_columns(rng, d2, 1)[:, 0],
-            _random_unit_columns(rng, d3, 1)[:, 0],
-        )
+        return tuple(_random_unit_columns(rng, d, 1)[:, 0] for d in ws.dims)
     if init != "svd":
         raise ValueError(f"unknown TPM init {init!r}")
     u, _, v = _projection_svd(ws, rng, 1)
@@ -633,7 +623,7 @@ def _draw_tpm_init(ws, rng, init):
     z0 = _rank1_update(ws, 3, x0, y0)
     n = np.linalg.norm(z0)
     if n == 0.0:
-        z0 = _random_unit_columns(rng, d3, 1)[:, 0]
+        z0 = _random_unit_columns(rng, ws.dims[2], 1)[:, 0]
     else:
         z0 = z0 / n
     return x0, y0, z0

@@ -2,6 +2,7 @@
 
 ``.coo``: first line ``d1 d2 d3 nnz``, then nnz lines ``i j k value``
 (0-based indices, whitespace separated, decimal or scientific values).
+Only blank lines may follow the entries.
 
 ``.cpm``: line 1 ``d1 d2 d3 k``; line 2 the k weights; then d1 rows of the
 mode-1 factor, d2 rows of the mode-2 factor, d3 rows of the mode-3 factor,
@@ -87,6 +88,8 @@ def _parse_coo_chunks(path):
             chunk = slice(lo, lo + lines)
             idx[chunk, 0], idx[chunk, 1], idx[chunk, 2] = rows["i"], rows["j"], rows["k"]
             vals[chunk] = rows["value"]
+        if any(line.strip() for line in fh):
+            raise ValueError("text after the entry lines")
     return (d1, d2, d3), idx, vals
 
 
@@ -105,6 +108,9 @@ def _parse_coo_lines(path):
                 raise ValueError(f"{path}: entry line {n + 1} must be 'i j k value'")
             idx[n] = (int(parts[0]), int(parts[1]), int(parts[2]))
             vals[n] = float(parts[3])
+        for line_no, line in enumerate(fh, start=nnz + 2):
+            if line.strip():
+                raise ValueError(f"{path}: line {line_no}: text after the header's {nnz} entries")
     return (d1, d2, d3), idx, vals
 
 

@@ -217,17 +217,21 @@ class SparseTensor3:
 def _checked_indices(indices, dims):
     """Entry indices as an ``(n, 3)`` int64 array, each within ``dims``.
 
-    Input of a non-integer dtype must hold integral values, so that a float
-    index is never silently truncated.  Integer input is not checked for
-    that, so the large index arrays the package builds itself cost no extra
-    pass.
+    Any other shape but an empty one raises.  Input of a non-integer dtype
+    must hold integral values, so that a float index is never silently
+    truncated.  Integer input is not checked for that, so the large index
+    arrays the package builds itself cost no extra pass.
     """
     idx = np.asarray(indices)
+    if idx.size == 0:
+        idx = idx.reshape(0, 3)
+    elif idx.ndim != 2 or idx.shape[1] != 3:
+        raise ValueError(f"entry indices must be an (n, 3) array, got shape {idx.shape}")
     if idx.dtype.kind not in "iu":
         idx = idx.astype(np.float64)
         if not (np.isfinite(idx) & (idx == np.trunc(idx))).all():
             raise ValueError("entry indices must be integers")
-    idx = idx.astype(np.int64, copy=False).reshape(-1, 3)
+    idx = idx.astype(np.int64, copy=False)
     # One 1-D pass per column: a strided axis-0 reduction over the (n, 3)
     # array took about 6 times as long on 760k entries.
     if idx.size and any(col.min() < 0 or col.max() >= dim for col, dim in zip(idx.T, dims)):
@@ -450,8 +454,6 @@ def contract3(tensor, a, b, c):
     if isinstance(tensor, DenseTensor3):
         return float(np.einsum("ijk,i,j,k->", tensor.array, a, b, c, optimize=True))
     idx, vals = tensor.indices, tensor.values
-    if vals.size == 0:
-        return 0.0
     return float(np.sum(vals * a[idx[:, 0]] * b[idx[:, 1]] * c[idx[:, 2]]))
 
 
@@ -659,8 +661,8 @@ def _dense_model(w, a, b, c, out=None):
     """The model in the row-major ``(d1, d2*d3)`` layout, ``(A diag(w)) khatri_rao(B, C)^T``.
 
     One GEMM, written into ``out`` when given.  :func:`cp_reconstruct` and
-    the dense residual both form the model here, so a tensor reconstructed
-    from a model has residual exactly 0.0 against it.
+    the exact residual (:func:`_residual_norm`) both form the model here, so
+    a tensor reconstructed from a model has residual exactly 0.0 against it.
     """
     return np.matmul(a * w, khatri_rao(b, c).T, out=out)
 
@@ -670,14 +672,13 @@ def residual_ratio(tensor, model):
 
     A zero tensor yields 0.0 when the model also reconstructs zero and
     ``math.inf`` otherwise, so callers can branch deterministically.  A
-    sparse tensor that :func:`_working_form` densifies gets the dense
-    residual, with the bits of its dense copy; a sparser one gets the Gram
-    identity (see :func:`_residual_norm`).
+    sparse tensor that :func:`_working_form` densifies has the bits of its
+    dense copy.  The residual is :func:`_residual_norm`'s.
     """
     if tensor.dims != model.dims:
         raise ValueError(f"tensor dims {tensor.dims} != model dims {model.dims}")
     tensor = _working_form(tensor)
-    return _relative(_residual_norm(tensor, model), tensor.norm())
+    return _relative(_residual_norm(tensor, model.weights, *model.factors), tensor.norm())
 
 
 def _relative(rnorm, tnorm):
@@ -687,20 +688,10 @@ def _relative(rnorm, tnorm):
     return rnorm / tnorm
 
 
-def _dense_residual_norm(arr, w, a, b, c, out=None):
-    """``||T - T_hat||_F`` for a dense array, by one GEMM into ``out``.
-
-    The model (:func:`_dense_model`) is written into ``out`` (a fresh
-    array when not given), the tensor is subtracted in place, and the norm
-    is ``sqrt(v @ v)`` over the raveled buffer.  That is how
-    ``np.linalg.norm`` computes a Frobenius norm, so the value has the bits
-    of ``np.linalg.norm(arr.reshape(d1, -1) - recon)``.
-    """
-    d1, d2, d3 = arr.shape
-    out = _dense_model(w, a, b, c, out)
-    out -= arr.reshape(d1, d2 * d3)
-    v = out.reshape(-1)
-    return math.sqrt(v @ v)
+def _exact_residual(tensor):
+    """Whether :func:`_residual_norm` is exact for ``tensor``: a dense one, or
+    any of at most ``_DENSE_MAX_ENTRIES`` entries, the size of a dense copy."""
+    return isinstance(tensor, DenseTensor3) or math.prod(tensor.dims) <= _DENSE_MAX_ENTRIES
 
 
 def _gram_residual_norm(t_sq, inner, model_sq):
@@ -714,24 +705,31 @@ def _gram_residual_norm(t_sq, inner, model_sq):
     return math.sqrt(max(t_sq - 2.0 * inner + model_sq, 0.0))
 
 
-def _residual_norm(tensor, model):
-    """``||T - M||_F`` of a tensor in its working form and a CP model, or of
-    the tensor alone when ``model`` is None.
+def _residual_norm(tensor, w, a, b, c, out=None):
+    """``||T - M||_F`` of a tensor and the CP model ``M = [[w; a, b, c]]``.
 
-    A dense tensor gets the exact residual of :func:`_dense_residual_norm`.
-    A sparse one is never densified: it gets :func:`_gram_residual_norm`,
-    with the cross term ``sum_r w_r <A[:, r], mttkrp(T, (A, B, C), 1)[:, r]>``
-    from the mode-1 MTTKRP, whose fibers need no sort.
+    Where :func:`_exact_residual` holds, the model (:func:`_dense_model`) is
+    written into ``out``, or a fresh array, and the tensor subtracted in
+    place: a dense array whole, a sparse tensor's values at their flat
+    indices ``(i*d2 + j)*d3 + k``, unique in canonical COO.  Both have the
+    dense copy's bits, as ``x - 0.0 == x``, and ``sqrt(v @ v)`` over the
+    buffer has those of ``np.linalg.norm``.  Otherwise it is
+    :func:`_gram_residual_norm`, with ``<T, M>`` from the mode-1 MTTKRP,
+    whose fibers need no sort.
     """
-    if model is None:
-        return tensor.norm()
-    w, (a, b, c) = model.weights, model.factors
+    if not _exact_residual(tensor):
+        vals = tensor.values
+        inner = float(np.einsum("ir,ir->r", a, mttkrp(tensor, (a, b, c), 1)) @ w)
+        model_sq = float(w @ ((a.T @ a) * (b.T @ b) * (c.T @ c)) @ w)
+        return _gram_residual_norm(float(vals @ vals), inner, model_sq)
+    d1, d2, d3 = tensor.dims
+    v = _dense_model(w, a, b, c, out).reshape(-1)
     if isinstance(tensor, DenseTensor3):
-        return _dense_residual_norm(tensor.array, w, a, b, c)
-    vals = tensor.values
-    inner = float(np.einsum("ir,ir->r", a, mttkrp(tensor, model.factors, 1)) @ w)
-    model_sq = float(w @ ((a.T @ a) * (b.T @ b) * (c.T @ c)) @ w)
-    return _gram_residual_norm(float(vals @ vals), inner, model_sq)
+        v -= tensor.data
+    else:
+        i, j, k = tensor.indices.T
+        v[(i * d2 + j) * d3 + k] -= tensor.values
+    return math.sqrt(v @ v)
 
 
 def incoherence(factor, norm_tol=1e-9):

@@ -73,6 +73,16 @@ class TestDecomposeCommand:
     def test_usage_error_exit_1(self, tmp_path):
         assert main(["decompose", "--rank", "2"]) == 1
 
+    @pytest.mark.parametrize("command", ["decompose", "complete"])
+    def test_entry_lines_past_header_nnz_exit_1(self, tmp_path, capsys, command):
+        coo = tmp_path / "t.coo"
+        coo.write_text("2 2 2 2\n0 0 0 1.0\n1 1 1 2.0\n0 1 0 3.0\n\n")
+        out = tmp_path / "model.cpm"
+        code = main([command, "--input", str(coo), "--rank", "1", "--seed", "0", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {coo}: line 4: text after the header's 2 entries\n"
+        assert not out.exists()
+
     def test_simdiag_and_tpm(self, diag_coo, tmp_path):
         model, tensor, coo = diag_coo
         for algo, extra in (("simdiag", []), ("tpm", ["--inits", "60", "--iters", "30"])):

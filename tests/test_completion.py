@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,16 @@ class TestCompletionProblem:
             CompletionProblem(dims=(3, 3, 3), observed=obs, zero_entries=[[1.5, 2.9, 0]])
         prob = CompletionProblem(dims=(3, 3, 3), observed=obs, zero_entries=[[1.0, 2.0, 0.0]])
         assert prob.zero_entries.dtype == np.int64 and prob.zero_entries.tolist() == [[1, 2, 0]]
+
+    @pytest.mark.parametrize(
+        "zeros", [[[0, 1], [2, 3], [0, 1]], np.zeros((2, 4), dtype=np.int64)], ids=["3x2", "2x4"]
+    )
+    def test_rejects_zero_entries_not_n_by_3(self, zeros):
+        obs = SparseTensor3.from_entries((4, 4, 4), [(3, 3, 3, 1.0)])
+        with pytest.raises(ValueError, match=re.escape("(n, 3) array")):
+            CompletionProblem(dims=(4, 4, 4), observed=obs, zero_entries=zeros)
+        prob = CompletionProblem(dims=(4, 4, 4), observed=obs, zero_entries=[])
+        assert prob.zero_entries.shape == (0, 3)
 
     def test_zero_entries_tracked_separately(self, rng):
         t = cp_reconstruct(random_model(rng, (3, 3, 3), 1))

@@ -278,8 +278,8 @@ class TestExplicitResidual:
 
 class TestDeflatedWorkspace:
     """``_Workspace(_Deflated(T, M))`` against a workspace on the formed ``T - M``,
-    for a dense ``T`` and a sparse one that stays sparse; only the dense one
-    has an exact residual (``explicit_ratio``) to compare."""
+    for a dense ``T`` and a sparse one that stays sparse; both have an exact
+    residual (``explicit_ratio``) to compare."""
 
     @staticmethod
     def assert_close(got, expect):
@@ -307,9 +307,24 @@ class TestDeflatedWorkspace:
             self.assert_close(implicit.mttkrp(mode, p, q), formed.mttkrp(mode, p, q))
         v = rng.standard_normal(dims[2])
         self.assert_close(implicit.contract_mode3(v), formed.contract_mode3(v))
-        if implicit.dense:
-            got = implicit.explicit_ratio(fit.weights, *fit.factors)
-            self.assert_close(got, formed.explicit_ratio(fit.weights, *fit.factors))
+        got = implicit.explicit_ratio(fit.weights, *fit.factors)
+        self.assert_close(got, formed.explicit_ratio(fit.weights, *fit.factors))
+
+    @pytest.mark.parametrize("w3", [1e-3, 1e-5, 1e-7])
+    def test_sparse_tnorm_is_exact_near_cancellation(self, w3):
+        """Deflating a sparse rank-3 tensor by its two heavy components
+        leaves a residual of norm about ``w3``, which the Gram identity
+        ``||T||^2 - 2 <T, M> + ||M||^2`` would read with an error of order
+        ``eps / w3``; ``tnorm`` forms it exactly instead."""
+        base = sparse_factor_model(np.random.default_rng(40), (20, 20, 20), 3)
+        arr = cp_reconstruct(CpModel([2.0, 1.0, w3], *base.factors)).array
+        idx = np.argwhere(arr != 0.0)
+        t = SparseTensor3(arr.shape, idx, arr[tuple(idx.T)])
+        assert _working_form(t) is t
+        m = CpModel([2.0, 1.0], *(f[:, :2] for f in base.factors))
+        expect = np.linalg.norm(arr - cp_reconstruct(m).array)
+        got = _Workspace(_Deflated(t, m)).tnorm
+        assert abs(got - expect) <= 1e-12 * expect
 
 
 class TestTpmRun:
@@ -696,8 +711,9 @@ class TestDenseSparseEquivalenceLowDensity(TestDenseSparseEquivalence):
         rng = np.random.default_rng(seed)
         exact = cp_reconstruct(sparse_factor_model(rng, dims, k)).array
         # The stored entries carry 0.1% noise, so that no fit is exact: near
-        # an exact fit the sparse stop metric, the Gram identity, cancels to
-        # 0.0 and ends the sparse run sweeps before the dense one.
+        # an exact fit the relative-change stop rule reads roundoff, in which
+        # the fiber and GEMM kernels differ, and the two runs may stop a
+        # sweep apart.
         idx = np.argwhere(exact != 0.0)
         vals = exact[tuple(idx.T)] * (1.0 + 1e-3 * rng.standard_normal(len(idx)))
         sparse = SparseTensor3(dims, idx, vals)
@@ -719,3 +735,20 @@ class TestDenseSparseEquivalenceLowDensity(TestDenseSparseEquivalence):
                 np.testing.assert_allclose(g, e, rtol=0, atol=1e-6)
         else:
             self.assert_same_model(got.model, expect.model)
+
+
+class TestSparseExactFit:
+    """A sparse tensor that stays sparse reads the exact residual below
+    ``_EXPLICIT_REFINE_LEVEL``, as its dense copy does, so an exact fit is
+    not cut short by the Gram identity cancelling to 0.0."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_runs_like_its_dense_copy(self, seed):
+        exact = cp_reconstruct(sparse_factor_model(np.random.default_rng(seed), (20, 20, 20), 2))
+        idx = np.argwhere(exact.array != 0.0)
+        sparse = SparseTensor3(exact.dims, idx, exact.array[tuple(idx.T)])
+        assert _working_form(sparse) is sparse
+        cfg = DecompConfig(rank=2, max_iters=100, tol=1e-300, seed=0, record_trace=True)
+        got, expect = als_run(sparse, cfg), als_run(exact, cfg)
+        assert got.iterations_used == expect.iterations_used
+        assert got.residual_trace[-1] < 1e-13

@@ -18,6 +18,7 @@ from conftest import random_model, random_sparse
 
 
 ENTRY_LINE = "{path}: entry line %d must be 'i j k value'"
+EXTRA_LINE = "{path}: line %d: text after the header's %d entries"
 
 
 class TestCooFormat:
@@ -57,6 +58,14 @@ class TestCooFormat:
         with pytest.raises(ValueError):
             read_coo(path)
 
+    def test_entries_past_header_nnz_rejected(self, tmp_path):
+        path = tmp_path / "t.coo"
+        path.write_text("2 2 2 2\n0 0 0 1.0\n1 1 1 2.0\n0 1 0 3.0\n")
+        with pytest.raises(ValueError, match="line 4: text after the header's 2 entries"):
+            read_coo(path)
+        path.write_text("2 2 2 2\n0 0 0 1.0\n1 1 1 2.0\n\n \n")
+        assert read_coo(path).nnz == 2
+
     def test_byte_identical_rewrite(self, rng, tmp_path):
         s = random_sparse(rng, (4, 4, 4), 12)
         p1, p2 = tmp_path / "a.coo", tmp_path / "b.coo"
@@ -77,6 +86,9 @@ class TestCooFormat:
             pytest.param("2 2 2 2\n# note\n0 0 0 1.0\n1 1 1 2.0\n", ENTRY_LINE % 1, id="comment-line"),
             pytest.param("2 2 2 1\n0 0 0 1.0 # note\n", ENTRY_LINE % 1, id="trailing-comment"),
             pytest.param("2 2 2 3\n0 0 0 1.0\n1 1 1 2.0\n", ENTRY_LINE % 3, id="too-few-lines"),
+            pytest.param("2 2 2 1\n0 0 0 1.0\n1 1 1 2.0\n", EXTRA_LINE % (3, 1), id="too-many-lines"),
+            pytest.param("2 2 2 1\n0 0 0 1.0\n\nnot an entry", EXTRA_LINE % (4, 1), id="text-after-blank"),
+            pytest.param("2 2 2 0\n0 0 0 1.0\n", EXTRA_LINE % (2, 0), id="entries-past-zero"),
             # Accepted: the (i, j, k) rows and values, in file order.
             pytest.param("2 2 2 1\n+1 0 0 +2.5\n", ([[1, 0, 0]], [2.5]), id="plus-signs"),
             pytest.param("20 2 2 1\n1_0 0 0 1_0.5\n", ([[10, 0, 0]], [10.5]), id="underscores"),
@@ -86,9 +98,7 @@ class TestCooFormat:
             pytest.param(
                 "2 2 2 2\r\n1 1 1 2.0\r\n0 0 0 1.0\r\n", ([[1, 1, 1], [0, 0, 0]], [2.0, 1.0]), id="crlf"
             ),
-            pytest.param(
-                "2 2 2 1\n0 0 0 1.0\n1 1 1 2.0\nnot an entry\n", ([[0, 0, 0]], [1.0]), id="extra-lines"
-            ),
+            pytest.param("2 2 2 1\n0 0 0 1.0\n\n  \n\t\n", ([[0, 0, 0]], [1.0]), id="trailing-blank-lines"),
         ],
     )
     def test_reader_contract(self, tmp_path, body, expect):

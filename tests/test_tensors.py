@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -28,6 +29,7 @@ from tenfact.tensors import (
     _mode3_partial,
     _mode_order,
     _mode_plan,
+    _residual_norm,
     _working_form,
 )
 
@@ -193,6 +195,20 @@ class TestTensorTypes:
         # Integral floats are indices, as ``from_entries`` passes them.
         s = SparseTensor3((3, 3, 3), [[1.0, 2.0, 0.0]], [2.0])
         assert s.indices.dtype == np.int64 and s.indices.tolist() == [[1, 2, 0]]
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[[0, 1], [2, 3], [0, 1]], np.zeros((2, 4), dtype=np.int64), [0, 1, 2, 3, 0, 1], np.zeros((1, 2, 3))],
+        ids=["3x2", "2x4", "flat", "3-d"],
+    )
+    def test_sparse_rejects_indices_not_n_by_3(self, indices):
+        with pytest.raises(ValueError, match=re.escape("(n, 3) array")):
+            SparseTensor3((4, 4, 4), indices, [1.0, 2.0])
+
+    def test_sparse_accepts_empty_indices(self):
+        for empty in ([], np.empty(0), np.empty((0, 3), dtype=np.int64)):
+            s = SparseTensor3((2, 2, 2), empty, [])
+            assert s.nnz == 0 and s.indices.shape == (0, 3)
 
     def test_from_entries_rejects_non_integral_indices(self):
         with pytest.raises(ValueError, match="integers"):
@@ -426,12 +442,51 @@ class TestReconstructAndResidual:
             assert residual_ratio(t, empty) == 0.0
 
     def test_sparse_residual_agrees_with_dense(self, rng):
-        # The first tensor is densified; the second, 2% stored, keeps the
-        # sparse Gram identity.
+        # The first tensor is densified; the second, 2% stored, stays sparse
+        # and gets the exact residual of its stored entries.
         for dims, nnz in (((5, 5, 5), 30), ((20, 20, 20), 160)):
             s = random_sparse(rng, dims, nnz)
             m = random_model(rng, dims, 2)
             assert residual_ratio(s, m) == pytest.approx(residual_ratio(s.to_dense(), m), rel=1e-10)
+
+    def test_sparse_residual_has_dense_bits(self):
+        """A densified sparse tensor's ``residual_ratio``, and the residual
+        norm of one that stays sparse, have the bits of the dense copy's.
+
+        The ratio of one that stays sparse may not: the norm of its stored
+        values differs from the dense copy's in the last bit.
+        """
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            dims = tuple(int(d) for d in rng.integers(4, 13, 3))
+            m = random_model(rng, dims, 3)
+            size = math.prod(dims)
+            full = random_sparse(rng, dims, size // 2)
+            assert _working_form(full) is not full
+            assert residual_ratio(full, m) == residual_ratio(full.to_dense(), m)
+            thin = random_sparse(rng, dims, size // 40 + 1)
+            assert _working_form(thin) is thin
+            args = (m.weights, *m.factors)
+            assert _residual_norm(thin, *args) == _residual_norm(thin.to_dense(), *args)
+
+    def test_residual_above_size_cap_reads_gram_identity(self, rng, monkeypatch):
+        """Above ``_DENSE_MAX_ENTRIES`` a sparse tensor's residual is the Gram
+        identity's: close to the exact one away from an exact fit, and it
+        leaves the buffer it is given untouched."""
+        t = random_sparse(rng, (4, 5, 6), 12)
+        m = random_model(rng, t.dims, 2)
+        args = (m.weights, *m.factors)
+        exact = _residual_norm(t, *args)
+        monkeypatch.setattr(tensors, "_DENSE_MAX_ENTRIES", 119)
+        assert not tensors._exact_residual(t)
+        assert tensors._exact_residual(t.to_dense())
+        buf = np.zeros((4, 30))
+        got = _residual_norm(t, *args, out=buf)
+        assert got == pytest.approx(exact, rel=1e-12)
+        assert not buf.any()
+        monkeypatch.setattr(tensors, "_DENSE_MAX_ENTRIES", 120)
+        assert tensors._exact_residual(t)
+        assert _residual_norm(t, *args, out=buf) == exact
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sparse_copy_of_near_exact_fit_has_dense_residual(self, seed):
