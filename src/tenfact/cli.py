@@ -257,12 +257,18 @@ def _read_embeddings_tsv(path):
     words = []
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split("\t")
             if len(parts) < 2:
                 continue
+            if rows and len(parts) - 1 != len(rows[0]):
+                raise ValueError(
+                    f"{path}: line {line_no}: {len(parts) - 1} values, want {len(rows[0])}"
+                )
             words.append(parts[0])
             rows.append([float(x) for x in parts[1:]])
+    if not rows:
+        raise ValueError(f"{path}: no embedding rows")
     vectors = np.asarray(rows)
     valid = np.linalg.norm(vectors, axis=1) > 1e-12
     return EmbeddingMatrix(words=tuple(words), vectors=vectors, valid=valid)

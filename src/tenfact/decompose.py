@@ -582,8 +582,12 @@ def tpm_multi(
         raise ValueError(f"need at least rank={rank} initializations, got {n_inits}")
     ws = _Workspace(tensor)
     if inits is None:
+        cfg = DecompConfig(rank=1, init=init)
         streams = np.random.SeedSequence(seed).spawn(n_inits)
-        triples = [_draw_tpm_init(ws, np.random.default_rng(s), init) for s in streams]
+        triples = [
+            [f[:, 0] for f in _initial_factors(ws.dims, cfg, np.random.default_rng(s), ws)]
+            for s in streams
+        ]
     else:
         if len(inits) != n_inits:
             raise ValueError("explicit inits must match n_inits")
@@ -611,22 +615,6 @@ def tpm_multi(
     rep_idx = rep_idx[:rank]
     model = CpModel(weights[rep_idx], xs[:, rep_idx], ys[:, rep_idx], zs[:, rep_idx])
     return model.canonical()
-
-
-def _draw_tpm_init(ws, rng, init):
-    if init == "random":
-        return tuple(_random_unit_columns(rng, d, 1)[:, 0] for d in ws.dims)
-    if init != "svd":
-        raise ValueError(f"unknown TPM init {init!r}")
-    u, _, v = _projection_svd(ws, rng, 1)
-    x0, y0 = u[:, 0], v[:, 0]
-    z0 = _rank1_update(ws, 3, x0, y0)
-    n = np.linalg.norm(z0)
-    if n == 0.0:
-        z0 = _random_unit_columns(rng, ws.dims[2], 1)[:, 0]
-    else:
-        z0 = z0 / n
-    return x0, y0, z0
 
 
 def orth_tpm_run(tensor, rank, iters, seed=0):

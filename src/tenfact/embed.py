@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import logging
 import re
-import string
 from collections import Counter
 from dataclasses import dataclass
 
@@ -45,7 +44,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-_TOKEN_CHARS = string.ascii_letters + string.digits
 
 
 def tokenize(text):
@@ -76,48 +74,24 @@ class Vocab:
         return self.index[word]
 
 
-def _token_stream(corpus):
-    """Tokens from a file path or an iterable of text chunks.
-
-    Chunks are treated as a contiguous character stream: a token split across
-    a chunk boundary is reassembled, so chunking never changes the output.
-    """
-    if isinstance(corpus, str):
-        def chunks():
-            with open(corpus, "r", encoding="utf-8") as fh:
-                while True:
-                    block = fh.read(1 << 20)
-                    if not block:
-                        return
-                    yield block
-
-        source = chunks()
-    else:
-        source = iter(corpus)
-    tail = ""
-    for chunk in source:
-        text = tail + chunk
-        # Hold back a trailing token fragment; it may continue in the next chunk.
-        head = text.rstrip(_TOKEN_CHARS)
-        tail = text[len(head):]
-        yield from tokenize(head)
-    if tail:
-        yield from tokenize(tail)
-
-
 def build_trioccurrence(corpus, max_vocab, window):
     """Count word triples co-occurring within a sliding window.
 
-    ``corpus`` is a file path or an iterable of text chunks; two passes are
-    made (token ids are cached in memory).  The vocabulary keeps the
-    ``max_vocab`` most frequent words.  Every unordered triple of distinct
+    ``corpus`` is a file path or an iterable of text chunks, read as one
+    text (the chunks joined) and tokenized at once.  The vocabulary keeps
+    the ``max_vocab`` most frequent words.  Every unordered triple of distinct
     positions ``p1 < p2 < p3`` with ``p3 - p1 < window`` whose words are all
     in the vocabulary increments the count of its word triple, once per
     position triple.  The returned tensor is fully symmetrized.
     """
     if window < 3:
         raise ValueError(f"window must be >= 3, got {window}")
-    tokens = list(_token_stream(corpus))
+    if max_vocab < 1:
+        raise ValueError(f"max_vocab must be >= 1, got {max_vocab}")
+    if isinstance(corpus, str):
+        with open(corpus, "r", encoding="utf-8") as fh:
+            corpus = [fh.read()]
+    tokens = tokenize("".join(corpus))
     vocab = Vocab.from_counts(Counter(tokens), max_vocab)
     v = len(vocab)
     if v == 0:

@@ -6,7 +6,7 @@ Only blank lines may follow the entries.
 
 ``.cpm``: line 1 ``d1 d2 d3 k``; line 2 the k weights; then d1 rows of the
 mode-1 factor, d2 rows of the mode-2 factor, d3 rows of the mode-3 factor,
-k values per row.
+k values per row.  Only blank lines may follow the factor rows.
 
 Floats are written with ``repr`` (shortest round-trip), so identical data
 produces byte-identical files.
@@ -209,6 +209,9 @@ def read_cpm(path):
         a = read_factor(d1)
         b = read_factor(d2)
         c = read_factor(d3)
+        for line_no, line in enumerate(fh, start=d1 + d2 + d3 + 3):
+            if line.strip():
+                raise ValueError(f"{path}: line {line_no}: text after the factor rows")
     return CpModel(weights, a, b, c)
 
 

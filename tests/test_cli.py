@@ -325,6 +325,37 @@ class TestEmbedCommands:
         assert counts.nnz > 1000 and counts.values.max() > 9
         assert tri.read_bytes() == reference_coo_bytes(counts)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("alpha\t1.0\t0.0\nbeta\t0.0\t1.0\t2.0\n", "line 2: 3 values, want 2"),
+            ("\n\n", "no embedding rows"),
+            ("", "no embedding rows"),
+        ],
+        ids=["ragged", "blank", "empty"],
+    )
+    def test_eval_bad_embeddings_exit_1(self, tmp_path, capsys, text, message):
+        emb = tmp_path / "emb.tsv"
+        emb.write_text(text)
+        sim = tmp_path / "sim.tsv"
+        sim.write_text("alpha beta 1.0\n")
+        code = main(["embed", "eval", "--embeddings", str(emb), "--similarity", str(sim)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {emb}: {message}\n"
+
+    @pytest.mark.parametrize("vocab", ["0", "-2"])
+    def test_build_rejects_vocab_below_1(self, tmp_path, capsys, vocab):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a a a b b c d e f g\n")
+        out = tmp_path / "tri.coo"
+        code = main([
+            "embed", "build", "--corpus", str(corpus), "--vocab", vocab,
+            "--out", str(out), "--vocab-out", str(tmp_path / "vocab.txt"),
+        ])
+        assert code == 1
+        assert f"max_vocab must be >= 1, got {vocab}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_no_usable_pairs_exit_2(self, tmp_path):
         emb = tmp_path / "emb.tsv"
         emb.write_text("alpha\t1.0\t0.0\nbeta\t0.0\t1.0\n")

@@ -436,6 +436,11 @@ class TestTpmMulti:
         with pytest.raises(ValueError):
             tpm_multi(t, n_inits=1, iters=3, rank=2)
 
+    def test_unknown_init(self):
+        _, t = diagonal_tensor([1.0], 4)
+        with pytest.raises(InvalidConfigError, match="init"):
+            tpm_multi(t, n_inits=2, iters=3, rank=1, init="bogus")
+
 
 class TestOrthTpm:
     def test_diagonal_recovers_all(self):

@@ -127,6 +127,7 @@ class TestBuildTrioccurrence:
     )
     @example(text="abcdefgh ij", cuts=[2, 2, 5], window=3)  # an empty chunk, then one fragment
     @example(text="Ab1 cd, x12\nCD ab1", cuts=[0, 2, 2, 10, 13], window=4)  # "Ab|1", "x1|2", "C|D"
+    @example(text="ab\u212acd ef gh", cuts=[3], window=3)  # Kelvin sign: "ab\u212a" lowers to "abk"
     def test_chunking_property(self, text, cuts, window):
         """Cutting a text into chunks anywhere, even into empty chunks or
         chunks inside one token, builds the whole text's tensor."""
@@ -149,6 +150,11 @@ class TestBuildTrioccurrence:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             build_trioccurrence(["a b c"], max_vocab=3, window=2)
+
+    @pytest.mark.parametrize("max_vocab", [0, -2])
+    def test_max_vocab_validation(self, max_vocab):
+        with pytest.raises(ValueError, match="max_vocab"):
+            build_trioccurrence(["a a a b b c d e f g"], max_vocab=max_vocab, window=3)
 
 
 class TestExpandSymmetric:

@@ -247,6 +247,24 @@ class TestCpmFormat:
         assert len(lines[1].split()) == 2  # weights row
         assert len(lines[2].split()) == 2  # first factor row has k values
 
+    @pytest.mark.parametrize(
+        "tail, bad_line",
+        [("9 9\n", 9), ("not a row\n", 9), ("\n\n9 9\nnot a row\n", 11)],
+        ids=["numbers", "text", "after-blank-lines"],
+    )
+    def test_text_after_factor_rows(self, rng, tmp_path, tail, bad_line):
+        path = tmp_path / "m.cpm"
+        write_cpm(path, random_model(rng, (2, 2, 2), 1))
+        path.write_text(path.read_text() + tail)
+        with pytest.raises(ValueError, match=f"line {bad_line}: text after the factor rows"):
+            read_cpm(path)
+
+    def test_trailing_blank_lines(self, rng, tmp_path):
+        path = tmp_path / "m.cpm"
+        write_cpm(path, random_model(rng, (2, 2, 2), 1))
+        path.write_text(path.read_text() + "\n  \n\t\n")
+        assert read_cpm(path).dims == (2, 2, 2)
+
     def test_weight_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.cpm"
         path.write_text("2 2 2 2\n1.0\n1 0\n0 1\n1 0\n0 1\n1 0\n0 1\n")
