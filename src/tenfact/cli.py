@@ -258,9 +258,11 @@ def _read_embeddings_tsv(path):
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
             parts = line.rstrip("\n").split("\t")
             if len(parts) < 2:
-                continue
+                raise ValueError(f"{path}: line {line_no}: a word with no values")
             if rows and len(parts) - 1 != len(rows[0]):
                 raise ValueError(
                     f"{path}: line {line_no}: {len(parts) - 1} values, want {len(rows[0])}"

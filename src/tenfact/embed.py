@@ -81,8 +81,9 @@ def build_trioccurrence(corpus, max_vocab, window):
     text (the chunks joined) and tokenized at once.  The vocabulary keeps
     the ``max_vocab`` most frequent words.  Every unordered triple of distinct
     positions ``p1 < p2 < p3`` with ``p3 - p1 < window`` whose words are all
-    in the vocabulary increments the count of its word triple, once per
-    position triple.  The returned tensor is fully symmetrized.
+    in the vocabulary counts once.  It adds 1 to each distinct permutation
+    of its sorted word triple ``x <= y <= z``, so every permutation of a
+    word triple holds the same count and the tensor is fully symmetric.
     """
     if window < 3:
         raise ValueError(f"window must be >= 3, got {window}")
@@ -112,51 +113,20 @@ def build_trioccurrence(corpus, max_vocab, window):
             keep = (first >= 0) & (second >= 0) & (third >= 0)
             if not keep.any():
                 continue
-            triple = np.stack([first[keep], second[keep], third[keep]], axis=1)
-            triple.sort(axis=1)
-            code_chunks.append((triple[:, 0] * v + triple[:, 1]) * v + triple[:, 2])
+            x, y, z = np.sort(np.stack([first[keep], second[keep], third[keep]]), axis=0)
+            xy, yz = x != y, y != z
+            # Each permutation's mask drops it where it equals an earlier one.
+            for a, b, c, m in (
+                (x, y, z, None), (x, z, y, yz), (y, x, z, xy),
+                (y, z, x, xy), (z, x, y, yz), (z, y, x, xy & yz),
+            ):
+                code = (a * v + b) * v + c
+                code_chunks.append(code if m is None else code[m])
     if not code_chunks:
         return vocab, SparseTensor3.empty((v, v, v))
     codes, counts = np.unique(np.concatenate(code_chunks), return_counts=True)
-    i = codes // (v * v)
-    j = (codes // v) % v
-    k = codes % v
-    sorted_triples = np.stack([i, j, k], axis=1)
-    idx, vals = _expand_symmetric(sorted_triples, counts.astype(np.float64), v)
-    return vocab, SparseTensor3((v, v, v), idx, vals)
-
-
-def _expand_symmetric(sorted_triples, values, v):
-    """All distinct permutations of each sorted index triple, same value.
-
-    Each permutation ``(a, b, c)`` is packed into the code ``(a*v + b)*v +
-    c``, so sorted codes give (i, j, k) order.  Triples with repeated
-    indices produce coinciding permutations; those are deduplicated here
-    (keeping the value once) because the COO constructor would otherwise
-    sum them.  One in-place sort of the key ``code * n + row``, where row
-    is the permutation's source row among the ``n`` triples, orders the
-    codes and carries each one's row along, as ``key % n``; coinciding
-    codes come from one row, so keeping the first of each run keeps its
-    value.  Where ``v**3 * n`` would overflow int64, ``np.unique`` finds
-    the rows instead.
-    """
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    t = sorted_triples
-    n = len(values)
-    codes = np.concatenate([(t[:, a] * v + t[:, b]) * v + t[:, c] for a, b, c in perms])
-    if v**3 * n <= np.iinfo(np.int64).max:
-        codes *= n
-        codes += np.tile(np.arange(n), len(perms))
-        codes.sort()
-        codes, rows = np.divmod(codes, n)
-        first = np.ones(codes.size, dtype=bool)
-        first[1:] = codes[1:] != codes[:-1]
-        codes, rows = codes[first], rows[first]
-    else:
-        codes, rows = np.unique(codes, return_index=True)
-        rows %= n
     idx = np.column_stack([codes // (v * v), (codes // v) % v, codes % v])
-    return idx, values[rows]
+    return vocab, SparseTensor3((v, v, v), idx, counts.astype(np.float64))
 
 
 def scale_log1p(tensor):

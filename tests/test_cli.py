@@ -11,6 +11,7 @@ from tenfact.embed import build_trioccurrence
 from tenfact.fileio import read_cpm, write_coo
 from tenfact.overcomplete import _INNER_RUNNERS
 from tenfact.tensors import SparseTensor3, cp_reconstruct, residual_ratio
+from tenfact.textgen import zipf_corpus
 
 from conftest import diagonal_tensor, random_model
 from test_fileio import reference_coo_bytes
@@ -325,14 +326,57 @@ class TestEmbedCommands:
         assert counts.nnz > 1000 and counts.values.max() > 9
         assert tri.read_bytes() == reference_coo_bytes(counts)
 
+    def test_factorize_model_out_listed_in_manifest(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b c d a c b d a b d c a d b c\n")
+        tri, vocab = tmp_path / "tri.coo", tmp_path / "vocab.txt"
+        assert main([
+            "embed", "build", "--corpus", str(corpus), "--vocab", "4",
+            "--out", str(tri), "--vocab-out", str(vocab),
+        ]) == 0
+        emb, cpm = tmp_path / "emb.tsv", tmp_path / "model.cpm"
+        assert main([
+            "embed", "factorize", "--input", str(tri), "--vocab-file", str(vocab),
+            "--rank", "2", "--iters", "3", "--seed", "1", "--out", str(emb),
+            "--model-out", str(cpm),
+        ]) == 0
+        model = read_cpm(cpm)
+        assert model.dims == (4, 4, 4) and model.k == 2
+        manifest = json.loads((tmp_path / "emb.tsv.manifest.json").read_text())
+        assert manifest["outputs"] == [str(emb), str(cpm)]
+
+    def test_eval_similarity_prints_result(self, tmp_path, capsys):
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("alpha\t1.0\t0.0\nbeta\t0.8\t0.6\ngamma\t0.0\t1.0\n")
+        sim = tmp_path / "sim.tsv"
+        sim.write_text("alpha beta 3.0\nalpha gamma 1.0\nbeta gamma 2.0\nalpha zeta 1.0\n")
+        code = main(["embed", "eval", "--embeddings", str(emb), "--similarity", str(sim)])
+        assert code == 0
+        assert capsys.readouterr().out == "similarity: spearman 1.0000 (3 pairs, 1 skipped)\n"
+
+    def test_eval_needs_a_test_file(self, tmp_path, capsys):
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("alpha\t1.0\t0.0\n")
+        assert main(["embed", "eval", "--embeddings", str(emb)]) == 1
+        assert capsys.readouterr().err == "error: embed eval needs --similarity and/or --analogy\n"
+
+    def test_gen_corpus_desk_writes_zipf_corpus(self, tmp_path):
+        out = tmp_path / "desk.txt"
+        assert main([
+            "embed", "gen-corpus", "--kind", "desk", "--tokens", "2000", "--seed", "5",
+            "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == zipf_corpus(2000, seed=5).encode("utf-8")
+
     @pytest.mark.parametrize(
         "text, message",
         [
             ("alpha\t1.0\t0.0\nbeta\t0.0\t1.0\t2.0\n", "line 2: 3 values, want 2"),
             ("\n\n", "no embedding rows"),
             ("", "no embedding rows"),
+            ("alpha\nbeta\t0.0\t1.0\n", "line 1: a word with no values"),
         ],
-        ids=["ragged", "blank", "empty"],
+        ids=["ragged", "blank", "empty", "no-values"],
     )
     def test_eval_bad_embeddings_exit_1(self, tmp_path, capsys, text, message):
         emb = tmp_path / "emb.tsv"

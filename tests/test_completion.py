@@ -100,6 +100,26 @@ class TestRowSolver:
                 want = np.linalg.solve(gram, e.T @ vals[sel])
                 np.testing.assert_allclose(got[row], want, rtol=1e-12, atol=1e-12)
 
+    def test_singular_grams_fall_back_to_per_row_lstsq(self, rng):
+        """A zero column of ``p`` makes every Gram exactly singular, so the
+        batched solve raises and each row is solved by ``lstsq``."""
+        dims = (3, 4, 5)
+        idx = np.argwhere(rng.random(dims) < 0.6)
+        vals = rng.standard_normal(len(idx))
+        solver = _RowSolver(idx, vals, dims)
+        p, q, current = rng.standard_normal((4, 3)), rng.standard_normal((5, 3)), np.zeros((3, 3))
+        p[:, 1] = 0.0
+        got = solver.solve_mode(1, p, q, current, ridge=0.0)
+        assert np.isfinite(got).all()
+        for row in range(3):
+            sel = idx[:, 0] == row
+            e = p[idx[sel, 1]] * q[idx[sel, 2]]
+            gram, rhs = e.T @ e, vals[sel] @ e
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(gram, rhs)
+            want = np.linalg.lstsq(gram, rhs, rcond=1e-12)[0]
+            np.testing.assert_allclose(got[row], want, rtol=1e-12, atol=1e-12)
+
 
 class TestCompleteMasked:
     def test_full_observation_reduces_to_decomposition(self):

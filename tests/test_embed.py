@@ -16,7 +16,6 @@ from tenfact.embed import (
     extract_embeddings,
     scale_log1p,
     tokenize,
-    _expand_symmetric,
 )
 from tenfact.errors import UndefinedResultError
 from tenfact.fileio import read_coo, write_coo
@@ -41,16 +40,15 @@ def brute_force_counts(tokens, vocab, window):
     return counts
 
 
-def lexsort_expand_symmetric(sorted_triples, values):
-    """Reference: stack the six permutations, lexsort them, drop adjacent duplicates."""
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    idx = np.vstack([sorted_triples[:, perm] for perm in perms])
-    val = np.concatenate([values] * len(perms))
-    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
-    idx, val = idx[order], val[order]
-    keep = np.ones(idx.shape[0], dtype=bool)
-    keep[1:] = (idx[1:] != idx[:-1]).any(axis=1)
-    return idx[keep], val[keep]
+# Corpora named for the sorted word-id pattern, (i, i, i), (i, i, j),
+# (i, j, j) or (i, j, k), that their window triples are built around; where
+# words repeat, some permutations of a word triple coincide and count once.
+REPEAT_PATTERNS = {
+    "iii": "a a a b b b b c c c",
+    "iij": "a a b a a b b b c c d c c d",
+    "ijj": "a b b a c c b d d",
+    "ijk": "a b c d e a c e b d",
+}
 
 
 def logical_value(tensor, i, j, k):
@@ -87,8 +85,12 @@ class TestBuildTrioccurrence:
         assert len(vocab) == 0
         assert tensor.nnz == 0
 
-    def test_exhaustive_window_enumeration_oracle(self):
-        corpus = "the cat sat on the mat the cat ran off the mat"
+    @pytest.mark.parametrize(
+        "corpus",
+        ["the cat sat on the mat the cat ran off the mat", *REPEAT_PATTERNS.values()],
+        ids=["words", *REPEAT_PATTERNS],
+    )
+    def test_exhaustive_window_enumeration_oracle(self, corpus):
         for window in (3, 4, 5):
             vocab, tensor = build_trioccurrence([corpus], max_vocab=10, window=window)
             tokens = tokenize(corpus)
@@ -157,42 +159,17 @@ class TestBuildTrioccurrence:
             build_trioccurrence(["a a a b b c d e f g"], max_vocab=max_vocab, window=3)
 
 
-class TestExpandSymmetric:
-    @pytest.mark.parametrize("case", ["iii", "iij", "ijj", "ijk", "mixed", "empty"])
-    def test_matches_lexsort_reference(self, rng, case):
-        v = 6
-        triples = {
-            "iii": [[0, 0, 0], [3, 3, 3], [5, 5, 5]],
-            "iij": [[0, 0, 1], [2, 2, 5], [4, 4, 5]],
-            "ijj": [[0, 1, 1], [1, 5, 5], [3, 4, 4]],
-            "ijk": [[0, 1, 2], [0, 2, 5], [3, 4, 5]],
-            "mixed": sorted({tuple(sorted(t)) for t in rng.integers(0, v, (40, 3)).tolist()}),
-            "empty": np.empty((0, 3), dtype=np.int64),
-        }[case]
-        sorted_triples = np.array(triples, dtype=np.int64).reshape(-1, 3)
-        values = rng.integers(1, 9, sorted_triples.shape[0]).astype(np.float64)
-        idx, vals = _expand_symmetric(sorted_triples, values, v)
-        ref_idx, ref_vals = lexsort_expand_symmetric(sorted_triples, values)
-        for got, expect in ((idx, ref_idx), (vals, ref_vals)):
-            assert got.dtype == expect.dtype and got.shape == expect.shape
-            assert got.tobytes() == expect.tobytes()
-
-    def test_overflowing_packed_key_matches_lexsort_reference(self, rng):
-        """At v = 2**21, ``v**3 * n`` overflows int64 and the codes do not."""
-        v = 2**21
-        sorted_triples = np.sort(rng.integers(0, v, (30, 3)), axis=1)
-        sorted_triples[:3] = [[0, 0, 0], [5, 5, v - 1], [1, v - 1, v - 1]]
-        sorted_triples = np.unique(sorted_triples, axis=0)
-        values = rng.integers(1, 9, sorted_triples.shape[0]).astype(np.float64)
-        idx, vals = _expand_symmetric(sorted_triples, values, v)
-        ref_idx, ref_vals = lexsort_expand_symmetric(sorted_triples, values)
-        assert idx.tobytes() == ref_idx.tobytes() and vals.tobytes() == ref_vals.tobytes()
-
-
 class TestCountsOracle:
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            "the cat sat on the mat the cat ran off the mat and the dog sat on the cat",
+            *REPEAT_PATTERNS.values(),
+        ],
+        ids=["words", *REPEAT_PATTERNS],
+    )
     @pytest.mark.parametrize("window", [3, 4])
-    def test_build_and_coo_round_trip_match_dict_oracle(self, tmp_path, window):
-        corpus = "the cat sat on the mat the cat ran off the mat and the dog sat on the cat"
+    def test_build_and_coo_round_trip_match_dict_oracle(self, tmp_path, window, corpus):
         vocab, tensor = build_trioccurrence([corpus], max_vocab=7, window=window)
         expect = {}
         for key, count in brute_force_counts(tokenize(corpus), vocab, window).items():
