@@ -267,8 +267,11 @@ def _read_embeddings_tsv(path):
                 raise ValueError(
                     f"{path}: line {line_no}: {len(parts) - 1} values, want {len(rows[0])}"
                 )
+            try:
+                rows.append([float(x) for x in parts[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
             words.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
     if not rows:
         raise ValueError(f"{path}: no embedding rows")
     vectors = np.asarray(rows)
@@ -304,6 +307,8 @@ def cmd_embed_eval(args):
 
 def cmd_embed_gen_corpus(args):
     if args.kind == "desk":
+        if args.tokens < 1:
+            raise InvalidConfigError(f"--tokens must be at least 1, got {args.tokens}")
         text = zipf_corpus(n_tokens=args.tokens, seed=args.seed)
     else:
         text = planted_analogy_corpus(seed=args.seed)

@@ -130,7 +130,7 @@ class DenseTensor3:
         return self.array.size
 
     def norm(self):
-        return float(np.linalg.norm(self.array))
+        return math.sqrt(_sum_squares(self.data))
 
     def __repr__(self):
         return f"DenseTensor3(dims={self.dims})"
@@ -208,7 +208,7 @@ class SparseTensor3:
         return DenseTensor3(arr)
 
     def norm(self):
-        return float(np.linalg.norm(self.values))
+        return math.sqrt(_sum_squares(self.values))
 
     def __repr__(self):
         return f"SparseTensor3(dims={self.dims}, nnz={self.nnz})"
@@ -694,6 +694,16 @@ def _exact_residual(tensor):
     return isinstance(tensor, DenseTensor3) or math.prod(tensor.dims) <= _DENSE_MAX_ENTRIES
 
 
+def _sum_squares(v):
+    """``sum(v**2)`` of a flat float64 array, the same bits at any BLAS thread count.
+
+    A BLAS dot product (``v @ v``, ``np.linalg.norm``) splits a long vector
+    across its threads and adds the parts in an order that depends on their
+    number.  ``einsum`` sums in numpy's own loop instead.
+    """
+    return float(np.einsum("i,i->", v, v))
+
+
 def _gram_residual_norm(t_sq, inner, model_sq):
     """``||T - M||_F`` by the Gram identity ``||T||^2 - 2 <T, M> + ||M||^2``.
 
@@ -712,16 +722,15 @@ def _residual_norm(tensor, w, a, b, c, out=None):
     written into ``out``, or a fresh array, and the tensor subtracted in
     place: a dense array whole, a sparse tensor's values at their flat
     indices ``(i*d2 + j)*d3 + k``, unique in canonical COO.  Both have the
-    dense copy's bits, as ``x - 0.0 == x``, and ``sqrt(v @ v)`` over the
-    buffer has those of ``np.linalg.norm``.  Otherwise it is
-    :func:`_gram_residual_norm`, with ``<T, M>`` from the mode-1 MTTKRP,
+    dense copy's bits, as ``x - 0.0 == x``, and the buffer's sum of squares
+    is :func:`_sum_squares`'s, as in the tensors' ``norm``.  Otherwise it
+    is :func:`_gram_residual_norm`, with ``<T, M>`` from the mode-1 MTTKRP,
     whose fibers need no sort.
     """
     if not _exact_residual(tensor):
-        vals = tensor.values
         inner = float(np.einsum("ir,ir->r", a, mttkrp(tensor, (a, b, c), 1)) @ w)
         model_sq = float(w @ ((a.T @ a) * (b.T @ b) * (c.T @ c)) @ w)
-        return _gram_residual_norm(float(vals @ vals), inner, model_sq)
+        return _gram_residual_norm(_sum_squares(tensor.values), inner, model_sq)
     d1, d2, d3 = tensor.dims
     v = _dense_model(w, a, b, c, out).reshape(-1)
     if isinstance(tensor, DenseTensor3):
@@ -729,7 +738,7 @@ def _residual_norm(tensor, w, a, b, c, out=None):
     else:
         i, j, k = tensor.indices.T
         v[(i * d2 + j) * d3 + k] -= tensor.values
-    return math.sqrt(v @ v)
+    return math.sqrt(_sum_squares(v))
 
 
 def incoherence(factor, norm_tol=1e-9):

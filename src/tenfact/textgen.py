@@ -7,6 +7,17 @@ word pairs whose co-occurrence statistics make analogies exactly solvable:
 words sharing a group co-occur in group sentences, words sharing a form
 co-occur in form sentences, so embeddings decompose additively into a group
 part and a form part.
+
+Both outputs are byte-stable per seed: each is a fixed function of one
+``np.random.default_rng(seed)`` stream, drawn in a fixed order.
+``zipf_corpus`` first draws ``rng.random(vocab_size)`` once per topic for
+its boosted words; then, per sentence, ``rng.integers(n_topics)`` for the
+topic, ``rng.integers(5, 13)`` for the length and ``rng.random(length)``
+for the words, each mapped through the topic's CDF as
+``Generator.choice(words, size, p=probs)`` maps it.
+``planted_analogy_corpus`` draws ``rng.integers(0, len(pool), size=3)``
+per sentence, as ``Generator.choice(pool, size=3)`` does, then one
+``rng.permutation`` of the sentences.
 """
 
 from __future__ import annotations
@@ -18,24 +29,30 @@ __all__ = ["zipf_corpus", "planted_analogy_corpus", "analogy_quads", "write_corp
 
 def zipf_corpus(n_tokens=200_000, vocab_size=3000, n_topics=20, seed=0):
     """Generate one long text string with Zipf-distributed topical words."""
+    sizes = {"n_tokens": n_tokens, "vocab_size": vocab_size, "n_topics": n_topics}
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     rng = np.random.default_rng(seed)
-    words = np.array([f"w{i:04d}" for i in range(vocab_size)])
+    words = [f"w{i:04d}" for i in range(vocab_size)]
     base = 1.0 / np.arange(1, vocab_size + 1)
     base /= base.sum()
-    # Each topic boosts a random slice of the vocabulary.
-    topic_boost = np.ones((n_topics, vocab_size))
-    for t in range(n_topics):
-        member = rng.random(vocab_size) < 0.05
-        topic_boost[t, member] = 20.0
+    # Each topic boosts a random slice of the vocabulary.  Its CDF takes
+    # Generator.choice's own arithmetic, so that the words drawn are choice's.
+    cdfs = []
+    for _ in range(n_topics):
+        probs = base * np.where(rng.random(vocab_size) < 0.05, 20.0, 1.0)
+        probs /= probs.sum()
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        cdfs.append(cdf)
     out = []
     produced = 0
     while produced < n_tokens:
-        topic = rng.integers(n_topics)
-        probs = base * topic_boost[topic]
-        probs /= probs.sum()
+        cdf = cdfs[rng.integers(n_topics)]
         length = int(rng.integers(5, 13))
-        sentence = rng.choice(words, size=length, p=probs)
-        out.append(" ".join(sentence))
+        idx = cdf.searchsorted(rng.random(length), side="right")
+        out.append(" ".join([words[i] for i in idx.tolist()]))
         produced += length
     return "\n".join(out) + "\n"
 
@@ -54,15 +71,13 @@ def planted_analogy_corpus(n_groups=20, n_forms=2, sentences_per_context=400, se
     def word(g, f):
         return f"g{g:02d}{form_names[f]}"
 
+    pools = [[word(g, f) for f in range(n_forms)] for g in range(n_groups)]
+    pools += [[word(g, f) for g in range(n_groups)] for f in range(n_forms)]
     sentences = []
-    for g in range(n_groups):
-        pool = [word(g, f) for f in range(n_forms)]
+    for pool in pools:
         for _ in range(sentences_per_context):
-            sentences.append(" ".join(rng.choice(pool, size=3)))
-    for f in range(n_forms):
-        pool = [word(g, f) for g in range(n_groups)]
-        for _ in range(sentences_per_context):
-            sentences.append(" ".join(rng.choice(pool, size=3)))
+            idx = rng.integers(0, len(pool), size=3)
+            sentences.append(" ".join([pool[i] for i in idx.tolist()]))
     order = rng.permutation(len(sentences))
     return "\n".join(sentences[i] for i in order) + "\n"
 

@@ -368,6 +368,14 @@ class TestEmbedCommands:
         ]) == 0
         assert out.read_bytes() == zipf_corpus(2000, seed=5).encode("utf-8")
 
+    @pytest.mark.parametrize("tokens", ["0", "-3"])
+    def test_gen_corpus_rejects_tokens_below_1(self, tmp_path, capsys, tokens):
+        out = tmp_path / "desk.txt"
+        code = main(["embed", "gen-corpus", "--tokens", tokens, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --tokens must be at least 1, got {tokens}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -375,8 +383,10 @@ class TestEmbedCommands:
             ("\n\n", "no embedding rows"),
             ("", "no embedding rows"),
             ("alpha\nbeta\t0.0\t1.0\n", "line 1: a word with no values"),
+            ("alpha\t1.0\tx\n", "line 1: could not convert string to float: 'x'"),
+            ("alpha\t1.0\t0.0\nbeta\t\t1.0\n", "line 2: could not convert string to float: ''"),
         ],
-        ids=["ragged", "blank", "empty", "no-values"],
+        ids=["ragged", "blank", "empty", "no-values", "not-a-number", "empty-field"],
     )
     def test_eval_bad_embeddings_exit_1(self, tmp_path, capsys, text, message):
         emb = tmp_path / "emb.tsv"

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -836,3 +840,39 @@ class TestNormalizeColumns:
         m = rng.standard_normal((4, 3))
         unit, norms = normalize_columns(m)
         np.testing.assert_allclose(unit * norms, m, atol=1e-12)
+
+
+# Prints, for the paper's d=100, k=30, ratio-100 instance, its norm and a
+# seeded Hybrid-ALS residual trace, and for a sparse tensor above the dense
+# size cap, its norm and its Gram-identity residual.
+_BLAS_PROBE = """
+import numpy as np
+from tenfact.bench import SynthSpec, gen_random_cp
+from tenfact.decompose import DecompConfig, hybrid_run
+from tenfact.tensors import CpModel, SparseTensor3, residual_ratio
+
+spec = SynthSpec(d=100, k=30, weight_scheme="geometric", weight_ratio=100.0, seed=1)
+_, dense = gen_random_cp(spec)
+trace = hybrid_run(dense, DecompConfig(rank=30, seed=2, record_trace=True)).residual_trace
+rng = np.random.default_rng(3)
+sparse = SparseTensor3((200, 200, 200), rng.integers(0, 200, (300_000, 3)), rng.random(300_000))
+factors = [f / np.linalg.norm(f, axis=0) for f in rng.standard_normal((3, 200, 4))]
+model = CpModel(np.ones(4), *factors)
+print(repr(dense.norm()), trace.tobytes().hex(), repr(sparse.norm()), repr(residual_ratio(sparse, model)))
+"""
+
+
+def test_norms_and_residuals_do_not_depend_on_blas_threads():
+    """OpenBLAS splits a long dot product over its threads; the tensor norm
+    and both residual branches must not take their bits from that split."""
+    src = str(Path(tensors.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(run.stdout)
+    assert outputs[0].count(" ") == 3
+    assert outputs[0] == outputs[1]
