@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decompose import ALGORITHMS, DecompConfig
+from .decompose import ALGORITHMS, ALS_RUNNERS, DecompConfig, _random_unit_columns
 from .errors import TenfactError
 from .linalg import match_factors
 from .tensors import CpModel, DenseTensor3, cp_reconstruct, residual_ratio
@@ -140,17 +140,12 @@ def gen_random_cp(spec):
     Geometric weights interpolate so that ``w[0] / w[k-1] == weight_ratio``.
     """
     rng = np.random.default_rng(spec.seed)
-
-    def draw():
-        g = rng.standard_normal((spec.d, spec.k))
-        return g / np.linalg.norm(g, axis=0)
-
-    a = draw()
+    a = _random_unit_columns(rng, spec.d, spec.k)
     if spec.symmetric:
         b = c = a
     else:
-        b = draw()
-        c = draw()
+        b = _random_unit_columns(rng, spec.d, spec.k)
+        c = _random_unit_columns(rng, spec.d, spec.k)
     model = CpModel(_weight_vector(spec), a, b, c)
     return model, cp_reconstruct(model)
 
@@ -201,7 +196,7 @@ def _trial(spec, trial, algorithms, iters, tol, traced):
                 seed=derived_seed(spec.seed, trial, algo_idx),
                 record_trace=traced,
             )
-            result = ALGORITHMS[base].run(tensor, cfg, DEFAULT_TPM_INITS)
+            result = ALGORITHMS[base](tensor, cfg, DEFAULT_TPM_INITS)
             recovered = match_factors(truth, result.model, RECOVERY_THRESHOLD).recovered_count
             trace, used = result.residual_trace, result.iterations_used
             residual = float(trace[-1]) if traced else residual_ratio(tensor, result.model)
@@ -232,7 +227,7 @@ def _trial(spec, trial, algorithms, iters, tol, traced):
 
 
 def _run_trials(jobs, algorithms, iters, tol, threads, traced):
-    """Run ``(spec, trial)`` jobs, on a thread pool when asked, in job order.
+    """Run ``(spec, trial)`` jobs on a pool of ``threads`` workers, in job order.
 
     BLAS runs at one thread throughout (:func:`_one_blas_thread`), at every
     worker count, so that the last bits of a suite's results do not depend
@@ -242,12 +237,8 @@ def _run_trials(jobs, algorithms, iters, tol, threads, traced):
     def work(job):
         return _trial(*job, algorithms, iters, tol, traced)
 
-    with _one_blas_thread():
-        if threads > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                per_job = list(pool.map(work, jobs))
-        else:
-            per_job = [work(j) for j in jobs]
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
+        per_job = list(pool.map(work, jobs))
     return [report for rows in per_job for report in rows]
 
 
@@ -314,7 +305,7 @@ def run_residual_suite(spec, algorithms, iters, trials=1, tol=1e-6, threads=1):
     ALS family) is run on it with ``record_trace`` enabled.  Returns
     TrialReports carrying the traces.
     """
-    traceable = tuple(n for n in ALGORITHM_NAMES if ALGORITHMS[_resolve(n)[0]].traces)
+    traceable = tuple(n for n in ALGORITHM_NAMES if _resolve(n)[0] in ALS_RUNNERS)
     for name in algorithms:
         if name not in traceable:
             raise ValueError(f"residual suite supports {traceable}, got {name!r}")

@@ -88,9 +88,7 @@ def _fit_config(args, **overrides):
 
 
 def cmd_decompose(args):
-    algo = ALGORITHMS[args.algo]
-    if args.init != "random" and not algo.honours_init:
-        raise InvalidConfigError(f"--algo {args.algo} does not take --init {args.init}")
+    traces = args.algo in ALS_RUNNERS
     tensor = read_coo(args.input)
     cfg = _fit_config(
         args,
@@ -99,8 +97,8 @@ def cmd_decompose(args):
         rerandomize_period=args.rerand_period,
         record_trace=args.trace is not None,
     )
-    result = algo.run(tensor, cfg, args.inits)
-    if algo.traces:
+    result = ALGORITHMS[args.algo](tensor, cfg, args.inits)
+    if traces:
         print(f"{args.algo}: {result.iterations_used} iterations, converged={result.converged}")
     write_cpm(args.out, result.model)
     outputs = [args.out]
@@ -108,7 +106,7 @@ def cmd_decompose(args):
         with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["iter", "residual"])
-            for it, value in enumerate(result.residual_trace if algo.traces else [], start=1):
+            for it, value in enumerate(result.residual_trace if traces else [], start=1):
                 writer.writerow([it, repr(float(value))])
         outputs.append(args.trace)
     _write_manifest(args.out, "decompose", args, [args.input], outputs, args.seed)

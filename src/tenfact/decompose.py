@@ -13,9 +13,10 @@ the Q of its QR factorization before the sweep; the sort keeps the heaviest
 leaves them untouched.  Because the Khatri-Rao Gram of orthonormal factors is
 the identity, the first mode update after orthogonalization solves with a
 Gram that is about I, which always takes the fast path of the solve below.
-``ALGORITHMS`` is the registry of every algorithm, with its capabilities,
-from which the CLI and the benchmark suites dispatch; ``ALS_RUNNERS`` is its
-ALS slice.
+``ALGORITHMS`` is the registry of every algorithm, from which the CLI and the
+benchmark suites dispatch: each entry is a function that checks the start it
+is given and runs.  ``ALS_RUNNERS`` is its ALS slice, the entries that have a
+stop rule and record a trace.
 
 Every sweep, and every other repeated MTTKRP, runs through one per-run
 ``_Workspace``: it puts the tensor in its working form, keeps what repeated
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,6 +58,7 @@ from .errors import (
 )
 from .linalg import _gram_solve, eig_nonsym, orth_step, top_svd
 from .tensors import (
+    _UNIT_NORM_TOL,
     CpModel,
     DenseTensor3,
     contract_mode3,
@@ -83,7 +84,6 @@ __all__ = [
     "orth_als_run",
     "hybrid_run",
     "ALS_RUNNERS",
-    "Algorithm",
     "ALGORITHMS",
     "tpm_run",
     "tpm_multi",
@@ -108,6 +108,9 @@ _RESIDUAL_FLOOR = 1e-13
 # A factor column whose correlation with its previous value falls below
 # 1 - this has moved (for ``factor_convergence_steps``).
 _MOVED_CORR_TOL = 1e-9
+# tpm_correlation_trace leaves a step's ratios undefined where the target
+# correlation is at most this in absolute value.
+_DENOM_FLOOR = 1e-13
 # simdiag: relative cut of the second projection's pseudoinverse, smallest
 # relative gap between the eigenvalues it separates, and the largest
 # relative imaginary residue of a realized eigenvector.
@@ -508,10 +511,10 @@ def _rank1_update(ws, mode, u, v):
     return ws.mttkrp(mode, u[:, None], v[:, None])[:, 0]
 
 
-def _require_unit(vec, name, tol=1e-9):
+def _require_unit(vec, name):
     v = np.asarray(vec, dtype=np.float64).reshape(-1)
     n = np.linalg.norm(v)
-    if abs(n - 1.0) > tol:
+    if abs(n - 1.0) > _UNIT_NORM_TOL:
         raise ValueError(f"{name} must be unit-norm, got norm {n!r}")
     return v
 
@@ -784,47 +787,43 @@ def _realize_eigvecs(vecs):
     return normalize_columns(out)[0]
 
 
-@dataclass(frozen=True)
-class Algorithm:
-    """A registry entry: ``run(tensor, cfg, n_inits)`` returns a :class:`DecompResult`.
-
-    ``n_inits`` is the restart count of ``tpm`` (at least ``cfg.rank``); the
-    others ignore it.  ``traces``: the run has a stop rule and records the
-    trace ``cfg.record_trace`` asks for.  ``honours_init``: it starts from
-    ``cfg.init``, not always from random draws.
-    """
-
-    run: Callable
-    traces: bool
-    honours_init: bool
-
-
 def _als_entry(runner):
-    return Algorithm(lambda tensor, cfg, n_inits: runner(tensor, cfg), True, True)
+    return lambda tensor, cfg, n_inits: runner(tensor, cfg)
+
+
+def _check_init(name, cfg, inits):
+    if cfg.init not in inits:
+        raise InvalidConfigError(f"{name} takes init in {inits}, got {cfg.init!r}")
 
 
 # The power methods run a fixed number of iterations and simdiag is direct:
 # none of them has a stop rule to converge by.
 def _tpm_entry(tensor, cfg, n_inits):
+    _check_init("tpm", cfg, ("random", "svd"))
     model = tpm_multi(tensor, max(n_inits, cfg.rank), cfg.max_iters, cfg.rank, cfg.seed, cfg.init)
     return DecompResult(model, cfg.max_iters, converged=False)
 
 
 def _orth_tpm_entry(tensor, cfg, n_inits):
+    _check_init("orth-tpm", cfg, ("random",))
     model = orth_tpm_run(tensor, cfg.rank, cfg.max_iters, cfg.seed)
     return DecompResult(model, cfg.max_iters, converged=False)
 
 
 def _simdiag_entry(tensor, cfg, n_inits):
+    _check_init("simdiag", cfg, ("random",))
     return DecompResult(simdiag(tensor, cfg.rank, cfg.seed), 1, converged=False)
 
 
-# Every decomposition algorithm by its command-line and benchmark name.
+# Every decomposition algorithm by its command-line and benchmark name.  Each
+# entry is ``run(tensor, cfg, n_inits) -> DecompResult``; ``n_inits`` is the
+# restart count of ``tpm`` (at least ``cfg.rank``), and the others ignore it.
+# An entry raises InvalidConfigError for a ``cfg.init`` it cannot start from.
 ALGORITHMS = {
     **{name: _als_entry(runner) for name, runner in ALS_RUNNERS.items()},
-    "tpm": Algorithm(_tpm_entry, traces=False, honours_init=True),
-    "orth-tpm": Algorithm(_orth_tpm_entry, traces=False, honours_init=False),
-    "simdiag": Algorithm(_simdiag_entry, traces=False, honours_init=False),
+    "tpm": _tpm_entry,
+    "orth-tpm": _orth_tpm_entry,
+    "simdiag": _simdiag_entry,
 }
 
 
@@ -871,7 +870,7 @@ class TraceRecord:
     defined: np.ndarray
 
 
-def tpm_correlation_trace(tensor, truth, steps, seed=0, x0=None, denom_floor=1e-13):
+def tpm_correlation_trace(tensor, truth, steps, seed=0, x0=None):
     """Run a symmetric power iteration and record correlation ratios.
 
     The iterate is shared across modes (x = y = z), matching the symmetric
@@ -895,7 +894,7 @@ def tpm_correlation_trace(tensor, truth, steps, seed=0, x0=None, denom_floor=1e-
 
     def record(row, corr_vec):
         denom = corr_vec[target]
-        if abs(denom) > denom_floor:
+        if abs(denom) > _DENOM_FLOOR:
             ratios[row] = corr_vec / denom
             defined[row] = True
 

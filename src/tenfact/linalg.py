@@ -21,14 +21,22 @@ __all__ = [
 ]
 
 
-def orth_step(x, rank_rtol=1e-12):
+# orth_step: a column whose R diagonal is at most this times the largest is
+# numerically dependent on the columns before it.
+_RANK_RTOL = 1e-12
+# The Khatri-Rao Gram solve treats singular values of G at or below this
+# times the largest as zero.
+_RCOND = 1e-12
+
+
+def orth_step(x):
     """Orthonormalize columns in place of a Gram-Schmidt sweep.
 
     Returns Q from the reduced QR factorization with the sign convention
     diag(R) > 0, so column i of Q depends only on columns 0..i of x and
     already-orthonormal prefixes are exact fixed points.  Raises
     :class:`DegenerateInputError` (listing the offending columns) when some
-    R diagonal falls below ``rank_rtol`` times the largest.
+    R diagonal falls to ``_RANK_RTOL`` (1e-12) times the largest or below.
     """
     x = np.asarray(x, dtype=np.float64)
     d, k = x.shape
@@ -37,7 +45,7 @@ def orth_step(x, rank_rtol=1e-12):
     q, r = np.linalg.qr(x, mode="reduced")
     diag = np.diagonal(r).copy()
     scale = np.abs(diag).max() if k else 0.0
-    bad = np.flatnonzero(np.abs(diag) <= rank_rtol * scale)
+    bad = np.flatnonzero(np.abs(diag) <= _RANK_RTOL * scale)
     if scale == 0.0 or bad.size:
         cols = bad if scale else np.arange(k)
         raise DegenerateInputError(
@@ -49,15 +57,15 @@ def orth_step(x, rank_rtol=1e-12):
     return q * signs
 
 
-def ls_solve_kr(tmat, p, q, rcond=1e-12):
+def ls_solve_kr(tmat, p, q):
     """Least-squares factor update against a Khatri-Rao design.
 
     Solves ``min_X || tmat - X @ khatri_rao(q, p).T ||_F`` via the normal
     equations: ``X = tmat (q ⊙ p) G^+`` with ``G = (q.T q) * (p.T p)``
     (Hadamard product of Grams), taken by :func:`_gram_solve`: through the
-    inverse of G when G is well conditioned for ``rcond``, otherwise through
-    ``pinv(G, rcond)``, which truncates singular values of G at or below
-    ``rcond`` times the largest.  When p and q are orthonormal, G is the
+    inverse of G when G is well conditioned for ``_RCOND`` (1e-12), otherwise
+    through ``pinv(G, _RCOND)``, which truncates singular values of G at or
+    below ``_RCOND`` times the largest.  When p and q are orthonormal, G is the
     identity and the result is the MTTKRP to rounding.  A sparse ``tmat``
     is split into the (row, p, q) entries of a tensor whose mode-1
     matricization it is (column ``p + q * d_p``), and its MTTKRP runs on that
@@ -80,19 +88,19 @@ def ls_solve_kr(tmat, p, q, rcond=1e-12):
         mtt = _fiber_mttkrp(_mode_plan(entries, 1, p.shape[1]), p, q)
     else:
         mtt = np.asarray(tmat) @ khatri_rao(q, p)
-    return _gram_solve(mtt, p, q, rcond)
+    return _gram_solve(mtt, p, q)
 
 
-def _gram_solve(mtt, p, q, rcond=1e-12):
+def _gram_solve(mtt, p, q):
     """Normal-equations step ``mtt G^+`` with the Khatri-Rao Gram ``G = (q.T q) * (p.T p)``.
 
     G is k x k and symmetric positive semidefinite.  The step multiplies by
-    ``inv(G)`` when that inverse exists and ``||G||_1 ||inv(G)||_1 k rcond < 1``:
+    ``inv(G)`` when that inverse exists and ``||G||_1 ||inv(G)||_1 k _RCOND < 1``:
     the product is the 1-norm condition number read off the inverse just
     formed, and since the 2-norm condition number is at most k times it, no
-    such G has a singular value that ``pinv(G, rcond)`` would truncate.  Every
+    such G has a singular value that ``pinv(G, _RCOND)`` would truncate.  Every
     other G (singular or nearly so, non-finite, or k = 0) takes
-    ``pinv(G, rcond)``, whose SVD costs several times the inverse.
+    ``pinv(G, _RCOND)``, whose SVD costs several times the inverse.
     """
     gram = (q.T @ q) * (p.T @ p)
     k = gram.shape[0]
@@ -103,9 +111,9 @@ def _gram_solve(mtt, p, q, rcond=1e-12):
             pass
         else:
             # A NaN condition number compares False and takes the fallback.
-            if np.linalg.norm(gram, 1) * np.linalg.norm(inv, 1) * k * rcond < 1.0:
+            if np.linalg.norm(gram, 1) * np.linalg.norm(inv, 1) * k * _RCOND < 1.0:
                 return mtt @ inv
-    return mtt @ np.linalg.pinv(gram, rcond=rcond)
+    return mtt @ np.linalg.pinv(gram, rcond=_RCOND)
 
 
 def top_svd(m, k):

@@ -83,6 +83,9 @@ _BLOCK_FLOATS = 1 << 18
 _DENSE_MAX_ENTRIES = 4_000_000
 _DENSE_MIN_DENSITY = 0.1
 
+# A column or vector counts as unit-norm within this distance of norm 1.
+_UNIT_NORM_TOL = 1e-9
+
 
 class DenseTensor3:
     """Dense third-order tensor, row-major storage, all entries finite."""
@@ -376,16 +379,16 @@ def _leading_signs(factor):
     return signs
 
 
-def normalize_columns(matrix, zero_tol=0.0):
+def normalize_columns(matrix):
     """Scale columns to unit norm.
 
-    Returns ``(unit, norms)``.  Columns with norm <= ``zero_tol`` are replaced
-    by the first coordinate vector and their norm reported as 0, so the pair
-    always reconstructs ``matrix`` as ``unit * norms``.
+    Returns ``(unit, norms)``.  Zero columns are replaced by the first
+    coordinate vector and their norm reported as 0, so the pair always
+    reconstructs ``matrix`` as ``unit * norms``.
     """
     m = np.array(matrix, dtype=np.float64)
     norms = np.linalg.norm(m, axis=0)
-    dead = norms <= zero_tol
+    dead = norms == 0.0
     safe = np.where(dead, 1.0, norms)
     m /= safe
     if dead.any():
@@ -741,8 +744,12 @@ def _residual_norm(tensor, w, a, b, c, out=None):
     return math.sqrt(_sum_squares(v))
 
 
-def incoherence(factor, norm_tol=1e-9):
-    """Maximum absolute inner product between distinct unit-norm columns."""
+def incoherence(factor):
+    """Maximum absolute inner product between distinct unit-norm columns.
+
+    A column whose norm is more than 1e-9 (``_UNIT_NORM_TOL``) from 1 raises
+    ValueError.
+    """
     f = np.asarray(factor, dtype=np.float64)
     if f.ndim != 2:
         raise ValueError("expected a factor matrix")
@@ -750,7 +757,7 @@ def incoherence(factor, norm_tol=1e-9):
     if k == 0:
         raise ValueError("factor matrix has no columns")
     norms = np.linalg.norm(f, axis=0)
-    if np.abs(norms - 1.0).max() > norm_tol:
+    if np.abs(norms - 1.0).max() > _UNIT_NORM_TOL:
         bad = int(np.abs(norms - 1.0).argmax())
         raise ValueError(f"column {bad} has norm {norms[bad]!r}; unit columns required")
     if k == 1:

@@ -27,12 +27,20 @@ import numpy as np
 __all__ = ["zipf_corpus", "planted_analogy_corpus", "analogy_quads", "write_corpus"]
 
 
+def _require_at_least(floor, **sizes):
+    for name, value in sizes.items():
+        if value < floor:
+            raise ValueError(f"{name} must be at least {floor}, got {value}")
+
+
+def _word(g, f):
+    """The planted word of group ``g`` in form ``f``: ``g00x``, ``g00y``, ..."""
+    return f"g{g:02d}{chr(ord('x') + f)}"
+
+
 def zipf_corpus(n_tokens=200_000, vocab_size=3000, n_topics=20, seed=0):
     """Generate one long text string with Zipf-distributed topical words."""
-    sizes = {"n_tokens": n_tokens, "vocab_size": vocab_size, "n_topics": n_topics}
-    for name, value in sizes.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    _require_at_least(1, n_tokens=n_tokens, vocab_size=vocab_size, n_topics=n_topics)
     rng = np.random.default_rng(seed)
     words = [f"w{i:04d}" for i in range(vocab_size)]
     base = 1.0 / np.arange(1, vocab_size + 1)
@@ -65,14 +73,11 @@ def planted_analogy_corpus(n_groups=20, n_forms=2, sentences_per_context=400, se
     words from a single form (groups mixed), in a deterministic round-robin
     so every context gets identical mass.
     """
+    _require_at_least(1, n_groups=n_groups, n_forms=n_forms)
+    _require_at_least(0, sentences_per_context=sentences_per_context)
     rng = np.random.default_rng(seed)
-    form_names = [chr(ord("x") + f) for f in range(n_forms)]
-
-    def word(g, f):
-        return f"g{g:02d}{form_names[f]}"
-
-    pools = [[word(g, f) for f in range(n_forms)] for g in range(n_groups)]
-    pools += [[word(g, f) for g in range(n_groups)] for f in range(n_forms)]
+    pools = [[_word(g, f) for f in range(n_forms)] for g in range(n_groups)]
+    pools += [[_word(g, f) for g in range(n_groups)] for f in range(n_forms)]
     sentences = []
     for pool in pools:
         for _ in range(sentences_per_context):
@@ -82,20 +87,15 @@ def planted_analogy_corpus(n_groups=20, n_forms=2, sentences_per_context=400, se
     return "\n".join(sentences[i] for i in order) + "\n"
 
 
-def analogy_quads(n_groups=20, n_forms=2):
-    """Every ordered pair of distinct groups as (a, a*, b, b*) quads."""
-    form_names = [chr(ord("x") + f) for f in range(n_forms)]
-
-    def word(g, f):
-        return f"g{g:02d}{form_names[f]}"
-
-    quads = []
-    for g1 in range(n_groups):
-        for g2 in range(n_groups):
-            if g1 == g2:
-                continue
-            quads.append((word(g1, 0), word(g1, 1), word(g2, 0), word(g2, 1)))
-    return quads
+def analogy_quads(n_groups=20):
+    """Every ordered pair of distinct groups as (a, a*, b, b*) quads: the
+    planted words of forms ``x`` and ``y``."""
+    return [
+        (_word(g1, 0), _word(g1, 1), _word(g2, 0), _word(g2, 1))
+        for g1 in range(n_groups)
+        for g2 in range(n_groups)
+        if g1 != g2
+    ]
 
 
 def write_corpus(path, text):

@@ -1,6 +1,5 @@
 import csv
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,9 +155,7 @@ class TestRecoverySuite:
         def boom(*args, **kwargs):
             raise NumericalFailureError("synthetic failure")
 
-        monkeypatch.setitem(
-            ALGORITHMS, "simdiag", replace(ALGORITHMS["simdiag"], run=boom)
-        )
+        monkeypatch.setitem(ALGORITHMS, "simdiag", boom)
         grid = [SynthSpec(d=6, k=2, seed=1)]
         reports = run_recovery_suite(grid, ["simdiag", "als"], trials=1, iters=10)
         by_algo = {r.algo: r for r in reports}

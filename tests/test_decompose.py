@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tenfact import decompose
 from tenfact.decompose import (
     ALGORITHMS,
+    ALS_RUNNERS,
     DecompConfig,
     _Deflated,
     _Workspace,
@@ -601,10 +602,52 @@ def registry_outcomes(name, tensors, cfg):
     outcomes = []
     for t in tensors:
         try:
-            outcomes.append(ALGORITHMS[name].run(t, cfg, 8))
+            outcomes.append(ALGORITHMS[name](t, cfg, 8))
         except TenfactError as exc:
             outcomes.append(type(exc))
     return outcomes
+
+
+# The starts each registry entry takes, of every ``init`` DecompConfig accepts.
+ENTRY_INITS = {
+    **{name: ("random", "svd", "given") for name in ALS_RUNNERS},
+    "tpm": ("random", "svd"),
+    "orth-tpm": ("random",),
+    "simdiag": ("random",),
+}
+
+
+class TestRegistryContract:
+    """Every entry is ``run(tensor, cfg, n_inits)``: it checks the start it
+    is given, and only the ALS entries record a trace."""
+
+    @pytest.fixture(scope="class")
+    def tensor(self):
+        return cp_reconstruct(random_model(np.random.default_rng(41), (6, 7, 8), 3))
+
+    def test_every_entry_is_covered(self):
+        assert set(ENTRY_INITS) == set(ALGORITHMS)
+
+    @pytest.mark.parametrize("init", ["random", "svd", "given"])
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    def test_rejects_every_start_it_cannot_take(self, tensor, name, init):
+        rng = np.random.default_rng(7)
+        given = tuple(unit_columns(rng, d, 3) for d in tensor.dims)
+        cfg = DecompConfig(rank=3, max_iters=10, init=init, given=given)
+        if init in ENTRY_INITS[name]:
+            assert ALGORITHMS[name](tensor, cfg, 8).model.dims == tensor.dims
+        else:
+            with pytest.raises(InvalidConfigError, match=f"^{name} takes init in "):
+                ALGORITHMS[name](tensor, cfg, 8)
+
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    def test_trace_only_from_als_entries(self, tensor, name):
+        cfg = DecompConfig(rank=3, max_iters=10, record_trace=True)
+        result = ALGORITHMS[name](tensor, cfg, 8)
+        if name in ALS_RUNNERS:
+            assert len(result.residual_trace) == result.iterations_used
+        else:
+            assert result.residual_trace is None
 
 
 class TestDenseSparseEquivalence:

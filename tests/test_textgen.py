@@ -102,3 +102,13 @@ def test_pinned_bytes(text, digest):
 def test_zipf_corpus_rejects_sizes_below_1(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
         zipf_corpus(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, floor", [("n_groups", 1), ("n_forms", 1), ("sentences_per_context", 0)]
+)
+@pytest.mark.parametrize("below", [1, 4])
+def test_planted_corpus_rejects_sizes_below_floor(name, floor, below):
+    value = floor - below
+    with pytest.raises(ValueError, match=f"^{name} must be at least {floor}, got {value}$"):
+        planted_analogy_corpus(**{name: value})
