@@ -6,8 +6,17 @@ Subcommands: ``decompose``, ``bench recovery``, ``bench residual``,
 Exit codes: 0 success, 1 usage or I/O error, 2 numerical failure.  Every
 command that writes a file also writes a ``<output>.manifest.json`` sidecar
 recording the resolved configuration, master seed, inputs/outputs, tool
-version and timestamp, so runs can be reproduced byte-for-byte (wall-clock
-columns and the manifest timestamp excepted).
+version and timestamp.  A rerun at the same BLAS thread count reproduces
+every output byte for byte, wall-clock columns and the manifest timestamp
+excepted.  ``--threads`` and ``TENFACT_THREADS`` never change a bit: they
+size the ``bench`` worker pool and the sparse MTTKRP's thread pool, and
+neither changes the order of any sum.  Across BLAS thread counts (the
+``OPENBLAS_NUM_THREADS`` of numpy's OpenBLAS) the ``bench`` suites keep
+their bits by construction, as they run BLAS at one thread, and so do
+tensor norms and residuals.  Other outputs may move in their last bits, as
+an OpenBLAS GEMM rounds by thread count at some shapes: the ``.cpm`` files
+of ``complete`` and ``overcomplete`` did between 1 and 2 threads, while
+``decompose`` fits at d=100 and a 400^3 sparse fit did not (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -48,21 +56,17 @@ from .errors import (
 )
 from .fileio import _parse_coo, read_coo, write_coo, write_cpm
 from .overcomplete import _INNER_RUNNERS, deflate_overcomplete
-from .tensors import SparseTensor3, residual_ratio
+from .tensors import SparseTensor3, _thread_count, residual_ratio
 from .textgen import analogy_quads, planted_analogy_corpus, write_corpus, zipf_corpus
 
 
 def _positive_int(text):
-    """Parse ``--threads``, or ``TENFACT_THREADS`` in its place: a positive integer."""
+    """Parse ``--threads`` by the package's one rule, :func:`tensors._thread_count`;
+    the empty default stands for ``TENFACT_THREADS``, else the usable CPUs."""
     try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--threads and TENFACT_THREADS take a positive integer, got {text!r}"
-        )
-    return value
+        return _thread_count(text or None)
+    except InvalidConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _write_manifest(out_path, subcommand, args, inputs, outputs, seed):
@@ -364,11 +368,7 @@ def _build_parser():
     suite.add_argument("--tol", type=float, default=1e-6)
     suite.add_argument("--seed", type=int, required=True)
     # argparse parses a string default with ``type`` when the flag is absent.
-    suite.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=os.environ.get("TENFACT_THREADS") or os.cpu_count() or 1,
-    )
+    suite.add_argument("--threads", type=_positive_int, default="")
     suite.add_argument("--out", required=True)
 
     p = bench_sub.add_parser("recovery", parents=[suite], help="recovery counts over a grid")

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from collections import defaultdict
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from tenfact.tensors import (
     residual_ratio,
     _DENSE_MAX_ENTRIES,
     _DENSE_MIN_DENSITY,
+    _csr_product,
     _mode3_partial,
     _mode_order,
     _mode_plan,
@@ -876,3 +878,150 @@ def test_norms_and_residuals_do_not_depend_on_blas_threads():
         outputs.append(run.stdout)
     assert outputs[0].count(" ") == 3
     assert outputs[0] == outputs[1]
+
+
+# Prints one hash per result of the sparse kernels on a 200^3 tensor that
+# stays sparse, each of whose plans at rank 50 has several row blocks: an
+# Orth-ALS model and trace, the Gram-identity residual, the public MTTKRP of
+# every mode, a sparse least-squares update and a batched power method.
+_FIBER_THREADS_PROBE = """
+import hashlib
+import numpy as np
+from tenfact.decompose import DecompConfig, orth_als_run, tpm_multi
+from tenfact.linalg import ls_solve_kr
+from tenfact.tensors import SparseTensor3, _mode_plan, matricize, mttkrp, residual_ratio
+
+rng = np.random.default_rng(3)
+t = SparseTensor3((200, 200, 200), rng.integers(0, 200, (300_000, 3)), rng.random(300_000))
+assert min(len(_mode_plan(t, mode, 50).blocks) for mode in (1, 2, 3)) > 2
+fit = orth_als_run(t, DecompConfig(rank=50, max_iters=3, seed=2, record_trace=True))
+m = fit.model
+factors = rng.standard_normal((3, 200, 50))
+tpm = tpm_multi(t, n_inits=20, iters=5, rank=3, seed=4)
+results = [m.weights, m.A, m.B, m.C, fit.residual_trace, np.array(residual_ratio(t, m))]
+results += [mttkrp(t, factors, mode) for mode in (1, 2, 3)]
+results += [ls_solve_kr(matricize(t, 1), factors[1], factors[2])]
+results += [tpm.weights, tpm.A, tpm.B, tpm.C]
+print(*(hashlib.sha256(np.ascontiguousarray(r).tobytes()).hexdigest()[:16] for r in results))
+"""
+
+
+def _probe_output(script, **env):
+    src = str(Path(tensors.__file__).resolve().parents[1])
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    return run.stdout
+
+
+def test_sparse_kernels_do_not_depend_on_mttkrp_threads():
+    """The sparse MTTKRP's row blocks run on ``TENFACT_THREADS`` threads;
+    every result built on it must not take a bit from their number."""
+    outputs = [_probe_output(_FIBER_THREADS_PROBE, TENFACT_THREADS=n) for n in ("1", "2")]
+    assert outputs[0].count(" ") == 13
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_csr_product_has_the_bits_of_scipy_matmul(rng, k):
+    """The fiber kernel's two sparse products, written into buffers it owns,
+    equal scipy's ``@`` bit for bit: a scipy whose ``@`` sums otherwise
+    turns this test red."""
+    plan = _mode_plan(random_sparse(rng, (30, 40, 50), 3000), 2, k)
+    ((_, _, fibers, sums, _),) = plan.blocks
+    q = rng.standard_normal((50, k))
+    y = np.full((fibers.shape[0], k), np.nan)
+    _csr_product(fibers, q, y)
+    assert_same_bits(y, fibers @ q)
+    out = np.full((sums.shape[0], k), np.nan)
+    _csr_product(sums, y, out)
+    assert_same_bits(out, sums @ y)
+
+
+# Runs fits that need no sparse MTTKRP of more than one block at two
+# threads, and prints the thread count before and after and the pool.
+_POOL_START_PROBE = """
+import threading
+import numpy as np
+from tenfact import tensors
+from tenfact.bench import SynthSpec, gen_random_cp
+from tenfact.completion import complete_masked, sample_completion_problem
+from tenfact.decompose import DecompConfig, hybrid_run, tpm_run
+from tenfact.tensors import SparseTensor3, _mode_plan, _working_form
+
+before = threading.active_count()
+_, dense = gen_random_cp(SynthSpec(d=20, k=3, seed=1))
+hybrid_run(dense, DecompConfig(rank=3, seed=2))
+complete_masked(sample_completion_problem(dense, 0.3, seed=3), 3)
+rng = np.random.default_rng(5)
+sparse = SparseTensor3((200, 200, 200), rng.integers(0, 200, (30_000, 3)), rng.random(30_000))
+assert _working_form(sparse) is sparse
+assert all(len(_mode_plan(sparse, mode, 1).blocks) == 1 for mode in (1, 2, 3))
+x, y, z = (v / np.linalg.norm(v) for v in rng.standard_normal((3, 200)))
+tpm_run(sparse, x, y, z, 5)
+print(before, threading.active_count(), tensors._pool)
+"""
+
+# Makes the pool with a multi-block MTTKRP, forks, and prints the exit code
+# of a child that runs the same MTTKRP.  The parent's workers do not run in
+# the child; the alarm ends a child that waits for them.
+_FORK_PROBE = """
+import os, signal, sys
+import numpy as np
+from tenfact import tensors
+from tenfact.tensors import SparseTensor3, mttkrp
+
+rng = np.random.default_rng(3)
+t = SparseTensor3((200, 200, 200), rng.integers(0, 200, (300_000, 3)), rng.random(300_000))
+factors = rng.standard_normal((3, 200, 50))
+expect = mttkrp(t, factors, 2)
+assert tensors._pool[1] is not None
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)
+    sys.exit(0 if np.array_equal(mttkrp(t, factors, 2), expect) else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def test_only_a_multi_block_sparse_mttkrp_starts_threads():
+    """Dense and completion fits and rank-1 sparse updates start no thread
+    and make no pool, even where two threads are asked for."""
+    assert _probe_output(_POOL_START_PROBE, TENFACT_THREADS="2").split() == ["1", "1", "None"]
+
+
+def test_forked_child_runs_multi_block_mttkrp():
+    assert _probe_output(_FORK_PROBE, TENFACT_THREADS="2").strip() == "0"
+
+
+def test_concurrent_callers_share_the_pool_bit_for_bit(rng, monkeypatch):
+    """More calling threads than cores run multi-block MTTKRPs on the one
+    pool at once, with thread switches forced often; each gets the bits of
+    a one-block plan, which runs in its calling thread alone."""
+    tensor = random_sparse(rng, (40, 30, 20), 4000)
+    factors = [rng.standard_normal((d, 4)) for d in tensor.dims]
+    expect = [mttkrp(tensor, factors, mode) for mode in (1, 2, 3)]
+    monkeypatch.setattr(tensors, "_BLOCK_FLOATS", 64)
+    assert all(len(_mode_plan(tensor, mode, 4).blocks) > 10 for mode in (1, 2, 3))
+    wrong = []
+
+    def caller():
+        for _ in range(10):
+            for mode in (1, 2, 3):
+                if mttkrp(tensor, factors, mode).tobytes() != expect[mode - 1].tobytes():
+                    wrong.append(mode)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert wrong == []
