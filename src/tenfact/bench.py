@@ -26,6 +26,7 @@ import ctypes
 import functools
 import glob
 import logging
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -231,8 +232,11 @@ def _run_trials(jobs, algorithms, iters, tol, threads, traced):
 
     BLAS runs at one thread throughout (:func:`_one_blas_thread`), at every
     worker count, so that the last bits of a suite's results do not depend
-    on the machine's core count or on ``threads``.
+    on the machine's core count or on ``threads``, which must be a positive
+    integer.
     """
+    if not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
 
     def work(job):
         return _trial(*job, algorithms, iters, tol, traced)

@@ -9,7 +9,8 @@ recording the resolved configuration, master seed, inputs/outputs, tool
 version and timestamp.  A rerun at the same BLAS thread count reproduces
 every output byte for byte, wall-clock columns and the manifest timestamp
 excepted.  ``--threads`` and ``TENFACT_THREADS`` never change a bit: they
-size the ``bench`` worker pool and the sparse MTTKRP's thread pool, and
+size the ``bench`` worker pool and the threads that each sparse MTTKRP of
+more than one row block starts and joins, read at each such call, and
 neither changes the order of any sum.  Across BLAS thread counts (the
 ``OPENBLAS_NUM_THREADS`` of numpy's OpenBLAS) the ``bench`` suites keep
 their bits by construction, as they run BLAS at one thread, and so do

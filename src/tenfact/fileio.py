@@ -32,11 +32,18 @@ warns, or returns fewer rows than a chunk has lines (it skips blank lines),
 the loop parses the whole file again and raises its line-numbered
 ``ValueError`` or returns its result.  Where both accept a file, their
 arrays are bitwise equal.
+
+A header count is never trusted with memory.  A negative one raises at
+the header, and no reader allocates for more entry lines or factor rows
+than the rest of the file can hold (:func:`_room`), so a count past the
+file's end raises at its first missing line, naming the file.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -50,6 +57,8 @@ __all__ = ["read_coo", "write_coo", "read_cpm", "write_cpm"]
 # 65536 were no faster and raised the embedding pipeline's peak RSS by 2 MB.
 _CHUNK_ROWS = 1 << 13
 _COO_ROW = np.dtype([("i", "i8"), ("j", "i8"), ("k", "i8"), ("value", "f8")])
+# Characters of the shortest entry line, ``0 0 0 1``, before its newline.
+_COO_LINE = 7
 # Bytes of ``write_coo``'s lines.  NUL pads the digit blocks: no line holds it.
 _SPACE, _NEWLINE, _POINT_ZERO = (np.frombuffer(b, np.uint8) for b in (b" ", b"\n", b".0"))
 
@@ -75,7 +84,9 @@ def _parse_coo(path):
 def _parse_coo_chunks(path):
     """``_parse_coo_lines``' result by numpy's reader; raises where it may differ."""
     with open(path, "r", encoding="utf-8") as fh:
-        d1, d2, d3, nnz = (int(x) for x in fh.readline().split())
+        d1, d2, d3, nnz = _header(path, fh, "d1 d2 d3 nnz")
+        if _room(fh, nnz, _COO_LINE) < nnz:
+            raise ValueError("more entry lines than the file can hold")
         idx = np.empty((nnz, 3), dtype=np.int64)
         vals = np.empty(nnz)
         for lo in range(0, nnz, _CHUNK_ROWS):
@@ -94,14 +105,17 @@ def _parse_coo_chunks(path):
 
 
 def _parse_coo_lines(path):
-    """The line-at-a-time ``.coo`` parser: the reference and the fallback."""
+    """The line-at-a-time ``.coo`` parser: the reference and the fallback.
+
+    Its arrays are sized by :func:`_room`, so a header that promises more
+    entries than the file holds is rejected at its first missing line, and
+    never allocates for the entries it promises.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 4:
-            raise ValueError(f"{path}: header must be 'd1 d2 d3 nnz'")
-        d1, d2, d3, nnz = (int(x) for x in header)
-        idx = np.empty((nnz, 3), dtype=np.int64)
-        vals = np.empty(nnz)
+        d1, d2, d3, nnz = _header(path, fh, "d1 d2 d3 nnz")
+        rows = _room(fh, nnz, _COO_LINE)
+        idx = np.empty((rows, 3), dtype=np.int64)
+        vals = np.empty(rows)
         for n in range(nnz):
             parts = fh.readline().split()
             if len(parts) != 4:
@@ -112,6 +126,31 @@ def _parse_coo_lines(path):
             if line.strip():
                 raise ValueError(f"{path}: line {line_no}: text after the header's {nnz} entries")
     return (d1, d2, d3), idx, vals
+
+
+def _header(path, fh, form):
+    """The four integers of an open file's header line ``form``, none negative."""
+    fields = fh.readline().split()
+    if len(fields) != 4:
+        raise ValueError(f"{path}: header must be '{form}'")
+    counts = tuple(int(x) for x in fields)
+    if min(counts) < 0:
+        raise ValueError(f"{path}: header '{form}' has a negative count: {' '.join(fields)}")
+    return counts
+
+
+def _room(fh, count, width):
+    """``count`` cut to the lines of at least ``width`` characters and a
+    newline (the file's last line may lack it) that the rest of ``fh`` holds.
+
+    A parser that sizes its arrays by this, not by a header's count, meets
+    a missing or short line before it runs out of rows.  A file that is not
+    regular, such as a pipe, has no size to cut by: ``count`` is returned.
+    """
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode):
+        return count
+    return min(count, (info.st_size - fh.tell() + 1) // (width + 1))
 
 
 def read_coo(path):
@@ -192,13 +231,15 @@ def _join_columns(parts, rows):
 def read_cpm(path):
     """Parse a ``.cpm`` file into a :class:`CpModel`."""
     with open(path, "r", encoding="utf-8") as fh:
-        d1, d2, d3, k = (int(x) for x in fh.readline().split())
+        d1, d2, d3, k = _header(path, fh, "d1 d2 d3 k")
         weights = np.array([float(x) for x in fh.readline().split()])
         if weights.size != k:
             raise ValueError(f"{path}: expected {k} weights, got {weights.size}")
 
         def read_factor(rows):
-            m = np.empty((rows, k))
+            # A row of k values is k numbers and k - 1 separators; at k = 0
+            # the rows take no memory, and an end of file reads as one.
+            m = np.empty((_room(fh, rows, 2 * k - 1) if k else rows, k))
             for r in range(rows):
                 parts = fh.readline().split()
                 if len(parts) != k:

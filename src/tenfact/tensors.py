@@ -36,25 +36,25 @@ their fibers, sized for rank ``k`` so that the kernel's temporaries stay in
 cache, the blocking idea of CSF and of HiCOO (Li et al., SC 2018).  Every
 output row sums its own fibers in the same order whatever the blocks, so
 blocking changes no bit of the result.  Each block writes only its own
-output rows, so the blocks run on a process-wide thread pool, the
-slice-parallel MTTKRP of SPLATT, and the thread count changes no bit either
-(see :func:`_fiber_mttkrp`).
+output rows, so the blocks run on several threads, the slice-parallel
+MTTKRP of SPLATT, and the thread count changes no bit either (see
+:func:`_fiber_mttkrp`).
 
 Which of the two kernels a sparse tensor gets is decided in one place,
 :func:`_working_form`.  The public :func:`mttkrp` and :func:`contract_mode3`
 run on the tensor they are given.
 
 All types are immutable after construction and all operations are pure
-functions, so values can be shared freely across threads.  The one state the
-module keeps is the sparse MTTKRP's thread pool, made on first use.
+functions, so values can be shared freely across threads.  The module keeps
+no state: a sparse MTTKRP of more than one block starts its threads and
+joins them before it returns, and no other call starts a thread.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -654,33 +654,34 @@ def _fiber_mttkrp(plan, p, q):
     without nonzeros come out zero.
 
     The blocks are dealt out in strided shares, ``blocks[i::n]``, ``n`` the
-    thread count of :func:`_fiber_pool` but at most the number of blocks.
-    The calling thread runs share 0 and the pool's workers the others; a
-    one-block plan, such as every rank-1 update's, runs in the calling
-    thread alone and never makes the pool.  Each share works in two arrays
-    of its largest block's fibers times ``k``, allocated here: glibc gives
-    each thread its own malloc arena, and temporaries allocated in the
-    workers raised the peak resident memory of a desk fit by about 7 MB.
-    Each block writes only its own output rows, and each row sums its own
-    fibers in the same order whatever the blocks and threads, so neither
-    changes a bit of the result.
+    thread count of :func:`_thread_count`, read at each call, but at most
+    the number of blocks.  The calling thread runs share 0 and ``n - 1``
+    workers started for this call the others, and all are joined before it
+    returns.  A one-block plan, such as every rank-1 update's, runs in the
+    calling thread alone and reads no thread count.  Each share works in
+    two arrays of its largest block's fibers times ``k``, allocated here:
+    glibc gives each thread its own malloc arena, and temporaries allocated
+    in the workers raised the peak resident memory of a desk fit by about
+    7 MB.  Each block writes only its own output rows, and each row sums
+    its own fibers in the same order whatever the blocks and threads, so
+    neither changes a bit of the result.
     """
     blocks = plan.blocks
-    threads, pool = _fiber_pool() if len(blocks) > 1 else (1, None)
-    n = min(threads, len(blocks))
+    n = min(_thread_count(), len(blocks)) if len(blocks) > 1 else 1
     shares = [blocks[i::n] for i in range(n)]
     k = p.shape[1]
     buffers = [np.empty((2, max(b[2].shape[0] for b in share), k)) for share in shares]
     out = np.empty((plan.n_rows, k))
     q = np.ascontiguousarray(q)
-    futures = [
-        pool.submit(_fiber_share, share, p, q, buf, out)
-        for share, buf in zip(shares[1:], buffers[1:])
-    ]
-    try:
+    if n == 1:
+        _fiber_share(blocks, p, q, buffers[0], out)
+        return out
+    with ThreadPoolExecutor(n - 1, "tenfact-mttkrp") as pool:
+        futures = [
+            pool.submit(_fiber_share, share, p, q, buf, out)
+            for share, buf in zip(shares[1:], buffers[1:])
+        ]
         _fiber_share(shares[0], p, q, buffers[0], out)
-    finally:
-        wait(futures)
     for future in futures:
         future.result()
     return out
@@ -722,7 +723,7 @@ def _thread_count(text=None):
     Where neither is set (or is empty) it is the number of CPUs this process
     may run on, ``len(os.sched_getaffinity(0))``.  Any other text raises
     :class:`InvalidConfigError`.  The CLI's ``--threads`` and the sparse
-    MTTKRP's pool (:func:`_fiber_pool`) both count threads by this rule.
+    MTTKRP (:func:`_fiber_mttkrp`) both count threads by this rule.
     """
     if text is None:
         text = os.environ.get("TENFACT_THREADS")
@@ -737,37 +738,6 @@ def _thread_count(text=None):
             f"--threads and TENFACT_THREADS take a positive integer, got {text!r}"
         )
     return value
-
-
-# The sparse MTTKRP's ``(threads, pool)``, made by the first call that needs it.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _fiber_pool():
-    """The sparse MTTKRP's thread count, :func:`_thread_count`, and its
-    process-wide pool of that many workers but one (None at one thread).
-
-    Both are made on the first call, which only an MTTKRP of more than one
-    block makes, so a process that runs none starts no thread.
-    ``TENFACT_THREADS`` is read then, once per process.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            n = _thread_count()
-            _pool = (n, ThreadPoolExecutor(n - 1, "tenfact-mttkrp") if n > 1 else None)
-        return _pool
-
-
-def _forget_pool():
-    """In a forked child, drop the parent's pool, whose workers do not run there."""
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
 
 
 def cp_reconstruct(model):

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,15 @@ class TestRecoverySuite:
             assert bench._run_trials([(None, 0), (None, 1)], [], 1, 0.0, threads, False) == []
             assert get_threads() == before
         assert seen == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("threads", [0, -1, None, 1.5, "2"])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        spec = SynthSpec(d=6, k=2, seed=1)
+        message = f"^threads must be a positive integer, got {re.escape(repr(threads))}$"
+        with pytest.raises(ValueError, match=message):
+            run_recovery_suite([spec], ["als"], trials=1, iters=5, threads=threads)
+        with pytest.raises(ValueError, match=message):
+            run_residual_suite(spec, ["als"], iters=5, threads=threads)
 
     def test_failure_recorded_not_raised(self, monkeypatch):
         def boom(*args, **kwargs):

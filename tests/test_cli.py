@@ -84,6 +84,23 @@ class TestDecomposeCommand:
         assert capsys.readouterr().err == f"error: {coo}: line 4: text after the header's 2 entries\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("3 3 3 1000000000000", "entry line 2 must be 'i j k value'"),
+            ("3 3 3 -1", "header 'd1 d2 d3 nnz' has a negative count: 3 3 3 -1"),
+        ],
+        ids=["nnz-past-the-file", "negative-nnz"],
+    )
+    def test_bad_header_count_exit_1(self, tmp_path, capsys, header, message):
+        coo = tmp_path / "t.coo"
+        coo.write_text(f"{header}\n0 0 0 1\n")
+        out = tmp_path / "model.cpm"
+        code = main(["decompose", "--input", str(coo), "--rank", "1", "--seed", "0", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {coo}: {message}\n"
+        assert not out.exists()
+
     def test_simdiag_and_tpm(self, diag_coo, tmp_path):
         model, tensor, coo = diag_coo
         for algo, extra in (("simdiag", []), ("tpm", ["--inits", "60", "--iters", "30"])):

@@ -1,6 +1,9 @@
 import operator
+import os
 import re
 import tempfile
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -89,6 +92,10 @@ class TestCooFormat:
             pytest.param("2 2 2 1\n0 0 0 1.0\n1 1 1 2.0\n", EXTRA_LINE % (3, 1), id="too-many-lines"),
             pytest.param("2 2 2 1\n0 0 0 1.0\n\nnot an entry", EXTRA_LINE % (4, 1), id="text-after-blank"),
             pytest.param("2 2 2 0\n0 0 0 1.0\n", EXTRA_LINE % (2, 0), id="entries-past-zero"),
+            pytest.param("3 3 3 1000000000000\n0 0 0 1\n", ENTRY_LINE % 2, id="nnz-past-the-file"),
+            pytest.param(
+                "3 3 3 -1\n0 0 0 1\n", "{path}: header 'd1 d2 d3 nnz' has a negative count: 3 3 3 -1", id="negative-nnz"
+            ),
             # Accepted: the (i, j, k) rows and values, in file order.
             pytest.param("2 2 2 1\n+1 0 0 +2.5\n", ([[1, 0, 0]], [2.5]), id="plus-signs"),
             pytest.param("20 2 2 1\n1_0 0 0 1_0.5\n", ([[10, 0, 0]], [10.5]), id="underscores"),
@@ -113,6 +120,33 @@ class TestCooFormat:
         assert dims == tuple(int(x) for x in body.split()[:3])
         assert idx.dtype == np.int64 and idx.tolist() == expect[0]
         assert vals.dtype == np.float64 and vals.tobytes() == np.array(expect[1]).tobytes()
+
+    @pytest.mark.parametrize("parse", [fileio._parse_coo_lines, _parse_coo])
+    def test_header_count_past_the_file_allocates_nothing(self, tmp_path, parse):
+        """Arrays are sized by the entry lines the file can hold, at least
+        ``0 0 0 1`` and a newline each, not by the header's count."""
+        path = tmp_path / "t.coo"
+        path.write_text("3 3 3 10000000\n0 0 0 1\n1 1 1 2\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(ENTRY_LINE.format(path=path) % 3)):
+                parse(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_reads_a_pipe(self, tmp_path):
+        """A pipe has no size to cut the header's count by, and is read whole."""
+        path = tmp_path / "t.coo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("2 2 2 2\n0 0 0 1.0\n1 1 1 2.0\n",))
+        writer.start()
+        try:
+            dims, idx, vals = _parse_coo(path)
+        finally:
+            writer.join(timeout=10)
+        assert dims == (2, 2, 2) and idx.tolist() == [[0, 0, 0], [1, 1, 1]] and vals.tolist() == [1.0, 2.0]
 
     def test_reader_warning_falls_back_to_line_loop(self, tmp_path, monkeypatch):
         # numpy 1.x accepts an index "1.0" with a DeprecationWarning.
@@ -264,6 +298,26 @@ class TestCpmFormat:
         write_cpm(path, random_model(rng, (2, 2, 2), 1))
         path.write_text(path.read_text() + "\n  \n\t\n")
         assert read_cpm(path).dims == (2, 2, 2)
+
+    def test_factor_rows_past_the_file_allocate_nothing(self, tmp_path):
+        path = tmp_path / "big.cpm"
+        path.write_text("1000000000 2 2 3\n1 2 3\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: factor row has 0 values, want 3$"):
+                read_cpm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("header", ["-1 2 2 1", "2 2 2 -1"])
+    def test_negative_header_count(self, tmp_path, header):
+        path = tmp_path / "bad.cpm"
+        path.write_text(f"{header}\n1.0\n")
+        message = f"{path}: header 'd1 d2 d3 k' has a negative count: {header}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_cpm(path)
 
     def test_weight_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.cpm"

@@ -940,44 +940,50 @@ def test_csr_product_has_the_bits_of_scipy_matmul(rng, k):
     assert_same_bits(out, sums @ y)
 
 
-# Runs fits that need no sparse MTTKRP of more than one block at two
-# threads, and prints the thread count before and after and the pool.
-_POOL_START_PROBE = """
+# At two threads, runs a dense fit, a completion, a one-block sparse power
+# update and a multi-block sparse MTTKRP.  Prints the thread count at the
+# start, then after each call the threads started so far and the count.
+_THREAD_LIFETIME_PROBE = """
 import threading
 import numpy as np
-from tenfact import tensors
 from tenfact.bench import SynthSpec, gen_random_cp
 from tenfact.completion import complete_masked, sample_completion_problem
 from tenfact.decompose import DecompConfig, hybrid_run, tpm_run
-from tenfact.tensors import SparseTensor3, _mode_plan, _working_form
+from tenfact.tensors import SparseTensor3, _mode_plan, _working_form, mttkrp
 
-before = threading.active_count()
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda thread: started.append(thread) or start(thread)
+print(threading.active_count())
 _, dense = gen_random_cp(SynthSpec(d=20, k=3, seed=1))
-hybrid_run(dense, DecompConfig(rank=3, seed=2))
-complete_masked(sample_completion_problem(dense, 0.3, seed=3), 3)
 rng = np.random.default_rng(5)
 sparse = SparseTensor3((200, 200, 200), rng.integers(0, 200, (30_000, 3)), rng.random(30_000))
 assert _working_form(sparse) is sparse
 assert all(len(_mode_plan(sparse, mode, 1).blocks) == 1 for mode in (1, 2, 3))
+assert len(_mode_plan(sparse, 2, 50).blocks) > 1
 x, y, z = (v / np.linalg.norm(v) for v in rng.standard_normal((3, 200)))
-tpm_run(sparse, x, y, z, 5)
-print(before, threading.active_count(), tensors._pool)
+for call in (
+    lambda: hybrid_run(dense, DecompConfig(rank=3, seed=2)),
+    lambda: complete_masked(sample_completion_problem(dense, 0.3, seed=3), 3),
+    lambda: tpm_run(sparse, x, y, z, 5),
+    lambda: mttkrp(sparse, rng.standard_normal((3, 200, 50)), 2),
+):
+    call()
+    print(len(started), threading.active_count())
 """
 
-# Makes the pool with a multi-block MTTKRP, forks, and prints the exit code
-# of a child that runs the same MTTKRP.  The parent's workers do not run in
-# the child; the alarm ends a child that waits for them.
+# Forks right after a multi-block MTTKRP at two threads and prints the exit
+# code of a child that runs the same MTTKRP; the alarm ends a child that
+# waits for a thread that does not run there.
 _FORK_PROBE = """
 import os, signal, sys
 import numpy as np
-from tenfact import tensors
 from tenfact.tensors import SparseTensor3, mttkrp
 
 rng = np.random.default_rng(3)
 t = SparseTensor3((200, 200, 200), rng.integers(0, 200, (300_000, 3)), rng.random(300_000))
 factors = rng.standard_normal((3, 200, 50))
 expect = mttkrp(t, factors, 2)
-assert tensors._pool[1] is not None
 pid = os.fork()
 if pid == 0:
     signal.alarm(30)
@@ -987,19 +993,22 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
 
 def test_only_a_multi_block_sparse_mttkrp_starts_threads():
-    """Dense and completion fits and rank-1 sparse updates start no thread
-    and make no pool, even where two threads are asked for."""
-    assert _probe_output(_POOL_START_PROBE, TENFACT_THREADS="2").split() == ["1", "1", "None"]
+    """Dense and completion fits and rank-1 sparse updates start no thread,
+    even where two threads are asked for, and the one worker that a
+    multi-block MTTKRP starts does not outlive the call."""
+    assert _probe_output(_THREAD_LIFETIME_PROBE, TENFACT_THREADS="2").splitlines() == [
+        "1", "0 1", "0 1", "0 1", "1 1"
+    ]
 
 
 def test_forked_child_runs_multi_block_mttkrp():
     assert _probe_output(_FORK_PROBE, TENFACT_THREADS="2").strip() == "0"
 
 
-def test_concurrent_callers_share_the_pool_bit_for_bit(rng, monkeypatch):
-    """More calling threads than cores run multi-block MTTKRPs on the one
-    pool at once, with thread switches forced often; each gets the bits of
-    a one-block plan, which runs in its calling thread alone."""
+def test_concurrent_multi_block_callers_get_one_block_bits(rng, monkeypatch):
+    """More calling threads than cores run multi-block MTTKRPs at once, each
+    with workers of its own, with thread switches forced often; each gets
+    the bits of a one-block plan, which runs in its calling thread alone."""
     tensor = random_sparse(rng, (40, 30, 20), 4000)
     factors = [rng.standard_normal((d, 4)) for d in tensor.dims]
     expect = [mttkrp(tensor, factors, mode) for mode in (1, 2, 3)]
