@@ -152,7 +152,10 @@ def gen_random_cp(spec):
 
 
 def add_noise(tensor, sigma_rel, seed=0):
-    """Perturb each entry by centered Gaussian noise of sd ``sigma_rel * |T_ijk|``."""
+    """Perturb each entry of a dense tensor by centered Gaussian noise of sd
+    ``sigma_rel * |T_ijk|``."""
+    if not isinstance(tensor, DenseTensor3):
+        raise ValueError(f"add_noise takes a DenseTensor3, got {type(tensor).__name__}")
     if sigma_rel < 0:
         raise ValueError("sigma_rel must be >= 0")
     if sigma_rel == 0.0:
@@ -227,6 +230,17 @@ def _trial(spec, trial, algorithms, iters, tol, traced):
     return reports
 
 
+def _jobs(grid, trials):
+    """The ``(spec, trial)`` jobs of ``trials`` trials of every spec in ``grid``."""
+    _require_positive("trials", trials)
+    return [(spec, trial) for spec in grid for trial in range(trials)]
+
+
+def _require_positive(name, count):
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {count!r}")
+
+
 def _run_trials(jobs, algorithms, iters, tol, threads, traced):
     """Run ``(spec, trial)`` jobs on a pool of ``threads`` workers, in job order.
 
@@ -235,8 +249,7 @@ def _run_trials(jobs, algorithms, iters, tol, threads, traced):
     on the machine's core count or on ``threads``, which must be a positive
     integer.
     """
-    if not isinstance(threads, numbers.Integral) or threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
+    _require_positive("threads", threads)
 
     def work(job):
         return _trial(*job, algorithms, iters, tol, traced)
@@ -298,8 +311,7 @@ def run_recovery_suite(grid, algorithms, trials, iters=100, tol=1e-6, threads=1)
     for name in algorithms:
         if name not in ALGORITHM_NAMES:
             raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}")
-    jobs = [(spec, trial) for spec in grid for trial in range(trials)]
-    return _run_trials(jobs, algorithms, iters, tol, threads, traced=False)
+    return _run_trials(_jobs(grid, trials), algorithms, iters, tol, threads, traced=False)
 
 
 def run_residual_suite(spec, algorithms, iters, trials=1, tol=1e-6, threads=1):
@@ -313,43 +325,47 @@ def run_residual_suite(spec, algorithms, iters, trials=1, tol=1e-6, threads=1):
     for name in algorithms:
         if name not in traceable:
             raise ValueError(f"residual suite supports {traceable}, got {name!r}")
-    jobs = [(spec, trial) for trial in range(trials)]
-    return _run_trials(jobs, algorithms, iters, tol, threads, traced=True)
+    return _run_trials(_jobs([spec], trials), algorithms, iters, tol, threads, traced=True)
 
 
 def write_recovery_csv(reports, path):
     """Emit recovery reports in the stable CSV schema (UTF-8, LF)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECOVERY_HEADER)
-        for r in reports:
-            writer.writerow(
-                [
-                    r.algo,
-                    r.d,
-                    r.k,
-                    _fmt(r.weight_ratio),
-                    _fmt(r.noise),
-                    r.seed,
-                    r.trial,
-                    r.recovered_count,
-                    _fmt(r.residual_final),
-                    r.iterations,
-                    _fmt(r.wall_time_s * 1000.0),
-                ]
-            )
+    rows = (
+        [
+            r.algo,
+            r.d,
+            r.k,
+            _fmt(r.weight_ratio),
+            _fmt(r.noise),
+            r.seed,
+            r.trial,
+            r.recovered_count,
+            _fmt(r.residual_final),
+            r.iterations,
+            _fmt(r.wall_time_s * 1000.0),
+        ]
+        for r in reports
+    )
+    _write_csv(path, RECOVERY_HEADER, rows)
 
 
 def write_traces_csv(reports, path):
     """Emit residual traces, one row per (algo, seed, iteration)."""
+    rows = (
+        [r.algo, r.seed, it, _fmt(value)]
+        for r in reports
+        if r.residual_trace is not None
+        for it, value in enumerate(r.residual_trace, start=1)
+    )
+    _write_csv(path, TRACE_HEADER, rows)
+
+
+def _write_csv(path, header, rows):
+    """Write ``header`` and then ``rows`` to ``path`` as CSV (UTF-8, LF)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for r in reports:
-            if r.residual_trace is None:
-                continue
-            for it, value in enumerate(r.residual_trace, start=1):
-                writer.writerow([r.algo, r.seed, it, _fmt(float(value))])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _fmt(x):

@@ -23,7 +23,6 @@ of ``complete`` and ``overcomplete`` did between 1 and 2 threads, while
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from datetime import datetime, timezone
@@ -33,12 +32,13 @@ import numpy as np
 from . import __version__
 from .bench import (
     SynthSpec,
+    _write_csv,
     run_recovery_suite,
     run_residual_suite,
     write_recovery_csv,
     write_traces_csv,
 )
-from .completion import CompletionProblem, complete_masked
+from .completion import CompletionProblem, _has_repeats, complete_masked
 from .decompose import ALGORITHMS, ALS_RUNNERS, DecompConfig
 from .embed import (
     build_trioccurrence,
@@ -108,11 +108,8 @@ def cmd_decompose(args):
     write_cpm(args.out, result.model)
     outputs = [args.out]
     if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iter", "residual"])
-            for it, value in enumerate(result.residual_trace if traces else [], start=1):
-                writer.writerow([it, repr(float(value))])
+        trace = enumerate(result.residual_trace if traces else [], start=1)
+        _write_csv(args.trace, ["iter", "residual"], ([it, repr(float(v))] for it, v in trace))
         outputs.append(args.trace)
     _write_manifest(args.out, "decompose", args, [args.input], outputs, args.seed)
     return 0
@@ -172,8 +169,11 @@ def cmd_bench_residual(args):
 
 
 def cmd_complete(args):
-    # An explicit zero line is an observed zero, not a missing entry.
+    # An explicit zero line is an observed zero, not a missing entry, and a
+    # position given twice is neither summed nor cancelled.
     dims, idx, vals = _parse_coo(args.input)
+    if _has_repeats(idx):
+        raise ValueError(f"{args.input}: a position is given on more than one line")
     zero = vals == 0.0
     problem = CompletionProblem(
         dims=dims,

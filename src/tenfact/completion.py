@@ -70,15 +70,7 @@ class CompletionProblem:
         if self.observed.dims != tuple(self.dims):
             raise ValueError("observed tensor dims disagree with problem dims")
         object.__setattr__(self, "zero_entries", _checked_indices(self.zero_entries, self.dims))
-        self._check_no_duplicates()
-
-    def _check_no_duplicates(self):
-        idx = self.all_indices()
-        if idx.shape[0] < 2:
-            return
-        order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
-        s = idx[order]
-        if (s[1:] == s[:-1]).all(axis=1).any():
+        if _has_repeats(self.all_indices()):
             raise ValueError("duplicate observed index")
 
     def all_indices(self):
@@ -98,6 +90,12 @@ class CompletionProblem:
         if idx.size:
             mask[idx[:, 0], idx[:, 1], idx[:, 2]] = True
         return mask
+
+
+def _has_repeats(idx):
+    """Whether some row of an ``(n, 3)`` index array occurs more than once."""
+    s = idx[np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))]
+    return bool((s[1:] == s[:-1]).all(axis=1).any())
 
 
 def sample_completion_problem(tensor, p, seed=0):
@@ -221,6 +219,8 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
         cfg = replace(cfg, rank=rank)
     if cfg.init == "svd":
         raise InvalidConfigError("completion supports init='random' or 'given'")
+    if ridge < 0:
+        raise InvalidConfigError(f"ridge must be >= 0, got {ridge}")
     if problem.n_observed == 0:
         raise ValueError("completion problem has no observed entries")
 

@@ -70,6 +70,7 @@ from .tensors import (
     _fiber_mttkrp,
     _mode3_partial,
     _mode_plan,
+    _require_unit_columns,
     _relative,
     _working_form,
     normalize_columns,
@@ -111,6 +112,9 @@ _MOVED_CORR_TOL = 1e-9
 # tpm_correlation_trace leaves a step's ratios undefined where the target
 # correlation is at most this in absolute value.
 _DENOM_FLOOR = 1e-13
+# tpm_multi: a restart joins a cluster whose representative correlates at
+# least this with it in every mode.
+_CLUSTER_CORR = 0.9
 # simdiag: relative cut of the second projection's pseudoinverse, smallest
 # relative gap between the eigenvalues it separates, and the largest
 # relative imaginary residue of a realized eigenvector.
@@ -142,14 +146,11 @@ class DecompConfig:
     given: tuple | None = None
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise InvalidConfigError(f"rank must be >= 1, got {self.rank}")
-        if self.max_iters < 1:
-            raise InvalidConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        _require_at_least("rank", self.rank, 1)
+        _require_at_least("max_iters", self.max_iters, 1)
         if not self.tol > 0:
             raise InvalidConfigError(f"tol must be positive, got {self.tol}")
-        if self.orth_steps < 0:
-            raise InvalidConfigError(f"orth_steps must be >= 0, got {self.orth_steps}")
+        _require_at_least("orth_steps", self.orth_steps, 0)
         if self.init not in _INIT_MODES:
             raise InvalidConfigError(f"init must be one of {_INIT_MODES}, got {self.init!r}")
         if self.orth_mode not in _ORTH_MODES:
@@ -160,6 +161,12 @@ class DecompConfig:
             raise InvalidConfigError("rerandomize_period must be >= 1 when set")
         if self.init == "given" and self.given is None:
             raise InvalidConfigError("init='given' requires the given factor triple")
+
+
+def _require_at_least(name, value, low):
+    """Raise :class:`InvalidConfigError` naming ``name`` when ``value < low``."""
+    if value < low:
+        raise InvalidConfigError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -355,8 +362,7 @@ def _orthogonalize_with_retry(m, rng, label):
                 attempt + 1,
                 list(exc.columns),
             )
-            m = np.array(m)
-            m[:, list(exc.columns)] = _random_unit_columns(rng, m.shape[0], len(exc.columns))
+            (m,) = _redraw_columns(rng, (m,), list(exc.columns))
     raise NumericalFailureError(
         f"orthogonalization of {label} failed after 3 re-randomizations"
     )
@@ -513,9 +519,7 @@ def _rank1_update(ws, mode, u, v):
 
 def _require_unit(vec, name):
     v = np.asarray(vec, dtype=np.float64).reshape(-1)
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > _UNIT_NORM_TOL:
-        raise ValueError(f"{name} must be unit-norm, got norm {n!r}")
+    _require_unit_columns(v[:, None], _UNIT_NORM_TOL, name + " must be unit-norm, got norm {norm!r}")
     return v
 
 
@@ -549,6 +553,7 @@ def _power_kernel(ws, xs, ys, zs, iters):
     contraction against its final unit triple, and ``alive`` is false where an
     update vanished (the iterate was orthogonal to every component).
     """
+    _require_at_least("iters", iters, 0)
     alive = np.ones(xs.shape[1], dtype=bool)
     for _ in range(iters):
         x1 = ws.mttkrp(1, ys, zs)
@@ -561,41 +566,27 @@ def _power_kernel(ws, xs, ys, zs, iters):
     return np.einsum("ir,ir->r", xs, ws.mttkrp(1, ys, zs)), xs, ys, zs, alive
 
 
-def tpm_multi(
-    tensor,
-    n_inits,
-    iters,
-    rank,
-    seed=0,
-    init="random",
-    cluster_threshold=0.9,
-    inits=None,
-):
+def tpm_multi(tensor, n_inits, iters, rank, seed=0, init="random"):
     """Tensor power method with many restarts, clustered down to ``rank``.
 
     Each of the ``n_inits`` restarts gets an independent RNG stream derived
     from ``seed``, so results do not depend on execution order.  Restart
     results are sorted by decreasing ``|weight|``; a triple joins the first
-    cluster whose representative correlates at least ``cluster_threshold``
-    with it in every mode, otherwise it seeds a new cluster.  The model holds
-    the representatives of the ``rank`` heaviest clusters (fewer if fewer
-    clusters formed, which is logged).
+    cluster whose representative correlates at least ``_CLUSTER_CORR``
+    (0.9) with it in every mode, otherwise it seeds a new cluster.  The
+    model holds the representatives of the ``rank`` heaviest clusters (fewer
+    if fewer clusters formed, which is logged).
     """
+    _require_at_least("rank", rank, 1)
     if n_inits < rank:
         raise ValueError(f"need at least rank={rank} initializations, got {n_inits}")
     ws = _Workspace(tensor)
-    if inits is None:
-        cfg = DecompConfig(rank=1, init=init)
-        streams = np.random.SeedSequence(seed).spawn(n_inits)
-        triples = [
-            [f[:, 0] for f in _initial_factors(ws.dims, cfg, np.random.default_rng(s), ws)]
-            for s in streams
-        ]
-    else:
-        if len(inits) != n_inits:
-            raise ValueError("explicit inits must match n_inits")
-        triples = [tuple(np.asarray(v, dtype=np.float64) for v in t) for t in inits]
-    starts = (np.column_stack([t[mode] for t in triples]) for mode in range(3))
+    cfg = DecompConfig(rank=1, init=init)
+    triples = [
+        _initial_factors(ws.dims, cfg, np.random.default_rng(s), ws)
+        for s in np.random.SeedSequence(seed).spawn(n_inits)
+    ]
+    starts = (np.hstack([t[mode] for t in triples]) for mode in range(3))
     weights, xs, ys, zs, alive = _power_kernel(ws, *starts, iters)
     dead = np.flatnonzero(~alive)
     if dead.size:
@@ -605,7 +596,7 @@ def tpm_multi(
     rep_idx = []
     for i in order:
         for j in rep_idx:
-            if min(abs(float(f[:, i] @ f[:, j])) for f in (xs, ys, zs)) >= cluster_threshold:
+            if min(abs(float(f[:, i] @ f[:, j])) for f in (xs, ys, zs)) >= _CLUSTER_CORR:
                 break
         else:
             rep_idx.append(i)
@@ -628,6 +619,7 @@ def orth_tpm_run(tensor, rank, iters, seed=0):
     mode), then plain power iterations run to convergence.  Projections that
     annihilate the draw are retried up to 3 times.
     """
+    _require_at_least("rank", rank, 1)
     if rank > min(tensor.dims):
         raise InvalidConfigError(f"rank {rank} exceeds min(dims)={min(tensor.dims)}")
     rng = np.random.default_rng(seed)
@@ -683,6 +675,7 @@ def svd_init(tensor, rank, seed=None):
 def _svd_init(ws, rank, rng):
     """:func:`svd_init` whose mode-3 solve runs through the run's workspace."""
     d1, d2, d3 = ws.dims
+    _require_at_least("rank", rank, 1)
     if rank > min(d1, d2):
         raise InvalidConfigError(f"rank {rank} exceeds min(d1, d2)={min(d1, d2)}")
     u, s, v = _projection_svd(ws, rng, rank)
@@ -719,6 +712,7 @@ def simdiag(tensor, rank, seed=0):
     of the projection vectors, then :class:`NumericalFailureError`.
     """
     d3 = tensor.dims[2]
+    _require_at_least("rank", rank, 1)
     if rank > min(tensor.dims):
         raise InvalidConfigError(f"rank {rank} exceeds min(dims)={min(tensor.dims)}")
     rng = np.random.default_rng(seed)
@@ -841,6 +835,7 @@ def beta_bound(beta0, gamma, k, c_max, steps):
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     if c_max < 0.0:
         raise ValueError(f"c_max must be >= 0, got {c_max}")
+    _require_at_least("steps", steps, 0)
     out = np.empty(steps + 1)
     b = beta0
     out[0] = b
@@ -877,6 +872,7 @@ def tpm_correlation_trace(tensor, truth, steps, seed=0, x0=None):
     analysis setting; use symmetric tensors.  Returns a :class:`TraceRecord`
     with ``steps + 1`` rows (step 0 is the initialization).
     """
+    _require_at_least("steps", steps, 0)
     d = truth.A.shape[0]
     rng = np.random.default_rng(seed)
     if x0 is None:

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import DegenerateInputError, NumericalFailureError
-from .tensors import SparseTensor3, _fiber_mttkrp, _mode_plan, khatri_rao
+from .tensors import SparseTensor3, khatri_rao, mttkrp
 
 __all__ = [
     "orth_step",
@@ -68,8 +68,8 @@ def ls_solve_kr(tmat, p, q):
     below ``_RCOND`` times the largest.  When p and q are orthonormal, G is the
     identity and the result is the MTTKRP to rounding.  A sparse ``tmat``
     is split into the (row, p, q) entries of a tensor whose mode-1
-    matricization it is (column ``p + q * d_p``), and its MTTKRP runs on that
-    tensor's mode-1 fiber plan (see :func:`tenfact.tensors._mode_plan`).
+    matricization it is (column ``p + q * d_p``), and its MTTKRP is that
+    tensor's mode-1 :func:`tenfact.tensors.mttkrp`.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -85,7 +85,7 @@ def ls_solve_kr(tmat, p, q):
         q_idx, p_idx = np.divmod(coo.col, p.shape[0])
         dims = (tmat.shape[0], p.shape[0], q.shape[0])
         entries = SparseTensor3(dims, np.column_stack([coo.row, p_idx, q_idx]), coo.data)
-        mtt = _fiber_mttkrp(_mode_plan(entries, 1, p.shape[1]), p, q)
+        mtt = mttkrp(entries, (None, p, q), 1)
     else:
         mtt = np.asarray(tmat) @ khatri_rao(q, p)
     return _gram_solve(mtt, p, q)

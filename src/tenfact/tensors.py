@@ -327,12 +327,9 @@ class CpModel:
                 raise ValueError(f"factor {name} must have shape (d, {k})")
             if f.size and not np.isfinite(f).all():
                 raise ValueError(f"factor {name} has non-finite entries")
-            norms = np.linalg.norm(f, axis=0)
-            if k and np.abs(norms - 1.0).max() > self._NORM_TOL:
-                bad = int(np.abs(norms - 1.0).argmax())
-                raise ValueError(
-                    f"factor {name} column {bad} has norm {norms[bad]!r}, expected 1"
-                )
+            _require_unit_columns(
+                f, self._NORM_TOL, f"factor {name} column {{col}} has norm {{norm!r}}, expected 1"
+            )
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
         for arr in (w, A, B, C):
@@ -387,6 +384,19 @@ def _leading_signs(factor):
         if nz.size:
             signs[r] = math.copysign(1.0, factor[nz[0], r])
     return signs
+
+
+def _require_unit_columns(f, tol, message):
+    """Raise ValueError unless every column of ``f`` has a norm within ``tol`` of 1.
+
+    The error's text is ``message`` formatted with ``col``, the column whose
+    norm is farthest from 1, and ``norm``, that norm.
+    """
+    norms = np.linalg.norm(f, axis=0)
+    miss = np.abs(norms - 1.0)
+    if miss.size and miss.max() > tol:
+        bad = int(miss.argmax())
+        raise ValueError(message.format(col=bad, norm=float(norms[bad])))
 
 
 def normalize_columns(matrix):
@@ -479,11 +489,9 @@ def contract_mode3(tensor, v):
     if isinstance(tensor, DenseTensor3):
         return tensor.array @ v
     idx, vals = tensor.indices, tensor.values
-    out = np.zeros(d1 * d2)
-    if vals.size:
-        flat = idx[:, 0] * d2 + idx[:, 1]
-        out = np.bincount(flat, weights=vals * v[idx[:, 2]], minlength=d1 * d2)
-    return out.reshape(d1, d2)
+    out = np.bincount(idx[:, 0] * d2 + idx[:, 1], weights=vals * v[idx[:, 2]], minlength=d1 * d2)
+    # Without entries bincount counts in integers.
+    return out.reshape(d1, d2).astype(np.float64, copy=False)
 
 
 def mttkrp(tensor, factors, mode):
@@ -703,18 +711,17 @@ def _csr_product(a, x, out):
     """``a @ x`` for a CSR matrix ``a`` and a C-contiguous ``(n, k)`` array
     ``x``, written into the C-contiguous ``out``.
 
-    It calls the routine scipy's ``@`` calls, ``csr_matvec`` at ``k = 1``
-    and ``csr_matvecs`` otherwise, on a zeroed ``out``, as scipy does on a
-    fresh array, so the bits are those of ``a @ x``.
+    It calls the routine scipy's ``@`` calls for a many-column ``x``,
+    ``csr_matvecs``, on a zeroed ``out``, as scipy does on a fresh array.
+    At ``k = 1``, where scipy's ``@`` calls ``csr_matvec``, the two
+    routines add the same products in the same order, so at every ``k``
+    the bits are those of ``a @ x``.
     """
     out.fill(0.0)
     n_rows, n_cols = a.shape
-    if x.shape[1] == 1:
-        _sparsetools.csr_matvec(n_rows, n_cols, a.indptr, a.indices, a.data, x.ravel(), out.ravel())
-    else:
-        _sparsetools.csr_matvecs(
-            n_rows, n_cols, x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel()
-        )
+    _sparsetools.csr_matvecs(
+        n_rows, n_cols, x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel()
+    )
 
 
 def _thread_count(text=None):
@@ -841,10 +848,7 @@ def incoherence(factor):
     k = f.shape[1]
     if k == 0:
         raise ValueError("factor matrix has no columns")
-    norms = np.linalg.norm(f, axis=0)
-    if np.abs(norms - 1.0).max() > _UNIT_NORM_TOL:
-        bad = int(np.abs(norms - 1.0).argmax())
-        raise ValueError(f"column {bad} has norm {norms[bad]!r}; unit columns required")
+    _require_unit_columns(f, _UNIT_NORM_TOL, "column {col} has norm {norm!r}; unit columns required")
     if k == 1:
         return 0.0
     gram = np.abs(f.T @ f)

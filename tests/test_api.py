@@ -85,7 +85,7 @@ SIGNATURES = {
     "decompose.simdiag": "tensor rank seed",
     "decompose.svd_init": "tensor rank seed",
     "decompose.tpm_correlation_trace": "tensor truth steps seed x0",
-    "decompose.tpm_multi": "tensor n_inits iters rank seed init cluster_threshold inits",
+    "decompose.tpm_multi": "tensor n_inits iters rank seed init",
     "decompose.tpm_run": "tensor x0 y0 z0 iters",
     "embed.AnalogyEval": "accuracy quads_used quads_skipped",
     "embed.EmbeddingMatrix": "words vectors valid",

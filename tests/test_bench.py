@@ -18,7 +18,7 @@ from tenfact.bench import (
 )
 from tenfact.decompose import ALGORITHMS
 from tenfact.errors import InvalidConfigError, NumericalFailureError
-from tenfact.tensors import incoherence, residual_ratio
+from tenfact.tensors import SparseTensor3, incoherence, residual_ratio
 
 
 class TestGenRandomCp:
@@ -78,6 +78,11 @@ class TestAddNoise:
         t = DenseTensor3.zeros((4, 4, 4))
         assert not add_noise(t, 0.05, seed=1).array.any()
 
+    def test_sparse_tensor_rejected(self):
+        t = SparseTensor3((2, 2, 2), [[0, 0, 0]], [1.0])
+        with pytest.raises(ValueError, match="^add_noise takes a DenseTensor3, got SparseTensor3$"):
+            add_noise(t, 0.05)
+
     def test_relative_magnitude_monte_carlo(self):
         sigma = 0.05
         rels = []
@@ -89,13 +94,17 @@ class TestAddNoise:
 
 
 class TestRecoverySuite:
-    def test_zero_trials_empty(self, tmp_path):
-        reports = run_recovery_suite([SynthSpec(d=5, k=2, seed=0)], ["als"], trials=0)
-        assert reports == []
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected(self, tmp_path, trials):
+        spec = SynthSpec(d=5, k=2, seed=0)
+        message = f"^trials must be a positive integer, got {trials}$"
+        with pytest.raises(ValueError, match=message):
+            run_recovery_suite([spec], ["als"], trials=trials)
+        with pytest.raises(ValueError, match=message):
+            run_residual_suite(spec, ["als"], iters=5, trials=trials)
         path = tmp_path / "empty.csv"
-        write_recovery_csv(reports, path)
-        lines = path.read_text().splitlines()
-        assert lines == [",".join(bench.RECOVERY_HEADER)]
+        write_recovery_csv([], path)
+        assert path.read_text().splitlines() == [",".join(bench.RECOVERY_HEADER)]
 
     def test_row_count_and_order(self):
         grid = [SynthSpec(d=6, k=2, seed=0), SynthSpec(d=6, k=2, weight_scheme="geometric", weight_ratio=10.0, seed=0)]

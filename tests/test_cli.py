@@ -144,15 +144,15 @@ class TestBenchCommands:
         rows = list(csv.reader(open(out)))
         assert len(rows) - 1 == 3 * 10 * 2  # 60 data rows
 
-    def test_zero_trials_header_only(self, tmp_path):
+    def test_zero_trials_exit_1(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"
         code = main([
             "bench", "recovery", "--d", "6", "--k", "2", "--trials", "0",
             "--algos", "als", "--seed", "3", "--out", str(out),
         ])
-        assert code == 0
-        rows = list(csv.reader(open(out)))
-        assert len(rows) == 1
+        assert code == 1
+        assert capsys.readouterr().err == "error: trials must be a positive integer, got 0\n"
+        assert not out.exists()
 
     def test_seed_required(self, tmp_path):
         code = main([
@@ -251,6 +251,32 @@ class TestCompleteAndOvercomplete:
         fitted = cp_reconstruct(read_cpm(out)).array
         assert fitted[1, 0, 0] == pytest.approx(0.0, abs=1e-6)
         assert fitted[0, 0, 0] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("lines", ["0 0 0 1.0\n0 0 0 -1.0\n", "0 0 0 1.0\n0 0 0 1.0\n"])
+    def test_complete_repeated_position_exit_1(self, tmp_path, capsys, lines):
+        # Summed, the first file would leave (0, 0, 0) unobserved and the second observe 2.0.
+        coo = tmp_path / "obs.coo"
+        coo.write_text("2 2 2 3\n" + lines + "1 1 1 2.0\n")
+        out = tmp_path / "model.cpm"
+        code = main([
+            "complete", "--input", str(coo), "--rank", "1", "--seed", "0", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {coo}: a position is given on more than one line\n"
+        )
+        assert not out.exists()
+
+    def test_complete_negative_ridge_exit_1(self, tmp_path, capsys):
+        coo = tmp_path / "obs.coo"
+        coo.write_text("2 2 2 2\n0 0 0 1.0\n1 1 1 2.0\n")
+        out = tmp_path / "model.cpm"
+        code = main([
+            "complete", "--input", str(coo), "--rank", "1", "--ridge", "-1", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: ridge must be >= 0, got -1.0\n"
+        assert not out.exists()
 
     def test_complete_malformed_line_exit_1_with_line_number(self, tmp_path, capsys):
         coo = tmp_path / "obs.coo"

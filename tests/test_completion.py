@@ -128,6 +128,11 @@ class TestCompleteMasked:
         out = complete_masked(prob, 3)  # default hybrid policy
         assert residual_ratio(t, out) < 1e-6
 
+    def test_negative_ridge_rejected(self):
+        _, t = diagonal_tensor([1.0], 3)
+        with pytest.raises(InvalidConfigError, match="^ridge must be >= 0, got -1.0$"):
+            complete_masked(full_problem(t), 1, ridge=-1.0)
+
     def test_single_entry_rank1(self):
         obs = SparseTensor3.from_entries((3, 3, 3), [(1, 2, 0, 4.0)])
         prob = CompletionProblem(dims=(3, 3, 3), observed=obs)

@@ -411,27 +411,27 @@ class TestTpmMulti:
         np.testing.assert_allclose(np.sort(out.weights)[::-1], [3.0, 2.0, 1.0], atol=1e-8)
 
     def test_true_factor_inits_reproduce_model(self):
+        # The true factors of an orthogonal tensor are fixed points of the batch kernel.
         model, t = diagonal_tensor([3.0, 2.0, 1.0], 8)
-        inits = [(model.A[:, r], model.B[:, r], model.C[:, r]) for r in range(3)]
-        out = tpm_multi(t, n_inits=3, iters=5, rank=3, inits=inits)
-        assert match_factors(model, out, 0.9).recovered_count == 3
+        w, xs, ys, zs, alive = decompose._power_kernel(_Workspace(t), *model.factors, 5)
+        assert alive.all()
+        np.testing.assert_allclose(w, [3.0, 2.0, 1.0], atol=1e-12)
+        assert match_factors(model, CpModel(w, xs, ys, zs), 0.9).recovered_count == 3
 
     def test_batched_equals_sequential(self, rng):
         m = random_model(rng, (10, 10, 10), 3)
-        t = cp_reconstruct(m)
-        inits = [
-            tuple(unit_columns(np.random.default_rng((55, i, mode)), 10, 1)[:, 0] for mode in range(3))
-            for i in range(4)
+        ws = _Workspace(cp_reconstruct(m))
+        starts = [
+            np.column_stack(
+                [unit_columns(np.random.default_rng((55, i, mode)), 10, 1)[:, 0] for i in range(4)]
+            )
+            for mode in range(3)
         ]
-        multi = tpm_multi(t, n_inits=4, iters=12, rank=4, inits=inits, cluster_threshold=1.1 - 1e-12)
-        # cluster_threshold just above 1 keeps every restart as its own cluster
-        # only if none coincide; compare against per-restart runs instead.
-        singles = [tpm_run(t, *init, 12) for init in inits]
-        single_ws = sorted(abs(w) for w, *_ in singles)
-        multi_ws = sorted(np.abs(multi.weights))
-        # Representatives are a subset of the single-run results.
-        for wv in multi_ws:
-            assert min(abs(wv - s) for s in single_ws) < 1e-10
+        batch = decompose._power_kernel(ws, *starts, 12)
+        for i in range(4):
+            single = decompose._power_kernel(ws, *(s[:, [i]] for s in starts), 12)
+            for got, want in zip(batch, single):
+                np.testing.assert_allclose(got[..., i], want[..., 0], rtol=0, atol=1e-10)
 
     def test_requires_enough_inits(self, rng):
         _, t = diagonal_tensor([1.0], 4)
@@ -595,6 +595,29 @@ class TestConfigValidation:
     def test_bad_orth_mode(self):
         with pytest.raises(InvalidConfigError):
             DecompConfig(rank=1, orth_mode="sometimes")
+
+
+# Library calls outside the registry, each with a rank below 1 or a negative count.
+BAD_COUNTS = {
+    "tpm_multi rank -1": (lambda m, t: tpm_multi(t, 4, 3, rank=-1), "rank must be >= 1, got -1"),
+    "tpm_multi rank 0": (lambda m, t: tpm_multi(t, 4, 3, rank=0), "rank must be >= 1, got 0"),
+    "tpm_multi iters": (lambda m, t: tpm_multi(t, 4, -2, rank=1), "iters must be >= 0, got -2"),
+    "orth_tpm_run rank": (lambda m, t: orth_tpm_run(t, 0, 3), "rank must be >= 1, got 0"),
+    "orth_tpm_run iters": (lambda m, t: orth_tpm_run(t, 1, -1), "iters must be >= 0, got -1"),
+    "simdiag rank": (lambda m, t: simdiag(t, 0), "rank must be >= 1, got 0"),
+    "svd_init rank": (lambda m, t: svd_init(t, 0), "rank must be >= 1, got 0"),
+    "tpm_run iters": (lambda m, t: tpm_run(t, m.A[:, 0], m.B[:, 0], m.C[:, 0], -5), "iters must be >= 0, got -5"),
+    "beta_bound steps": (lambda m, t: beta_bound(0.5, 1.0, 3, 0.0, -1), "steps must be >= 0, got -1"),
+    "trace steps": (lambda m, t: tpm_correlation_trace(t, m, -1), "steps must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_COUNTS))
+def test_rank_below_one_and_negative_counts_rejected(case):
+    call, message = BAD_COUNTS[case]
+    model, t = diagonal_tensor([3.0, 2.0, 1.0], 5)
+    with pytest.raises(InvalidConfigError, match=f"^{message}$"):
+        call(model, t)
 
 
 def registry_outcomes(name, tensors, cfg):

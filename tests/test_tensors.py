@@ -374,6 +374,10 @@ class TestContractions:
         t = DenseTensor3(rng.standard_normal((3, 4, 5)))
         assert not contract_mode3(t, np.zeros(5)).any()
 
+    def test_mode3_of_an_empty_sparse_tensor_is_float_zeros(self):
+        out = contract_mode3(SparseTensor3.empty((3, 4, 5)), np.ones(5))
+        assert out.dtype == np.float64 and out.shape == (3, 4) and not out.any()
+
     def test_mode3_loop_oracle(self, rng):
         t = DenseTensor3(rng.standard_normal((3, 4, 5)))
         v = rng.standard_normal(5)
