@@ -17,7 +17,9 @@ their bits by construction, as they run BLAS at one thread, and so do
 tensor norms and residuals.  Other outputs may move in their last bits, as
 an OpenBLAS GEMM rounds by thread count at some shapes: the ``.cpm`` files
 of ``complete`` and ``overcomplete`` did between 1 and 2 threads, while
-``decompose`` fits at d=100 and a 400^3 sparse fit did not (ROADMAP item 1).
+``decompose`` fits at d=100 and a 400^3 sparse fit did not; a test,
+``test_dense_fits_do_not_depend_on_blas_threads``, holds the dense fits to it.
+``decompose`` writes no model of fewer components than ``--rank``: it exits 2.
 """
 
 from __future__ import annotations
@@ -103,6 +105,11 @@ def cmd_decompose(args):
         record_trace=args.trace is not None,
     )
     result = ALGORITHMS[args.algo](tensor, cfg, args.inits)
+    if result.model.k < cfg.rank:
+        raise UndefinedResultError(
+            f"{args.algo} found {result.model.k} components, fewer than --rank {cfg.rank}; "
+            "no model written"
+        )
     if traces:
         print(f"{args.algo}: {result.iterations_used} iterations, converged={result.converged}")
     write_cpm(args.out, result.model)

@@ -212,6 +212,8 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
     is kept, one warning says so, and the stopping rule runs on.  Rows
     without observations keep their initialization (logged at problem
     setup) unless their column is redrawn, which redraws them too.
+    Observed values whose sum of squares overflows float64 raise
+    ``ValueError``.
     """
     if cfg is None:
         cfg = DecompConfig(rank=rank, orth_mode="first_s", orth_steps=5)
@@ -226,13 +228,16 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
 
     indices = problem.all_indices()
     values = problem.all_values()
+    # Relative RMSE: the exact-fit floor must not depend on the data's scale.
+    with np.errstate(over="ignore"):
+        scale = float(np.sqrt(np.mean(values**2))) or 1.0
+    if not math.isfinite(scale):
+        raise ValueError("the observed values' sum of squares overflows float64; scale them down")
     solver = _RowSolver(indices, values, problem.dims)
     ij_pairs, ij_inverse = _distinct_pairs(indices[:, 0], indices[:, 1], problem.dims[1])
     kk = indices[:, 2]
     # Observed energy below this marks a column that has left the observed entries.
     energy_floor = 0.5 * problem.n_observed / math.prod(problem.dims)
-    # Relative RMSE: the exact-fit floor must not depend on the data's scale.
-    scale = float(np.sqrt(np.mean(values**2))) or 1.0
     redraws = np.zeros(rank, dtype=np.int64)
 
     def step(t, rng, a, b, c):

@@ -21,6 +21,10 @@ stop rule and record a trace.
 Every sweep, and every other repeated MTTKRP, runs through one per-run
 ``_Workspace``: it puts the tensor in its working form, keeps what repeated
 MTTKRPs share, and reads each sweep's stop metric (``_Workspace.stop_ratio``).
+On a dense tensor it keeps the last tensor-sized partial contraction, so the
+sweeps run on the multi-sweep dimension tree of Ma & Solomonik (IPDPS 2021):
+each such contraction serves two consecutive mode updates, across the
+boundary between sweeps too, 1.5 per plain sweep instead of 2.
 A run may also be handed ``_Deflated(T, M)``, a tensor minus a CP model, as
 block deflation does; its workspace reads ``T`` and subtracts ``M``'s share
 from every MTTKRP, mode-3 projection and norm at O(d k r) extra cost (Bader &
@@ -63,13 +67,14 @@ from .tensors import (
     DenseTensor3,
     contract_mode3,
     _block_budget,
-    _dense_mttkrp,
+    _dense_partial,
     _exact_residual,
     _gram_residual_norm,
     _residual_norm,
     _fiber_mttkrp,
-    _mode3_partial,
     _mode_plan,
+    _partial_mode,
+    _partial_mttkrp,
     _require_unit_columns,
     _relative,
     _working_form,
@@ -212,7 +217,8 @@ class _Workspace:
     workspace (its norm, the MTTKRPs, the SVD start's and simdiag's
     projections, the final weight re-estimation), so a sparse input that
     the density rule densifies gives the model of its dense copy bit for
-    bit.
+    bit.  A tensor whose sum of squares overflows float64 raises
+    ``ValueError`` here, before any run reads it.
 
     A :class:`_Deflated` input ``T - M`` is unwrapped: ``self.tensor`` is
     ``T`` and ``self.model`` the subtracted model ``M = [[w; A, B, C]]``
@@ -226,14 +232,25 @@ class _Workspace:
     A tensor that stays sparse keeps each mode's fiber plan, cut into row
     blocks for the rank (``tensors._mode_plan``), built on the mode's first
     use and reused for the rest of the run; a call at a rank with another
-    block budget builds it again.  A dense tensor keeps the last mode-3 partial
-    ``Y = T x_3 q`` (``tensors._mode3_partial``) with a copy of the ``q`` it
-    came from.  A mode-1 or mode-2 call reuses ``Y`` when its ``q`` equals
-    that copy by value, so an ALS sweep, whose first two modes both contract
-    the old third factor, forms ``Y`` once and costs two large GEMMs and no
-    Khatri-Rao product: the dimension tree of Phan, Tichavský & Cichocki
-    (IEEE TSP 2013).  Values, not identities, are compared because callers
-    may change an array in place.
+    block budget builds it again.  A dense tensor keeps one partial
+    ``Y = T x_m F`` (``tensors._dense_partial``), the last one formed, with
+    a copy of the ``F`` it came from.  A call of another mode whose factor
+    of mode ``m`` equals that copy by value contracts ``Y`` with its third
+    factor; any other call forms the partial of the mode before its own,
+    cyclically (3 for 1, 1 for 2, 2 for 3), and keeps it instead.  The
+    dimension tree of Phan, Tichavský & Cichocki (IEEE TSP 2013) shares one
+    partial between the first two updates of a sweep; keeping it across
+    sweeps gives the multi-sweep tree of Ma & Solomonik (IPDPS 2021).  In
+    an ALS sweep (``_sweep``) mode 1 forms ``T x_3 C``, which mode 2
+    reuses, and mode 3 forms ``T x_2 B``; the next sweep's mode 1 reuses
+    that, because ``_sweep`` hands on the very ``B`` mode 3 contracted, and
+    its mode 2 forms ``T x_1 A``, which its mode 3 reuses.  So plain sweeps
+    alternate between two tensor-sized GEMMs and one.  A sweep after a QR
+    starts on new factors and forms two; the power method's simultaneous
+    updates form two per iteration.  Values, not identities, are compared,
+    because the factors change between updates (QR, weight sort, redraws)
+    and callers may change an array in place.  Only one partial is kept,
+    so the memory stays at one ``(k, d, d)`` array.
 
     The exact residual (``explicit_ratio``) writes the model in the
     tensor's row-major ``(d1, d2*d3)`` layout into one buffer and subtracts
@@ -255,9 +272,11 @@ class _Workspace:
             self.tnorm = tensor.norm()
         else:
             self.tnorm = _residual_norm(tensor, model.weights, *model.factors)
+        if not math.isfinite(self.tnorm):
+            raise ValueError("the tensor's sum of squares overflows float64; scale it down")
         self.dense = isinstance(tensor, DenseTensor3)
         self._modes = [None, None, None]
-        self._partial = self._partial_q = None
+        self._kept = None
         self._residual = None
 
     def _plan(self, mode, k):
@@ -267,19 +286,27 @@ class _Workspace:
         return kept
 
     def mttkrp(self, mode, p, q):
-        if not self.dense:
-            out = _fiber_mttkrp(self._plan(mode, p.shape[1]), p, q)
+        if self.dense:
+            out = self._dense_mttkrp(mode, p, q)
         else:
-            # Mode 3 contracts no mode-3 partial.
-            if mode != 3 and (self._partial_q is None or not np.array_equal(self._partial_q, q)):
-                self._partial = _mode3_partial(self.tensor.array, q)
-                self._partial_q = np.array(q)
-            out = _dense_mttkrp(self.tensor.array, mode, p, q, self._partial)
+            out = _fiber_mttkrp(self._plan(mode, p.shape[1]), p, q)
         if self.model is not None:
             f = self.model.factors
             fp, fq = (f[i] for i in range(3) if i != mode - 1)
             out -= (f[mode - 1] * self.model.weights) @ ((fp.T @ p) * (fq.T @ q))
         return out
+
+    def _dense_mttkrp(self, mode, p, q):
+        """The mode-``mode`` MTTKRP through the kept partial, formed anew on a miss."""
+        factor = dict(zip((m for m in (1, 2, 3) if m != mode), (p, q)))
+        kept = self._kept
+        if kept is None or kept[0] not in factor or not np.array_equal(kept[1], factor[kept[0]]):
+            m = _partial_mode(mode)
+            f = factor[m]
+            self._kept = None  # free the old partial before the new one is formed
+            self._kept = kept = (m, np.array(f), _dense_partial(self.tensor.array, m, f))
+        m, _, y = kept
+        return _partial_mttkrp(y, m, mode, factor[6 - m - mode])
 
     def contract_mode3(self, v):
         """The mode-3 projection ``P[i, j] = sum_k R[i, j, k] v[k]`` of the
@@ -375,15 +402,31 @@ def als_sweep(tensor, a, b, c):
     Columns are returned unnormalized; the scale bookkeeping belongs to the
     calling driver.
     """
-    return _sweep(_Workspace(tensor), a, b, c)[:3]
+    ws = _Workspace(tensor)
+    a1, _ = ws.ls_update(1, b, c)
+    b1, _ = ws.ls_update(2, a1, c)
+    c1, _ = ws.ls_update(3, a1, b1)
+    return a1, b1, c1
 
 
 def _sweep(ws, a, b, c):
-    """One ALS sweep through ``ws``; also returns the mode-3 MTTKRP."""
-    a1, _ = ws.ls_update(1, b, c)
-    b1, _ = ws.ls_update(2, a1, c)
-    c1, m3 = ws.ls_update(3, a1, b1)
-    return a1, b1, c1, m3
+    """One ALS sweep through ``ws``: unit ``a`` and ``b``, the unnormalized
+    ``c`` and the mode-3 MTTKRP.
+
+    ``a`` and ``b`` are normalized as soon as they are solved, as in the
+    CP-ALS of Kolda & Bader (SIAM Review 2009), so the ``b`` that the mode-3
+    solve contracts is, bit for bit, the ``b`` that the next sweep's mode-1
+    solve receives, and the workspace's kept partial serves both.  A column
+    that a solve zeroes gets a unit stand-in (``normalize_columns``) but
+    stays zero in the later solves of the sweep, so that, as unnormalized,
+    its ``c`` column and weight are 0 and the other columns' solves do not
+    see it.
+    """
+    a, na = normalize_columns(ws.ls_update(1, b, c)[0])
+    live_a = a * (na > 0.0)
+    b, nb = normalize_columns(ws.ls_update(2, live_a, c)[0])
+    c, m3 = ws.ls_update(3, live_a, b * (nb > 0.0))
+    return a, b, c, m3
 
 
 def _orthogonalizes(cfg, t):
@@ -463,13 +506,10 @@ def _driver(tensor, cfg):
     ws = _Workspace(tensor)
 
     def step(t, rng, a, b, c):
-        a1, b1, c1, m3 = _sweep(ws, a, b, c)
+        a, b, c1, m3 = _sweep(ws, a, b, c)
         inner = float(np.sum(c1 * m3))
-        model_sq = float(((a1.T @ a1) * (b1.T @ b1) * (c1.T @ c1)).sum())
-        a, na = normalize_columns(a1)
-        b, nb = normalize_columns(b1)
-        c, nc = normalize_columns(c1)
-        weights = na * nb * nc
+        model_sq = float(((a.T @ a) * (b.T @ b) * (c1.T @ c1)).sum())
+        c, weights = normalize_columns(c1)
         return a, b, c, weights, ws.stop_ratio(inner, model_sq, weights, a, b, c)
 
     result = _sweep_engine(cfg, ws.dims, step, ws)

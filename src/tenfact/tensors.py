@@ -15,14 +15,17 @@ and cyclically for modes 2 and 3.  Concretely, mode-1 matricization sends
 entry ``(i, j, k)`` to row ``i``, column ``j + k * d2``, and
 ``khatri_rao(X, Y)`` places ``X[a] * Y[b]`` at row ``a * dY + b``.
 
-Dense MTTKRPs all go through one kernel on the row-major array, which never
-builds a matricization or a full Khatri-Rao product.  Modes 1 and 2 contract
-the mode-3 partial ``Y = T x_3 q`` (one GEMM over the array's natural
-``(d1*d2, d3)`` layout, oriented as :func:`_mode3_partial` explains) with the
-remaining factor; mode 3 contracts ``X = p^T x_1 T`` (one GEMM
-``p^T @ T_(1)`` over the ``(d1, d2*d3)`` layout) with ``q``.  A sweep that
-keeps ``Y`` for its first two modes is the dimension tree of
-``decompose._Workspace``.
+Dense MTTKRPs all go through two helpers on the row-major array, which
+never build a matricization or a full Khatri-Rao product.
+:func:`_dense_partial` forms the partial ``Y = T x_m F`` of one mode ``m``,
+one tensor-sized GEMM in the orientation that packs the array best for that
+mode, and :func:`_partial_mttkrp` contracts ``Y`` with the factor of the
+third mode, a small batched product.  The mode-``n`` MTTKRP takes the
+partial of the mode before ``n``, cyclically (:func:`_partial_mode`).  A
+partial serves the updates of both modes it keeps, so a workspace that keeps
+the last one (``decompose._Workspace``) runs consecutive ALS sweeps on the
+multi-sweep dimension tree of Ma & Solomonik (IPDPS 2021): each partial
+serves two mode updates, 1.5 tensor-sized GEMMs per sweep instead of 2.
 
 Sparse MTTKRPs all go through one fiber-compressed kernel, the CSF idea of
 SPLATT (Smith & Karypis, IPDPS 2015), on one plan type, :class:`_ModePlan`,
@@ -84,6 +87,10 @@ __all__ = [
 # fibers of a 760k-nonzero tensor in one block, so rank-1 updates pay no
 # per-block overhead.
 _BLOCK_FLOATS = 1 << 18
+
+# A sparse MTTKRP runs on at most one thread per this many fibers (see
+# _fiber_mttkrp).
+_SHARE_FIBERS = 1 << 14
 
 # A sparse tensor is computed on as a dense copy when it has at most this many
 # entries (a 32 MB array) and at least this share of them is stored.  From
@@ -500,12 +507,13 @@ def mttkrp(tensor, factors, mode):
     For ``factors = (A, B, C)``: mode 1 computes ``T_(1) (C ⊙ B)``, mode 2
     ``T_(2) (C ⊙ A)``, mode 3 ``T_(3) (B ⊙ A)``.  This is the core kernel of
     every alternating update, and the full Khatri-Rao product is never
-    materialized.  A dense tensor goes through :func:`_dense_mttkrp`, which
-    contracts the row-major array with ``q`` (modes 1 and 2) or ``p`` (mode
-    3) in one GEMM and the other factor in one small contraction.  A sparse
-    tensor gets a fiber plan for this one call (see :func:`_mode_plan`).
-    Callers that repeat a mode keep the plan, or the dense mode-3 partial,
-    in a ``decompose._Workspace`` instead.  The two factors used must be
+    materialized.  A dense tensor contracts the row-major array with the
+    factor of the mode before ``mode``, cyclically, in one GEMM
+    (:func:`_dense_partial`) and the other factor in one small batched
+    product (:func:`_partial_mttkrp`).  A sparse tensor gets a fiber plan
+    for this one call (see :func:`_mode_plan`).  Callers that repeat a mode
+    keep the plan, or the last dense partial, in a ``decompose._Workspace``
+    instead.  The two factors used must be
     ``(d_n, k)`` for their modes' dims ``d_n`` and one ``k``; the factor of
     ``mode`` itself is not read.
     """
@@ -521,42 +529,54 @@ def mttkrp(tensor, factors, mode):
             f"{p.shape}, {q.shape}; expected {need[0]}, {need[1]}"
         )
     if isinstance(tensor, DenseTensor3):
-        return _dense_mttkrp(tensor.array, mode, p, q)
+        kept = _partial_mode(mode)
+        f, g = (p, q) if kept < 6 - kept - mode else (q, p)
+        return _partial_mttkrp(_dense_partial(tensor.array, kept, f), kept, mode, g)
     return _fiber_mttkrp(_mode_plan(tensor, mode, k), p, q)
 
 
-def _mode3_partial(arr, q):
-    """``Y[i, j, r] = sum_k T[i, j, k] q[k, r]``, the tensor times ``q`` in mode 3.
+def _partial_mode(mode):
+    """The mode whose partial a mode-``mode`` MTTKRP forms: the one before it,
+    cyclically (3 for 1, 1 for 2, 2 for 3)."""
+    return (mode + 1) % 3 + 1
 
-    Modes 1 and 2 of an MTTKRP against the same ``q`` both contract it.  The
-    GEMM runs as ``q^T @ T^T`` over the ``(d1*d2, d3)`` layout, so OpenBLAS
-    packs the large operand as in mode 3's ``p^T @ T_(1)``: at d = 100,
-    k = 30 on one BLAS thread of a 2-core VM that takes about 2.0 ms, against
-    2.5-2.9 ms for ``T @ q``.  The result is a view of the product's
-    transpose, shape ``(d1, d2, k)`` with ``r`` the slowest axis, and no
-    copy.  Each entry is the same ``d3``-term dot product as in ``T @ q``,
-    but the GEMM kernel accumulates it differently by orientation: the bits
-    agree at d = 100, k = 30, while at (50, 50, 50), k = 50 some entries
-    differ in the last place.
+
+def _dense_partial(arr, mode, f):
+    """``Y = T x_mode f``, the row-major tensor times ``f`` in mode ``mode``.
+
+    ``Y[r, a, b]`` sums ``T`` against ``f[:, r]`` over mode ``mode``; ``a``
+    and ``b`` run over the other two modes in order, so the shape is
+    ``(k, d_a, d_b)``.  Each mode takes the GEMM orientation that packs the
+    tensor best: mode 1 is ``f^T @ T_(1)`` over the ``(d1, d2*d3)`` layout,
+    mode 2 one batched ``f^T @ T[i]`` per mode-1 slice, and mode 3
+    ``f^T @ T^T`` over the ``(d1*d2, d3)`` layout.  On one BLAS thread of a
+    2-core VM they took 1.13-1.17, 0.97-0.98 and 1.24-1.27 ms at d = 100,
+    k = 30 (medians of 50 calls, two runs).  Mode 3 is the ``T @ f`` of the
+    natural layout in another orientation: each entry is the same
+    ``d3``-term dot product, but the GEMM kernel accumulates it
+    differently, so at (50, 50, 50), k = 50 some entries differ from
+    ``T @ f`` in the last place.
     """
     d1, d2, d3 = arr.shape
-    return (q.T @ arr.reshape(d1 * d2, d3).T).T.reshape(d1, d2, q.shape[1])
+    k = f.shape[1]
+    if mode == 1:
+        return (f.T @ arr.reshape(d1, d2 * d3)).reshape(k, d2, d3)
+    if mode == 2:
+        return np.matmul(f.T, arr).transpose(1, 0, 2)
+    return (f.T @ arr.reshape(d1 * d2, d3).T).reshape(k, d1, d2)
 
 
-def _dense_mttkrp(arr, mode, p, q, partial=None):
-    """Dense MTTKRP ``out[o] = sum_(p, q) T[o, p, q] P[p] * Q[q]`` on a row-major array.
+def _partial_mttkrp(y, kept, mode, g):
+    """The mode-``mode`` MTTKRP from ``y = _dense_partial(arr, kept, f)``.
 
-    Modes 1 and 2 contract ``partial``, which must be ``_mode3_partial(arr,
-    q)`` and is formed here when not given, with ``p``.  Mode 3 forms
-    ``X[r, j, k] = sum_i p[i, r] T[i, j, k]`` and contracts it with ``q``.
+    It contracts ``y`` with ``g``, the factor of the third mode, in one
+    batched product of a matrix and a vector per column, which measured
+    faster than ``einsum`` (0.06-0.07 against 0.09-0.17 ms at d = 100,
+    k = 30, one BLAS thread).
     """
-    if mode == 3:
-        d1, d2, d3 = arr.shape
-        x = (p.T @ arr.reshape(d1, d2 * d3)).reshape(p.shape[1], d2, d3)
-        return np.einsum("rjk,jr->kr", x, q)
-    if partial is None:
-        partial = _mode3_partial(arr, q)
-    return np.einsum("ijr,jr->ir" if mode == 1 else "ijr,ir->jr", partial, p)
+    if mode < 6 - kept - mode:
+        return np.matmul(y, g.T[:, :, None])[:, :, 0].T
+    return np.matmul(g.T[:, None, :], y)[:, 0, :].T
 
 
 def _mode_order(tensor, mode):
@@ -663,9 +683,16 @@ def _fiber_mttkrp(plan, p, q):
 
     The blocks are dealt out in strided shares, ``blocks[i::n]``, ``n`` the
     thread count of :func:`_thread_count`, read at each call, but at most
-    the number of blocks.  The calling thread runs share 0 and ``n - 1``
-    workers started for this call the others, and all are joined before it
-    returns.  A one-block plan, such as every rank-1 update's, runs in the
+    the number of blocks and at most one per ``_SHARE_FIBERS`` (16,384)
+    fibers of the plan.  That grain comes from random 200^3 tensors at
+    k = 50, mode 1, on one BLAS thread of a 2-core VM: with shares of about
+    5,200 and 12,600 fibers, 2 threads took 3.0 and 1.8 times as long as
+    one (12k and 40k nonzeros); with about 17,300 and 20,000 (80k and 294k
+    nonzeros) they were within a few percent of it or faster.  A small
+    share cannot win back the page faults on its fresh buffers.  The
+    calling thread runs share 0 and ``n - 1`` workers started for this call
+    the others, and all are joined before it returns.  A plan of one block,
+    such as every rank-1 update's, or of fewer than two grains runs in the
     calling thread alone and reads no thread count.  Each share works in
     two arrays of its largest block's fibers times ``k``, allocated here:
     glibc gives each thread its own malloc arena, and temporaries allocated
@@ -675,7 +702,8 @@ def _fiber_mttkrp(plan, p, q):
     neither changes a bit of the result.
     """
     blocks = plan.blocks
-    n = min(_thread_count(), len(blocks)) if len(blocks) > 1 else 1
+    most = min(len(blocks), sum(b[2].shape[0] for b in blocks) // _SHARE_FIBERS)
+    n = min(_thread_count(), most) if most > 1 else 1
     shares = [blocks[i::n] for i in range(n)]
     k = p.shape[1]
     buffers = [np.empty((2, max(b[2].shape[0] for b in share), k)) for share in shares]

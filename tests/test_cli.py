@@ -113,6 +113,56 @@ class TestDecomposeCommand:
             fitted = read_cpm(out)
             assert residual_ratio(tensor, fitted) < 1e-6
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["decompose", "--algo", "hybrid"],
+            ["decompose", "--algo", "als"],
+            ["decompose", "--algo", "simdiag"],
+            ["decompose", "--algo", "tpm"],
+            ["decompose", "--algo", "orth-tpm"],
+            ["complete"],
+            ["overcomplete"],
+        ],
+        ids=["hybrid", "als", "simdiag", "tpm", "orth-tpm", "complete", "overcomplete"],
+    )
+    def test_overflowing_sum_of_squares_exit_1(self, tmp_path, capsys, command):
+        """Two entries of 1e308 are finite, but their sum of squares is not."""
+        coo = tmp_path / "big.coo"
+        coo.write_text("3 3 3 2\n0 0 0 1e308\n1 1 1 1e308\n")
+        out = tmp_path / "model.cpm"
+        code = main([*command, "--input", str(coo), "--rank", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the ") and err.count("\n") == 1
+        assert "sum of squares overflows float64" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, rank, found",
+        [
+            ("3 3 3 1\n0 0 0 0.0\n", 1, 0),
+            ("3 3 3 0\n", 1, 0),
+            ("3 3 3 3\n0 0 0 1\n1 1 1 2\n2 2 2 3\n", 3, 2),
+        ],
+        ids=["all-zero", "empty", "two-clusters"],
+    )
+    def test_tpm_fewer_components_than_rank_exit_2(self, tmp_path, capsys, text, rank, found):
+        coo = tmp_path / "t.coo"
+        coo.write_text(text)
+        out = tmp_path / "model.cpm"
+        code = main([
+            "decompose", "--input", str(coo), "--algo", "tpm", "--rank", str(rank),
+            "--inits", "3", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.endswith(
+            f"numerical failure: tpm found {found} components, fewer than --rank {rank}; "
+            "no model written\n"
+        )
+        assert not out.exists()
+        assert not (tmp_path / "model.cpm.manifest.json").exists()
+
     def test_algo_choices_are_the_registry(self):
         parser = _build_parser()
         assert choices(leaf_parser(parser, "decompose"), "algo") == list(ALGORITHMS)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +130,18 @@ class TestAlsRun:
             np.testing.assert_array_equal(g, e)
 
 
+    def test_zeroed_column_keeps_weight_zero(self):
+        """The mode-1 solve zeroes column 1; as unnormalized, it stays zero in
+        the sweep's other solves, so column 0 keeps the tensor's weight 3."""
+        arr = np.zeros((4, 4, 4))
+        arr[0, 0, 0] = 3.0
+        a = np.array([[0.6, 0.8], [0.8, -0.6], [0.0, 0.0], [0.0, 0.0]])
+        bc = np.eye(4)[:, :2]
+        cfg = DecompConfig(rank=2, max_iters=1, init="given", given=(a, bc, bc))
+        result = als_run(DenseTensor3(arr), cfg)
+        np.testing.assert_allclose(result.model.weights, [3.0, 0.0], rtol=0, atol=1e-15)
+
+
 class TestOrthAlsRun:
     def test_diagonal_exact_recovery(self):
         model, t = diagonal_tensor([3.0, 2.0, 1.0], 10)
@@ -193,6 +209,48 @@ class TestHybridRun:
         np.testing.assert_array_equal(r_hybrid.residual_trace, r_orth.residual_trace)
         np.testing.assert_array_equal(r_hybrid.model.A, r_orth.model.A)
         np.testing.assert_array_equal(r_hybrid.model.weights, r_orth.model.weights)
+
+
+class TestDimensionTree:
+    """A dense workspace keeps one partial ``T x_m F``, so that each
+    tensor-sized GEMM serves two consecutive mode updates, across sweep
+    boundaries too (Ma & Solomonik, IPDPS 2021)."""
+
+    @staticmethod
+    def count_partials(monkeypatch):
+        formed = []
+        real = decompose._dense_partial
+        monkeypatch.setattr(
+            decompose, "_dense_partial", lambda arr, mode, f: formed.append(mode) or real(arr, mode, f)
+        )
+        return formed
+
+    def test_plain_sweeps_form_three_partials_per_two_sweeps(self, rng, monkeypatch):
+        """1.5 tensor-sized GEMMs per plain sweep: modes 3 and 2 in odd
+        sweeps, mode 1 in even ones; the parent took 2 per sweep."""
+        t = DenseTensor3(rng.standard_normal((9, 10, 11)))
+        formed = self.count_partials(monkeypatch)
+        result = als_run(t, DecompConfig(rank=4, max_iters=12, tol=1e-300, seed=5))
+        assert result.iterations_used == 12
+        assert len(formed) <= 1 + 18
+        assert formed == [3, 2, 1] * 6
+
+    def test_orthogonalized_sweeps_form_two_partials_each(self, rng, monkeypatch):
+        """QR changes every factor, so each sweep forms modes 3 and 2; the
+        final weight re-estimation reuses the last one."""
+        t = DenseTensor3(rng.standard_normal((9, 10, 11)))
+        formed = self.count_partials(monkeypatch)
+        result = orth_als_run(t, DecompConfig(rank=4, max_iters=12, tol=1e-300, seed=5))
+        assert result.iterations_used == 12
+        assert formed == [3, 2] * 12
+
+    def test_svd_start_feeds_the_first_sweep(self, rng, monkeypatch):
+        """The start's mode-3 solve forms mode 2's partial, which sweep 1's
+        mode-1 update reuses."""
+        t = DenseTensor3(rng.standard_normal((9, 10, 11)))
+        formed = self.count_partials(monkeypatch)
+        als_run(t, DecompConfig(rank=4, max_iters=2, tol=1e-300, seed=5, init="svd"))
+        assert formed == [2, 1, 3, 2]
 
 
 def reference_explicit_ratio(ws, w, a, b, c):
@@ -824,3 +882,39 @@ class TestSparseExactFit:
         got, expect = als_run(sparse, cfg), als_run(exact, cfg)
         assert got.iterations_used == expect.iterations_used
         assert got.residual_trace[-1] < 1e-13
+
+
+# Prints one SHA-256 per dense d=100, k=30 ALS-family model: the paper's
+# ratio-100 instance, 40 sweeps, random and SVD starts.
+_DENSE_FIT_PROBE = """
+import hashlib
+import numpy as np
+from tenfact.bench import SynthSpec, gen_random_cp
+from tenfact.decompose import ALS_RUNNERS, DecompConfig
+
+spec = SynthSpec(d=100, k=30, weight_scheme="geometric", weight_ratio=100.0, seed=1)
+_, tensor = gen_random_cp(spec)
+for init in ("random", "svd"):
+    for name in ("als", "orth-als", "hybrid"):
+        m = ALS_RUNNERS[name](tensor, DecompConfig(rank=30, max_iters=40, tol=1e-300, seed=2, init=init)).model
+        digest = hashlib.sha256(b"".join(np.ascontiguousarray(x).tobytes() for x in (m.weights, *m.factors)))
+        print(name, init, digest.hexdigest())
+"""
+
+
+def test_dense_fits_do_not_depend_on_blas_threads():
+    """The README's promise that the d=100, k=30 dense fits keep their bits
+    at 1 and 2 OpenBLAS threads; deflation and completion are its
+    documented exceptions."""
+    src = str(Path(decompose.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _DENSE_FIT_PROBE],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        outputs.append(run.stdout)
+    assert len(outputs[0].splitlines()) == 6
+    assert outputs[0] == outputs[1]

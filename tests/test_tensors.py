@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tenfact import tensors
+from tenfact import decompose, tensors
 from tenfact.decompose import _Workspace
 from tenfact.linalg import ls_solve_kr
 from tenfact.tensors import (
@@ -32,7 +32,7 @@ from tenfact.tensors import (
     _DENSE_MAX_ENTRIES,
     _DENSE_MIN_DENSITY,
     _csr_product,
-    _mode3_partial,
+    _dense_partial,
     _mode_order,
     _mode_plan,
     _residual_norm,
@@ -627,19 +627,24 @@ class TestMttkrpIdentity:
         dims=st.tuples(*(st.integers(1, 9),) * 3),
         rank=st.integers(1, 9),
         seed=st.integers(0, 2**32 - 1),
+        mode=st.integers(1, 3),
     )
-    @example(dims=(50, 50, 50), rank=50, seed=0)
-    @example(dims=(5, 4, 1), rank=3, seed=1)
-    @example(dims=(5, 4, 6), rank=1, seed=2)
-    def test_mode3_partial_matches_natural_gemm(self, dims, rank, seed):
-        """``q^T @ T^T`` and ``T @ q`` agree to rounding; their bits may not."""
+    @example(dims=(50, 50, 50), rank=50, seed=0, mode=1)
+    @example(dims=(50, 50, 50), rank=50, seed=0, mode=2)
+    @example(dims=(50, 50, 50), rank=50, seed=0, mode=3)
+    @example(dims=(5, 4, 1), rank=3, seed=1, mode=3)
+    @example(dims=(5, 4, 6), rank=1, seed=2, mode=3)
+    @example(dims=(1, 4, 6), rank=3, seed=3, mode=2)
+    def test_mode3_partial_matches_natural_gemm(self, dims, rank, seed, mode):
+        """The partial of every mode, mode 3's ``q^T @ T^T`` included, and
+        ``T @ q`` over the mode moved last agree to rounding; their bits may not."""
         rng = np.random.default_rng(seed)
         arr = rng.standard_normal(dims)
-        q = rng.standard_normal((dims[2], rank))
-        flat = arr.reshape(-1, dims[2])
-        got = _mode3_partial(arr, q)
-        assert got.shape == (dims[0], dims[1], rank)
-        err = np.abs(got.reshape(-1, rank) - flat @ q)
+        q = rng.standard_normal((dims[mode - 1], rank))
+        flat = np.moveaxis(arr, mode - 1, -1).reshape(-1, dims[mode - 1])
+        got = _dense_partial(arr, mode, q)
+        assert got.shape == (rank, *(d for n, d in enumerate(dims, start=1) if n != mode))
+        err = np.abs(got.reshape(rank, -1).T - flat @ q)
         assert (err <= 1e-12 * (np.abs(flat) @ np.abs(q))).all()
 
     def test_workspace_reuses_partial_only_for_equal_q(self, rng):
@@ -658,6 +663,37 @@ class TestMttkrpIdentity:
         check(1, b, q)
         q[1:] *= -2.0
         check(2, a, q)
+
+    @pytest.mark.parametrize("kept", [1, 2, 3])
+    def test_workspace_partial_follows_values(self, rng, monkeypatch, kept):
+        """A mode-``kept`` partial, formed by the update of the mode after
+        ``kept``, serves the third mode's update while its factor has the
+        same values, in a copy too, and only then: an in-place change of the
+        array after a hit forms it anew."""
+        dense = DenseTensor3(rng.standard_normal((4, 7, 5)))
+        factors = [rng.standard_normal((d, 3)) for d in dense.dims]
+        formed = []
+        real = decompose._dense_partial
+        monkeypatch.setattr(
+            decompose, "_dense_partial", lambda arr, mode, f: formed.append(mode) or real(arr, mode, f)
+        )
+        ws = _Workspace(dense)
+
+        def check(mode, factors):
+            p, q = (f for n, f in enumerate(factors, start=1) if n != mode)
+            expect = matricize(dense, mode) @ khatri_rao(q, p)
+            np.testing.assert_allclose(ws.mttkrp(mode, p, q), expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+
+        first = kept % 3 + 1
+        third = 6 - kept - first
+        check(first, factors)
+        assert formed == [kept]
+        factors[first - 1] = rng.standard_normal(factors[first - 1].shape)
+        check(third, [f.copy() for f in factors])
+        assert formed == [kept]
+        factors[kept - 1][1:] *= -2.0
+        check(third, factors)
+        assert formed == [kept, tensors._partial_mode(third)]
 
     @pytest.mark.parametrize("budget", [1, 2, 5, 12])
     def test_row_blocks_match_one_block(self, rng, budget):
@@ -945,15 +981,16 @@ def test_csr_product_has_the_bits_of_scipy_matmul(rng, k):
 
 
 # At two threads, runs a dense fit, a completion, a one-block sparse power
-# update and a multi-block sparse MTTKRP.  Prints the thread count at the
-# start, then after each call the threads started so far and the count.
+# update, a multi-block sparse MTTKRP of fewer fibers than two grains and
+# one of more.  Prints the thread count at the start, then after each call
+# the threads started so far and the count.
 _THREAD_LIFETIME_PROBE = """
 import threading
 import numpy as np
 from tenfact.bench import SynthSpec, gen_random_cp
 from tenfact.completion import complete_masked, sample_completion_problem
 from tenfact.decompose import DecompConfig, hybrid_run, tpm_run
-from tenfact.tensors import SparseTensor3, _mode_plan, _working_form, mttkrp
+from tenfact.tensors import _SHARE_FIBERS, SparseTensor3, _mode_plan, _working_form, mttkrp
 
 started = []
 start = threading.Thread.start
@@ -962,15 +999,18 @@ print(threading.active_count())
 _, dense = gen_random_cp(SynthSpec(d=20, k=3, seed=1))
 rng = np.random.default_rng(5)
 sparse = SparseTensor3((200, 200, 200), rng.integers(0, 200, (30_000, 3)), rng.random(30_000))
+big = SparseTensor3((200, 200, 200), rng.integers(0, 200, (300_000, 3)), rng.random(300_000))
 assert _working_form(sparse) is sparse
 assert all(len(_mode_plan(sparse, mode, 1).blocks) == 1 for mode in (1, 2, 3))
-assert len(_mode_plan(sparse, 2, 50).blocks) > 1
+fibers = [sum(b[2].shape[0] for b in _mode_plan(t, 2, 50).blocks) for t in (sparse, big)]
+assert len(_mode_plan(sparse, 2, 50).blocks) > 1 and fibers[0] < 2 * _SHARE_FIBERS <= fibers[1]
 x, y, z = (v / np.linalg.norm(v) for v in rng.standard_normal((3, 200)))
 for call in (
     lambda: hybrid_run(dense, DecompConfig(rank=3, seed=2)),
     lambda: complete_masked(sample_completion_problem(dense, 0.3, seed=3), 3),
     lambda: tpm_run(sparse, x, y, z, 5),
     lambda: mttkrp(sparse, rng.standard_normal((3, 200, 50)), 2),
+    lambda: mttkrp(big, rng.standard_normal((3, 200, 50)), 2),
 ):
     call()
     print(len(started), threading.active_count())
@@ -997,11 +1037,12 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
 
 def test_only_a_multi_block_sparse_mttkrp_starts_threads():
-    """Dense and completion fits and rank-1 sparse updates start no thread,
-    even where two threads are asked for, and the one worker that a
-    multi-block MTTKRP starts does not outlive the call."""
+    """Dense and completion fits, rank-1 sparse updates and multi-block
+    MTTKRPs of fewer fibers than two grains start no thread, even where two
+    threads are asked for, and the one worker that a larger multi-block
+    MTTKRP starts does not outlive the call."""
     assert _probe_output(_THREAD_LIFETIME_PROBE, TENFACT_THREADS="2").splitlines() == [
-        "1", "0 1", "0 1", "0 1", "1 1"
+        "1", "0 1", "0 1", "0 1", "0 1", "1 1"
     ]
 
 
@@ -1017,6 +1058,7 @@ def test_concurrent_multi_block_callers_get_one_block_bits(rng, monkeypatch):
     factors = [rng.standard_normal((d, 4)) for d in tensor.dims]
     expect = [mttkrp(tensor, factors, mode) for mode in (1, 2, 3)]
     monkeypatch.setattr(tensors, "_BLOCK_FLOATS", 64)
+    monkeypatch.setattr(tensors, "_SHARE_FIBERS", 1)
     assert all(len(_mode_plan(tensor, mode, 4).blocks) > 10 for mode in (1, 2, 3))
     wrong = []
 
