@@ -67,14 +67,12 @@ from .tensors import (
     DenseTensor3,
     contract_mode3,
     _block_budget,
-    _dense_partial,
     _exact_residual,
     _gram_residual_norm,
     _residual_norm,
     _fiber_mttkrp,
+    _KeptPartial,
     _mode_plan,
-    _partial_mode,
-    _partial_mttkrp,
     _require_unit_columns,
     _relative,
     _working_form,
@@ -233,11 +231,11 @@ class _Workspace:
     blocks for the rank (``tensors._mode_plan``), built on the mode's first
     use and reused for the rest of the run; a call at a rank with another
     block budget builds it again.  A dense tensor keeps one partial
-    ``Y = T x_m F`` (``tensors._dense_partial``), the last one formed, with
+    ``Y = T x_m F`` (``tensors._KeptPartial``), the last one formed, with
     a copy of the ``F`` it came from.  A call of another mode whose factor
     of mode ``m`` equals that copy by value contracts ``Y`` with its third
-    factor; any other call forms the partial of the mode before its own,
-    cyclically (3 for 1, 1 for 2, 2 for 3), and keeps it instead.  The
+    factor; any other call drops ``Y`` and forms the partial of the mode
+    before its own, cyclically (3 for 1, 1 for 2, 2 for 3), in its place.  The
     dimension tree of Phan, Tichavský & Cichocki (IEEE TSP 2013) shares one
     partial between the first two updates of a sweep; keeping it across
     sweeps gives the multi-sweep tree of Ma & Solomonik (IPDPS 2021).  In
@@ -246,10 +244,11 @@ class _Workspace:
     that, because ``_sweep`` hands on the very ``B`` mode 3 contracted, and
     its mode 2 forms ``T x_1 A``, which its mode 3 reuses.  So plain sweeps
     alternate between two tensor-sized GEMMs and one.  A sweep after a QR
-    starts on new factors and forms two; the power method's simultaneous
-    updates form two per iteration.  Values, not identities, are compared,
-    because the factors change between updates (QR, weight sort, redraws)
-    and callers may change an array in place.  Only one partial is kept,
+    starts on new factors and forms two.  The power method's simultaneous
+    updates form two per iteration, of modes 1 and 3 (``_power_kernel``).
+    Values, not identities, are compared, because the factors change
+    between updates (QR, weight sort, redraws) and callers may change an
+    array in place.  The old partial is dropped before a new one is formed,
     so the memory stays at one ``(k, d, d)`` array.
 
     The exact residual (``explicit_ratio``) writes the model in the
@@ -276,7 +275,7 @@ class _Workspace:
             raise ValueError("the tensor's sum of squares overflows float64; scale it down")
         self.dense = isinstance(tensor, DenseTensor3)
         self._modes = [None, None, None]
-        self._kept = None
+        self._partial = _KeptPartial(tensor.array) if self.dense else None
         self._residual = None
 
     def _plan(self, mode, k):
@@ -287,7 +286,7 @@ class _Workspace:
 
     def mttkrp(self, mode, p, q):
         if self.dense:
-            out = self._dense_mttkrp(mode, p, q)
+            out = self._partial.mttkrp(mode, p, q)
         else:
             out = _fiber_mttkrp(self._plan(mode, p.shape[1]), p, q)
         if self.model is not None:
@@ -295,18 +294,6 @@ class _Workspace:
             fp, fq = (f[i] for i in range(3) if i != mode - 1)
             out -= (f[mode - 1] * self.model.weights) @ ((fp.T @ p) * (fq.T @ q))
         return out
-
-    def _dense_mttkrp(self, mode, p, q):
-        """The mode-``mode`` MTTKRP through the kept partial, formed anew on a miss."""
-        factor = dict(zip((m for m in (1, 2, 3) if m != mode), (p, q)))
-        kept = self._kept
-        if kept is None or kept[0] not in factor or not np.array_equal(kept[1], factor[kept[0]]):
-            m = _partial_mode(mode)
-            f = factor[m]
-            self._kept = None  # free the old partial before the new one is formed
-            self._kept = kept = (m, np.array(f), _dense_partial(self.tensor.array, m, f))
-        m, _, y = kept
-        return _partial_mttkrp(y, m, mode, factor[6 - m - mode])
 
     def contract_mode3(self, v):
         """The mode-3 projection ``P[i, j] = sum_k R[i, j, k] v[k]`` of the
@@ -400,18 +387,17 @@ def als_sweep(tensor, a, b, c):
 
     Each mode solve uses the freshest versions of the other two factors.
     Columns are returned unnormalized; the scale bookkeeping belongs to the
-    calling driver.
+    calling driver.  The sweep is the drivers' (``_sweep``), which solves
+    against unit columns; its results are scaled back by the norms it took
+    out, and a column that a solve zeroes stays zero.
     """
-    ws = _Workspace(tensor)
-    a1, _ = ws.ls_update(1, b, c)
-    b1, _ = ws.ls_update(2, a1, c)
-    c1, _ = ws.ls_update(3, a1, b1)
-    return a1, b1, c1
+    a, na, b, nb, c, _ = _sweep(_Workspace(tensor), a, b, c)
+    return a * na, b * (nb / np.where(na > 0.0, na, 1.0)), c / np.where(nb > 0.0, nb, 1.0)
 
 
 def _sweep(ws, a, b, c):
-    """One ALS sweep through ``ws``: unit ``a`` and ``b``, the unnormalized
-    ``c`` and the mode-3 MTTKRP.
+    """One ALS sweep through ``ws``: unit ``a`` and ``b``, each followed by
+    the norms taken out of it, the unnormalized ``c`` and the mode-3 MTTKRP.
 
     ``a`` and ``b`` are normalized as soon as they are solved, as in the
     CP-ALS of Kolda & Bader (SIAM Review 2009), so the ``b`` that the mode-3
@@ -426,7 +412,7 @@ def _sweep(ws, a, b, c):
     live_a = a * (na > 0.0)
     b, nb = normalize_columns(ws.ls_update(2, live_a, c)[0])
     c, m3 = ws.ls_update(3, live_a, b * (nb > 0.0))
-    return a, b, c, m3
+    return a, na, b, nb, c, m3
 
 
 def _orthogonalizes(cfg, t):
@@ -506,7 +492,7 @@ def _driver(tensor, cfg):
     ws = _Workspace(tensor)
 
     def step(t, rng, a, b, c):
-        a, b, c1, m3 = _sweep(ws, a, b, c)
+        a, _, b, _, c1, m3 = _sweep(ws, a, b, c)
         inner = float(np.sum(c1 * m3))
         model_sq = float(((a.T @ a) * (b.T @ b) * (c1.T @ c1)).sum())
         c, weights = normalize_columns(c1)
@@ -596,9 +582,11 @@ def _power_kernel(ws, xs, ys, zs, iters):
     _require_at_least("iters", iters, 0)
     alive = np.ones(xs.shape[1], dtype=bool)
     for _ in range(iters):
-        x1 = ws.mttkrp(1, ys, zs)
+        # In this order a dense workspace forms the partials of modes 1 and
+        # 3, each one GEMM, and not mode 2's batched one (tensors._dense_partial).
         y1 = ws.mttkrp(2, xs, zs)
         z1 = ws.mttkrp(3, xs, ys)
+        x1 = ws.mttkrp(1, ys, zs)
         xs, nx = normalize_columns(x1)
         ys, ny = normalize_columns(y1)
         zs, nz = normalize_columns(z1)

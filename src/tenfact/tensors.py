@@ -15,12 +15,12 @@ and cyclically for modes 2 and 3.  Concretely, mode-1 matricization sends
 entry ``(i, j, k)`` to row ``i``, column ``j + k * d2``, and
 ``khatri_rao(X, Y)`` places ``X[a] * Y[b]`` at row ``a * dY + b``.
 
-Dense MTTKRPs all go through two helpers on the row-major array, which
-never build a matricization or a full Khatri-Rao product.
-:func:`_dense_partial` forms the partial ``Y = T x_m F`` of one mode ``m``,
-one tensor-sized GEMM in the orientation that packs the array best for that
-mode, and :func:`_partial_mttkrp` contracts ``Y`` with the factor of the
-third mode, a small batched product.  The mode-``n`` MTTKRP takes the
+Dense MTTKRPs all go through one kernel on the row-major array, which
+never builds a matricization or a full Khatri-Rao product.
+:class:`_KeptPartial` forms the partial ``Y = T x_m F`` of one mode ``m``
+(:func:`_dense_partial`), one tensor-sized GEMM in the orientation that
+packs the array best for that mode, and contracts ``Y`` with the factor of
+the third mode, a small batched product.  The mode-``n`` MTTKRP forms the
 partial of the mode before ``n``, cyclically (:func:`_partial_mode`).  A
 partial serves the updates of both modes it keeps, so a workspace that keeps
 the last one (``decompose._Workspace``) runs consecutive ALS sweeps on the
@@ -87,10 +87,6 @@ __all__ = [
 # fibers of a 760k-nonzero tensor in one block, so rank-1 updates pay no
 # per-block overhead.
 _BLOCK_FLOATS = 1 << 18
-
-# A sparse MTTKRP runs on at most one thread per this many fibers (see
-# _fiber_mttkrp).
-_SHARE_FIBERS = 1 << 14
 
 # A sparse tensor is computed on as a dense copy when it has at most this many
 # entries (a 32 MB array) and at least this share of them is stored.  From
@@ -508,14 +504,13 @@ def mttkrp(tensor, factors, mode):
     ``T_(2) (C ⊙ A)``, mode 3 ``T_(3) (B ⊙ A)``.  This is the core kernel of
     every alternating update, and the full Khatri-Rao product is never
     materialized.  A dense tensor contracts the row-major array with the
-    factor of the mode before ``mode``, cyclically, in one GEMM
-    (:func:`_dense_partial`) and the other factor in one small batched
-    product (:func:`_partial_mttkrp`).  A sparse tensor gets a fiber plan
-    for this one call (see :func:`_mode_plan`).  Callers that repeat a mode
-    keep the plan, or the last dense partial, in a ``decompose._Workspace``
-    instead.  The two factors used must be
-    ``(d_n, k)`` for their modes' dims ``d_n`` and one ``k``; the factor of
-    ``mode`` itself is not read.
+    factor of the mode before ``mode``, cyclically, in one GEMM and the
+    other factor in one small batched product (:class:`_KeptPartial`).  A
+    sparse tensor gets a fiber plan for this one call (see
+    :func:`_mode_plan`).  Callers that repeat a mode keep the plan, or the
+    last dense partial, in a ``decompose._Workspace`` instead.  The two
+    factors used must be ``(d_n, k)`` for their modes' dims ``d_n`` and one
+    ``k``; the factor of ``mode`` itself is not read.
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
@@ -529,9 +524,7 @@ def mttkrp(tensor, factors, mode):
             f"{p.shape}, {q.shape}; expected {need[0]}, {need[1]}"
         )
     if isinstance(tensor, DenseTensor3):
-        kept = _partial_mode(mode)
-        f, g = (p, q) if kept < 6 - kept - mode else (q, p)
-        return _partial_mttkrp(_dense_partial(tensor.array, kept, f), kept, mode, g)
+        return _KeptPartial(tensor.array).mttkrp(mode, p, q)
     return _fiber_mttkrp(_mode_plan(tensor, mode, k), p, q)
 
 
@@ -551,7 +544,11 @@ def _dense_partial(arr, mode, f):
     mode 2 one batched ``f^T @ T[i]`` per mode-1 slice, and mode 3
     ``f^T @ T^T`` over the ``(d1*d2, d3)`` layout.  On one BLAS thread of a
     2-core VM they took 1.13-1.17, 0.97-0.98 and 1.24-1.27 ms at d = 100,
-    k = 30 (medians of 50 calls, two runs).  Mode 3 is the ``T @ f`` of the
+    k = 30 (medians of 50 calls, two runs).  Mode 2's ``d1`` small products
+    do not share out over BLAS threads: at 2 threads modes 1 and 3 took
+    0.66-0.73 ms and mode 2 0.99-1.00 ms (medians of 41 calls, three runs),
+    so the power method orders its updates to form no mode-2 partial
+    (``decompose._power_kernel``).  Mode 3 is the ``T @ f`` of the
     natural layout in another orientation: each entry is the same
     ``d3``-term dot product, but the GEMM kernel accumulates it
     differently, so at (50, 50, 50), k = 50 some entries differ from
@@ -566,17 +563,38 @@ def _dense_partial(arr, mode, f):
     return (f.T @ arr.reshape(d1 * d2, d3).T).reshape(k, d1, d2)
 
 
-def _partial_mttkrp(y, kept, mode, g):
-    """The mode-``mode`` MTTKRP from ``y = _dense_partial(arr, kept, f)``.
+class _KeptPartial:
+    """The dense MTTKRP of one row-major array through the last partial it
+    formed, ``y = _dense_partial(arr, m, F)``, kept with a copy of ``F``.
 
-    It contracts ``y`` with ``g``, the factor of the third mode, in one
-    batched product of a matrix and a vector per column, which measured
-    faster than ``einsum`` (0.06-0.07 against 0.09-0.17 ms at d = 100,
-    k = 30, one BLAS thread).
+    A call of mode ``n`` with the factors ``p`` and ``q`` of the other two
+    modes, in order, contracts ``y`` when ``m`` is one of those modes and
+    the call's factor of mode ``m`` equals the copy by value.  Any other
+    call first drops ``y``, so that at most one partial is alive, and forms
+    the partial of ``_partial_mode(n)`` in its place.  Values, not
+    identities, are compared, because callers may change an array in
+    place.  The contraction with the third mode's factor is one batched
+    product of a matrix and a vector per column, which measured faster than
+    ``einsum`` (0.06-0.07 against 0.09-0.17 ms at d = 100, k = 30, one BLAS
+    thread).
     """
-    if mode < 6 - kept - mode:
-        return np.matmul(y, g.T[:, :, None])[:, :, 0].T
-    return np.matmul(g.T[:, None, :], y)[:, 0, :].T
+
+    def __init__(self, arr):
+        self.arr = arr
+        self.mode = self.factor = self.y = None
+
+    def mttkrp(self, mode, p, q):
+        factor = dict(zip((m for m in (1, 2, 3) if m != mode), (p, q)))
+        if self.mode not in factor or not np.array_equal(self.factor, factor[self.mode]):
+            self.mode = self.y = None
+            m = _partial_mode(mode)
+            self.y = _dense_partial(self.arr, m, factor[m])
+            self.mode, self.factor = m, np.array(factor[m])
+        third = 6 - self.mode - mode
+        # y's axes are (k, the smaller of mode and third, the larger).
+        if mode < third:
+            return np.matmul(self.y, factor[third].T[:, :, None])[:, :, 0].T
+        return np.matmul(factor[third].T[:, None, :], self.y)[:, 0, :].T
 
 
 def _mode_order(tensor, mode):
@@ -683,16 +701,9 @@ def _fiber_mttkrp(plan, p, q):
 
     The blocks are dealt out in strided shares, ``blocks[i::n]``, ``n`` the
     thread count of :func:`_thread_count`, read at each call, but at most
-    the number of blocks and at most one per ``_SHARE_FIBERS`` (16,384)
-    fibers of the plan.  That grain comes from random 200^3 tensors at
-    k = 50, mode 1, on one BLAS thread of a 2-core VM: with shares of about
-    5,200 and 12,600 fibers, 2 threads took 3.0 and 1.8 times as long as
-    one (12k and 40k nonzeros); with about 17,300 and 20,000 (80k and 294k
-    nonzeros) they were within a few percent of it or faster.  A small
-    share cannot win back the page faults on its fresh buffers.  The
-    calling thread runs share 0 and ``n - 1`` workers started for this call
-    the others, and all are joined before it returns.  A plan of one block,
-    such as every rank-1 update's, or of fewer than two grains runs in the
+    the number of blocks.  The calling thread runs share 0 and ``n - 1``
+    workers started for this call the others, and all are joined before it
+    returns.  A one-block plan, such as every rank-1 update's, runs in the
     calling thread alone and reads no thread count.  Each share works in
     two arrays of its largest block's fibers times ``k``, allocated here:
     glibc gives each thread its own malloc arena, and temporaries allocated
@@ -702,8 +713,7 @@ def _fiber_mttkrp(plan, p, q):
     neither changes a bit of the result.
     """
     blocks = plan.blocks
-    most = min(len(blocks), sum(b[2].shape[0] for b in blocks) // _SHARE_FIBERS)
-    n = min(_thread_count(), most) if most > 1 else 1
+    n = min(_thread_count(), len(blocks)) if len(blocks) > 1 else 1
     shares = [blocks[i::n] for i in range(n)]
     k = p.shape[1]
     buffers = [np.empty((2, max(b[2].shape[0] for b in share), k)) for share in shares]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenfact import decompose
+from tenfact import decompose, tensors
 from tenfact.decompose import (
     ALGORITHMS,
     ALS_RUNNERS,
@@ -219,9 +219,9 @@ class TestDimensionTree:
     @staticmethod
     def count_partials(monkeypatch):
         formed = []
-        real = decompose._dense_partial
+        real = tensors._dense_partial
         monkeypatch.setattr(
-            decompose, "_dense_partial", lambda arr, mode, f: formed.append(mode) or real(arr, mode, f)
+            tensors, "_dense_partial", lambda arr, mode, f: formed.append(mode) or real(arr, mode, f)
         )
         return formed
 
@@ -251,6 +251,15 @@ class TestDimensionTree:
         formed = self.count_partials(monkeypatch)
         als_run(t, DecompConfig(rank=4, max_iters=2, tol=1e-300, seed=5, init="svd"))
         assert formed == [2, 1, 3, 2]
+
+    def test_power_updates_form_no_mode_2_partial(self, rng, monkeypatch):
+        """Each power iteration forms the partials of modes 1 and 3, single
+        GEMMs, and the final weight one more of mode 3."""
+        t = DenseTensor3(rng.standard_normal((9, 10, 11)))
+        x, y, z = (unit_columns(rng, d, 1)[:, 0] for d in t.dims)
+        formed = self.count_partials(monkeypatch)
+        tpm_run(t, x, y, z, 4)
+        assert formed == [1, 3] * 4 + [3]
 
 
 def reference_explicit_ratio(ws, w, a, b, c):

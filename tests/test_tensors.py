@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tenfact import decompose, tensors
+from tenfact import tensors
 from tenfact.decompose import _Workspace
 from tenfact.linalg import ls_solve_kr
 from tenfact.tensors import (
@@ -673,9 +674,9 @@ class TestMttkrpIdentity:
         dense = DenseTensor3(rng.standard_normal((4, 7, 5)))
         factors = [rng.standard_normal((d, 3)) for d in dense.dims]
         formed = []
-        real = decompose._dense_partial
+        real = tensors._dense_partial
         monkeypatch.setattr(
-            decompose, "_dense_partial", lambda arr, mode, f: formed.append(mode) or real(arr, mode, f)
+            tensors, "_dense_partial", lambda arr, mode, f: formed.append(mode) or real(arr, mode, f)
         )
         ws = _Workspace(dense)
 
@@ -694,6 +695,24 @@ class TestMttkrpIdentity:
         factors[kept - 1][1:] *= -2.0
         check(third, factors)
         assert formed == [kept, tensors._partial_mode(third)]
+
+    def test_workspace_drops_the_old_partial_before_forming_the_next(self, rng):
+        """A miss frees the kept partial first, so a call that swaps one
+        partial for another allocates far less than a second partial."""
+        dense = DenseTensor3(rng.standard_normal((30, 30, 30)))
+        a, b, c = (rng.standard_normal((30, 20)) for _ in range(3))
+        partial_bytes = 20 * 30 * 30 * 8
+        ws = _Workspace(dense)
+        tracemalloc.start()
+        try:
+            ws.mttkrp(1, b, c)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ws.mttkrp(3, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < partial_bytes // 2
 
     @pytest.mark.parametrize("budget", [1, 2, 5, 12])
     def test_row_blocks_match_one_block(self, rng, budget):
@@ -981,16 +1000,16 @@ def test_csr_product_has_the_bits_of_scipy_matmul(rng, k):
 
 
 # At two threads, runs a dense fit, a completion, a one-block sparse power
-# update, a multi-block sparse MTTKRP of fewer fibers than two grains and
-# one of more.  Prints the thread count at the start, then after each call
-# the threads started so far and the count.
+# update and a multi-block sparse MTTKRP.  Prints the thread count at the
+# start, then after each call the threads started so far and the count.
 _THREAD_LIFETIME_PROBE = """
 import threading
+import tracemalloc
 import numpy as np
 from tenfact.bench import SynthSpec, gen_random_cp
 from tenfact.completion import complete_masked, sample_completion_problem
 from tenfact.decompose import DecompConfig, hybrid_run, tpm_run
-from tenfact.tensors import _SHARE_FIBERS, SparseTensor3, _mode_plan, _working_form, mttkrp
+from tenfact.tensors import SparseTensor3, _mode_plan, _working_form, mttkrp
 
 started = []
 start = threading.Thread.start
@@ -999,18 +1018,15 @@ print(threading.active_count())
 _, dense = gen_random_cp(SynthSpec(d=20, k=3, seed=1))
 rng = np.random.default_rng(5)
 sparse = SparseTensor3((200, 200, 200), rng.integers(0, 200, (30_000, 3)), rng.random(30_000))
-big = SparseTensor3((200, 200, 200), rng.integers(0, 200, (300_000, 3)), rng.random(300_000))
 assert _working_form(sparse) is sparse
 assert all(len(_mode_plan(sparse, mode, 1).blocks) == 1 for mode in (1, 2, 3))
-fibers = [sum(b[2].shape[0] for b in _mode_plan(t, 2, 50).blocks) for t in (sparse, big)]
-assert len(_mode_plan(sparse, 2, 50).blocks) > 1 and fibers[0] < 2 * _SHARE_FIBERS <= fibers[1]
+assert len(_mode_plan(sparse, 2, 50).blocks) > 1
 x, y, z = (v / np.linalg.norm(v) for v in rng.standard_normal((3, 200)))
 for call in (
     lambda: hybrid_run(dense, DecompConfig(rank=3, seed=2)),
     lambda: complete_masked(sample_completion_problem(dense, 0.3, seed=3), 3),
     lambda: tpm_run(sparse, x, y, z, 5),
     lambda: mttkrp(sparse, rng.standard_normal((3, 200, 50)), 2),
-    lambda: mttkrp(big, rng.standard_normal((3, 200, 50)), 2),
 ):
     call()
     print(len(started), threading.active_count())
@@ -1037,12 +1053,11 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
 
 def test_only_a_multi_block_sparse_mttkrp_starts_threads():
-    """Dense and completion fits, rank-1 sparse updates and multi-block
-    MTTKRPs of fewer fibers than two grains start no thread, even where two
-    threads are asked for, and the one worker that a larger multi-block
-    MTTKRP starts does not outlive the call."""
+    """Dense and completion fits and rank-1 sparse updates start no thread,
+    even where two threads are asked for, and the one worker that a
+    multi-block MTTKRP starts does not outlive the call."""
     assert _probe_output(_THREAD_LIFETIME_PROBE, TENFACT_THREADS="2").splitlines() == [
-        "1", "0 1", "0 1", "0 1", "0 1", "1 1"
+        "1", "0 1", "0 1", "0 1", "1 1"
     ]
 
 
@@ -1058,7 +1073,6 @@ def test_concurrent_multi_block_callers_get_one_block_bits(rng, monkeypatch):
     factors = [rng.standard_normal((d, 4)) for d in tensor.dims]
     expect = [mttkrp(tensor, factors, mode) for mode in (1, 2, 3)]
     monkeypatch.setattr(tensors, "_BLOCK_FLOATS", 64)
-    monkeypatch.setattr(tensors, "_SHARE_FIBERS", 1)
     assert all(len(_mode_plan(tensor, mode, 4).blocks) > 10 for mode in (1, 2, 3))
     wrong = []
 
