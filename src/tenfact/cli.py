@@ -40,7 +40,7 @@ from .bench import (
     write_recovery_csv,
     write_traces_csv,
 )
-from .completion import CompletionProblem, _has_repeats, complete_masked
+from .completion import CompletionProblem, _has_repeats, _observed_rmse, complete_masked
 from .decompose import ALGORITHMS, ALS_RUNNERS, DecompConfig
 from .embed import (
     build_trioccurrence,
@@ -196,14 +196,7 @@ def cmd_complete(args):
     model = complete_masked(problem, args.rank, cfg, ridge=args.ridge)
     write_cpm(args.out, model)
     _write_manifest(args.out, "complete", args, [args.input], [args.out], args.seed)
-    idx = problem.all_indices()
-    vals = problem.all_values()
-    recon = np.einsum(
-        "nr,r->n",
-        model.A[idx[:, 0]] * model.B[idx[:, 1]] * model.C[idx[:, 2]],
-        model.weights,
-    )
-    rmse = float(np.sqrt(np.mean((recon - vals) ** 2)))
+    rmse = _observed_rmse(problem, model)
     total = problem.dims[0] * problem.dims[1] * problem.dims[2]
     print(
         f"completion: rank {model.k}, observed RMSE {rmse:.6g}, "

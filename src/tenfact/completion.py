@@ -4,14 +4,26 @@ A :class:`CompletionProblem` stores the revealed entries of an otherwise
 unknown tensor.  Structural missingness is distinct from an observed zero:
 nonzero observations live in a sparse tensor, observed zeros in a dedicated
 index list.  ``complete_masked`` fits a CP model by solving one small ridge
-least-squares problem per factor row per sweep.  Its sweeps run on the ALS
-driver's engine (``decompose._sweep_engine``) and so follow the same policy:
-the factor matrices are orthogonalized for the first few sweeps (the hybrid
-policy) and ``rerandomize_period`` is honoured.  The stop metric is the
-observed-entry RMSE relative to the RMS of the observed values.  Each row's
-Gram matrix is one small matrix product over that row's observations, and
-the elementwise products of factor rows that the solves and the rank-1
-check need are formed once per distinct index pair, not once per entry.
+least-squares problem per factor row per sweep, the ALS completion of Smith,
+Park & Karypis (SC 2016).  Its sweeps run on the ALS driver's engine
+(``decompose._sweep_engine``) and so follow the same policy: the factor
+matrices are orthogonalized for the first few sweeps (the hybrid policy) and
+``rerandomize_period`` is honoured.  The stop metric is the observed-entry
+RMSE relative to the RMS of the observed values.
+
+Row ``i``'s mode-1 Gram matrix sums ``e e^T`` over its observations, with
+``e = b_j * c_k``, and its right-hand side sums the observed values times
+``e``.  How a mode's systems are formed follows the package's one format
+rule (``tensors._working_form``) applied to the 0/1 observation tensor.
+When it stays sparse, :class:`_RowSolver` gathers each row's ``e`` vectors
+and forms its Gram matrix with one small matrix product, and the rank-1
+check reads every observed entry.  When it is computed densely,
+:class:`_DenseRows` forms a whole mode's systems at once: entry ``(r, s)``
+of every row's Gram matrix is the dense MTTKRP of the 0/1 tensor with the
+row-wise products ``b_r * b_s`` and ``c_r * c_s``, ``r <= s``, and the
+right-hand sides are the dense MTTKRP of the observed values, both on the
+GEMM kernel with its kept partials (``decompose._Workspace``).  Both forms
+solve the same systems; they differ only in rounding.
 
 Alternating minimization for completion needs its iterates to stay
 incoherent (Jain & Oh, NeurIPS 2014).  A column that moves onto the
@@ -29,15 +41,25 @@ sweep, and without a bound the fit would end one sweep from a random draw.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decompose import DecompConfig, _redraw_columns, _sweep_engine
-from .errors import InvalidConfigError
-from .tensors import SparseTensor3, _checked_indices, cp_reconstruct, normalize_columns
+from .decompose import DecompConfig, _redraw_columns, _sweep_engine, _Workspace
+from .errors import InvalidConfigError, NumericalFailureError
+from .tensors import (
+    DenseTensor3,
+    SparseTensor3,
+    _checked_indices,
+    _dense_model,
+    _sum_squares,
+    _working_form,
+    cp_reconstruct,
+    normalize_columns,
+)
 
 __all__ = [
     "CompletionProblem",
@@ -124,14 +146,44 @@ def _pair_products(p, q, pairs, inverse):
     return np.take(p[pairs[0]] * q[pairs[1]], inverse, axis=0)
 
 
+def _require_finite(*arrays):
+    """Raise :class:`NumericalFailureError` unless every entry of ``arrays`` is finite.
+
+    A fit whose row solves overflow float64 never recovers: a non-finite
+    entry spreads to every later solve, and no model can hold it.
+    """
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise NumericalFailureError(
+            "completion's row solves overflow float64; scale the observed values "
+            "toward 1 or raise the ridge"
+        )
+
+
+def _ridge_solve(grams, rhs, ridge):
+    """Solve ``(G_i + ridge I) x_i = rhs_i`` for every row ``i`` in one batched
+    solve, or row by row with ``lstsq`` when some system is exactly singular.
+    A non-finite solution, or a non-finite system that ``lstsq`` would get,
+    raises (``_require_finite``)."""
+    grams = grams + ridge * np.eye(rhs.shape[1])[None, :, :]
+    try:
+        sols = np.linalg.solve(grams, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        _require_finite(grams, rhs)
+        sols = np.stack([np.linalg.lstsq(g, r, rcond=1e-12)[0] for g, r in zip(grams, rhs)])
+    _require_finite(sols)
+    return sols
+
+
 class _RowSolver:
-    """Per-mode grouped ridge least squares over the observed entries.
+    """Per-mode grouped ridge least squares over the observed entries, entry by entry.
 
     For each mode the entries are sorted by that mode's row, and the row
     bounds, the distinct pairs of the other two indices and the sorted values
     are kept.  A solve forms each distinct pair's product of factor rows once,
     expands it to the entries, and builds each row's Gram matrix and
     right-hand side with one small matrix product over that row's entries.
+    The check reads the model's rank-1 terms at every observed entry.
+    ``rows[m]`` lists the rows of mode ``m + 1`` that have observations.
     """
 
     def __init__(self, indices, values, dims):
@@ -153,17 +205,18 @@ class _RowSolver:
                     "vals": values[order],
                 }
             )
-        missing_rows = [
-            np.setdiff1d(np.arange(dims[m]), self.by_mode[m]["rows"]) for m in range(3)
-        ]
-        for m, rows in enumerate(missing_rows):
-            if rows.size:
-                logger.warning(
-                    "completion: mode-%d rows %s have no observations and stay at "
-                    "their initialization",
-                    m + 1,
-                    rows.tolist(),
-                )
+        self.rows = [view["rows"] for view in self.by_mode]
+        self.values = values
+        self.ij_pairs, self.ij_inverse = _distinct_pairs(indices[:, 0], indices[:, 1], dims[1])
+        self.kk = indices[:, 2]
+
+    def sweep(self, a, b, c, ridge):
+        """Row solves in mode order 1, 2, 3, each with the freshest other two
+        factors; returns each solved factor as ``normalize_columns`` splits it."""
+        a1 = self.solve_mode(1, b, c, a, ridge)
+        b1 = self.solve_mode(2, a1, c, b, ridge)
+        c1 = self.solve_mode(3, a1, b1, c, ridge)
+        return [normalize_columns(f) for f in (a1, b1, c1)]
 
     def solve_mode(self, mode, p, q, current, ridge):
         """Update the mode's factor rows that have observations; keep the rest."""
@@ -178,23 +231,151 @@ class _RowSolver:
             blk = e[lo:hi]
             grams[r] = blk.T @ blk
             rhs[r] = vals[lo:hi] @ blk
-        grams = grams + ridge * np.eye(k)[None, :, :]
-        try:
-            sols = np.linalg.solve(grams, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            sols = np.stack(
-                [np.linalg.lstsq(g, r, rcond=1e-12)[0] for g, r in zip(grams, rhs)]
-            )
         out = np.array(current)
-        out[view["rows"]] = sols
+        out[view["rows"]] = _ridge_solve(grams, rhs, ridge)
         return out
+
+    def check(self, a, b, c, energy):
+        """Each unit column's observed energy when ``energy`` is set (``None``
+        otherwise), and the function of the weights ``w`` that gives the
+        observed RMSE of ``[[w; a, b, c]]``, so that a sweep that redraws a
+        column forms no RMSE."""
+        rank1 = _pair_products(a, b, self.ij_pairs, self.ij_inverse) * np.take(c, self.kk, axis=0)
+
+        def rmse(w):
+            recon = np.einsum("nr,r->n", rank1, w, optimize=True)
+            return float(np.sqrt(np.mean((recon - self.values) ** 2)))
+
+        return (np.einsum("nr,nr->r", rank1, rank1) if energy else None), rmse
+
+
+@functools.cache
+def _upper(k):
+    """The row and column indices of the ``r <= s`` entries of a ``k x k``
+    matrix, in row-major order, as read-only arrays."""
+    pairs = np.triu_indices(k)
+    for x in pairs:
+        x.flags.writeable = False
+    return pairs
+
+
+def _packed(f):
+    """The products ``f[..., r] * f[..., s]`` for ``r <= s``, in row-major order."""
+    r, s = _upper(f.shape[-1])
+    return f[..., r] * f[..., s]
+
+
+class _DenseRows:
+    """All of a mode's ridge least-squares problems at once, from dense MTTKRPs.
+
+    ``mask`` is the 0/1 observation tensor and ``values`` the observed
+    values, zero elsewhere, both dense tensors.  Entry ``(r, s)`` of row
+    ``i``'s mode-1 Gram matrix sums ``b_jr b_js c_kr c_ks`` over the
+    observed ``(i, j, k)``, so a mode's Gram matrices, packed to their
+    ``r <= s`` entries, are the MTTKRP of ``mask`` with the packed products
+    (``_packed``) of the other two factors, and the right-hand sides are the
+    MTTKRP of ``values`` with the factors themselves.  Each tensor has its
+    own ``decompose._Workspace``, whose kept partial serves consecutive
+    MTTKRPs that share a factor.
+
+    A sweep solves against unit factors, each normalized as soon as it is
+    solved, as ``decompose._sweep`` does; the norms taken out are put back
+    into the normal equations (``scale``), so each row solves the system of
+    :class:`_RowSolver`.  Then the unit ``a`` that the mode-2 and mode-3
+    solves share, and the unit ``b`` that the mode-3 solve and the next
+    sweep's mode-1 solve share, are the same arrays, and plain sweeps
+    alternate between one tensor-sized partial per tensor and two, as the
+    ALS driver's do.  A column's observed energy, the sum of its squared
+    unit rank-1 terms over the observed entries, is
+    ``c**2 . MTTKRP_3(mask; a**2, b**2)``, and the diagonal columns of the
+    mode-3 solve's packed MTTKRP are that MTTKRP, so the check forms no
+    MTTKRP of its own.  The RMSE is the sum of squares of
+    ``mask * model - values``, the model formed in one buffer by
+    ``tensors._dense_model``.  ``rows`` is as in :class:`_RowSolver`.
+    """
+
+    def __init__(self, mask, values):
+        self.mask = mask.data
+        self.values = values.data
+        self.n_observed = int(np.count_nonzero(self.mask))
+        self.rows = [np.flatnonzero(mask.array.any(axis=ax)) for ax in ((1, 2), (0, 2), (0, 1))]
+        self.grams = _Workspace(mask)
+        self.rhs = _Workspace(values)
+        self._squares = self._model = None
+
+    def sweep(self, a, b, c, ridge):
+        """As :meth:`_RowSolver.sweep`."""
+        a, na = normalize_columns(self.solve_mode(1, b, c, a, ridge))
+        b, nb = normalize_columns(self.solve_mode(2, a, c, b, ridge, scale=na))
+        c, nc = normalize_columns(self.solve_mode(3, a, b, c, ridge, scale=na * nb))
+        return (a, na), (b, nb), (c, nc)
+
+    def solve_mode(self, mode, p, q, current, ridge, scale=None):
+        """As :meth:`_RowSolver.solve_mode`; a ``scale`` makes it solve for
+        the factors ``p * scale`` and ``q``."""
+        rows = self.rows[mode - 1]
+        k = p.shape[1]
+        r, s = _upper(k)
+        packed = self.grams.mttkrp(mode, _packed(p), _packed(q))[rows]
+        rhs = self.rhs.mttkrp(mode, p, q)[rows]
+        if mode == 3:
+            self._squares = (rows, packed[:, r == s])
+        if scale is not None:
+            packed *= _packed(scale)
+            rhs *= scale
+        grams = np.empty((rows.size, k, k))
+        grams[:, r, s] = packed
+        grams[:, s, r] = packed
+        out = np.array(current)
+        out[rows] = _ridge_solve(grams, rhs, ridge)
+        return out
+
+    def check(self, a, b, c, energy):
+        """As :meth:`_RowSolver.check`; the energies read the Gram matrices of
+        the last mode-3 solve, which must have been against ``a`` and ``b``."""
+        energies = None
+        if energy:
+            rows, squares = self._squares
+            energies = np.einsum("ir,ir->r", c[rows] ** 2, squares)
+
+        def rmse(w):
+            if self._model is None:
+                self._model = np.empty((a.shape[0], self.mask.size // a.shape[0]))
+            v = _dense_model(w, a, b, c, out=self._model).reshape(-1)
+            v *= self.mask
+            v -= self.values
+            return math.sqrt(_sum_squares(v) / self.n_observed)
+
+        return energies, rmse
+
+
+def _row_solver(problem):
+    """The row solver of a problem's form: :class:`_DenseRows` when
+    ``tensors._working_form`` computes the 0/1 observation tensor densely,
+    :class:`_RowSolver` otherwise."""
+    indices = problem.all_indices()
+    mask = _working_form(SparseTensor3(problem.dims, indices, np.ones(indices.shape[0])))
+    if isinstance(mask, DenseTensor3):
+        return _DenseRows(mask, problem.observed.to_dense())
+    del mask  # freed before the row solver's sorts
+    return _RowSolver(indices, problem.all_values(), problem.dims)
+
+
+def _observed_rmse(problem, model):
+    """The observed-entry RMSE of ``model`` on ``problem``, read as the stop
+    metric of ``complete_masked`` reads it before dividing by the observed
+    values' RMS."""
+    return _row_solver(problem).check(*model.factors, energy=False)[1](model.weights)
 
 
 def complete_masked(problem, rank, cfg=None, ridge=1e-8):
     """Fit a rank-``rank`` CP model to the observed entries.
 
     Every factor row is updated by ridge-regularized least squares over that
-    row's observations.  The sweeps follow the ALS driver's policy
+    row's observations, formed per row or, where the package's format rule
+    computes the observation tensor densely, per mode from dense MTTKRPs
+    (see the module docstring); the two give the same fit up to rounding.
+    The sweeps follow the ALS driver's policy
     (``decompose._sweep_engine``): the factor matrices are orthogonalized for
     the first ``cfg.orth_steps`` sweeps (default 5), ``rerandomize_period``
     redraws trailing columns on its schedule, and a config with
@@ -213,7 +394,9 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
     without observations keep their initialization (logged at problem
     setup) unless their column is redrawn, which redraws them too.
     Observed values whose sum of squares overflows float64 raise
-    ``ValueError``.
+    ``ValueError``, and row solves that overflow float64, on values far
+    from 1 or nearly singular systems without a ridge, raise
+    ``NumericalFailureError``.
     """
     if cfg is None:
         cfg = DecompConfig(rank=rank, orth_mode="first_s", orth_steps=5)
@@ -226,31 +409,32 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
     if problem.n_observed == 0:
         raise ValueError("completion problem has no observed entries")
 
-    indices = problem.all_indices()
-    values = problem.all_values()
     # Relative RMSE: the exact-fit floor must not depend on the data's scale.
     with np.errstate(over="ignore"):
-        scale = float(np.sqrt(np.mean(values**2))) or 1.0
+        scale = float(np.sqrt(np.mean(problem.all_values() ** 2))) or 1.0
     if not math.isfinite(scale):
         raise ValueError("the observed values' sum of squares overflows float64; scale them down")
-    solver = _RowSolver(indices, values, problem.dims)
-    ij_pairs, ij_inverse = _distinct_pairs(indices[:, 0], indices[:, 1], problem.dims[1])
-    kk = indices[:, 2]
+    solver = _row_solver(problem)
+    for m, rows in enumerate(solver.rows):
+        missing = np.setdiff1d(np.arange(problem.dims[m]), rows)
+        if missing.size:
+            logger.warning(
+                "completion: mode-%d rows %s have no observations and stay at "
+                "their initialization",
+                m + 1,
+                missing.tolist(),
+            )
     # Observed energy below this marks a column that has left the observed entries.
     energy_floor = 0.5 * problem.n_observed / math.prod(problem.dims)
     redraws = np.zeros(rank, dtype=np.int64)
 
     def step(t, rng, a, b, c):
-        a1 = solver.solve_mode(1, b, c, a, ridge)
-        b1 = solver.solve_mode(2, a1, c, b, ridge)
-        c1 = solver.solve_mode(3, a1, b1, c, ridge)
-        a, na = normalize_columns(a1)
-        b, nb = normalize_columns(b1)
-        c, nc = normalize_columns(c1)
+        (a, na), (b, nb), (c, nc) = solver.sweep(a, b, c, ridge)
         weights = na * nb * nc
-        rank1 = _pair_products(a, b, ij_pairs, ij_inverse) * np.take(c, kk, axis=0)
-        if t < cfg.max_iters:
-            low = np.einsum("nr,nr->r", rank1, rank1) < energy_floor
+        _require_finite(weights)
+        energy, rmse = solver.check(a, b, c, energy=t < cfg.max_iters)
+        if energy is not None:
+            low = energy < energy_floor
             spent = np.flatnonzero(low & (redraws == MAX_COLUMN_REDRAWS))
             if spent.size:
                 logger.warning(
@@ -273,11 +457,11 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
                 a, b, c = _redraw_columns(rng, (a, b, c), stray)
                 weights[stray] = 0.0
                 return a, b, c, weights, None
-        recon = np.einsum("nr,r->n", rank1, weights, optimize=True)
-        rmse = float(np.sqrt(np.mean((recon - values) ** 2)))
-        return a, b, c, weights, rmse / scale
+        return a, b, c, weights, rmse(weights) / scale
 
-    return _sweep_engine(cfg, problem.dims, step).model.canonical()
+    # A fit that overflows ends in _require_finite's error, not in warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sweep_engine(cfg, problem.dims, step).model.canonical()
 
 
 def missing_entry_error(truth, problem, model):

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
@@ -407,17 +408,27 @@ def normalize_columns(matrix):
 
     Returns ``(unit, norms)``.  Zero columns are replaced by the first
     coordinate vector and their norm reported as 0, so the pair always
-    reconstructs ``matrix`` as ``unit * norms``.
+    reconstructs ``matrix`` as ``unit * norms``.  The squares of a column
+    whose norm is below ``sqrt(d * tiny)``, ``tiny`` the smallest normal
+    float64, may underflow, which leaves its norm off and its quotient off
+    unit; such a column is divided once more, by the norm of its quotient,
+    whose entries are near 1.  So every column with a finite norm comes out
+    unit, and every other column keeps the bits of one division.
     """
     m = np.array(matrix, dtype=np.float64)
     norms = np.linalg.norm(m, axis=0)
+    small = norms < math.sqrt(m.shape[0] * sys.float_info.min)
+    if not small.any():
+        m /= norms
+        return m, norms
     dead = norms == 0.0
-    safe = np.where(dead, 1.0, norms)
-    m /= safe
-    if dead.any():
-        m[:, dead] = 0.0
-        m[0, dead] = 1.0
-        norms = np.where(dead, 0.0, norms)
+    m /= np.where(dead, 1.0, norms)
+    m[:, dead] = 0.0
+    m[0, dead] = 1.0
+    tiny = small & ~dead
+    again = np.linalg.norm(m[:, tiny], axis=0)
+    m[:, tiny] /= again
+    norms[tiny] *= again
     return m, norms
 
 

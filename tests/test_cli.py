@@ -1,11 +1,14 @@
 import argparse
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
+from tenfact.bench import SynthSpec, gen_random_cp
 from tenfact.cli import _build_parser, main
+from tenfact.completion import sample_completion_problem
 from tenfact.decompose import ALGORITHMS, ALS_RUNNERS
 from tenfact.embed import build_trioccurrence
 from tenfact.fileio import read_cpm, write_coo
@@ -327,6 +330,47 @@ class TestCompleteAndOvercomplete:
         assert code == 1
         assert capsys.readouterr().err == "error: ridge must be >= 0, got -1.0\n"
         assert not out.exists()
+
+    def test_complete_overflowing_row_solves_exit_2(self, tmp_path, capfd):
+        """Row solves that overflow end in one error line and exit 2; they
+        ended in 'factor A has non-finite entries' before."""
+        coo = tmp_path / "obs.coo"
+        coo.write_text("2 3 2 2\n0 1 1 3e-160\n1 2 1 3e-160\n")
+        out = tmp_path / "model.cpm"
+        code = main([
+            "complete", "--input", str(coo), "--rank", "2", "--algo", "als", "--ridge", "0",
+            "--seed", "0", "--out", str(out),
+        ])
+        assert code == 2
+        captured = capfd.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            "numerical failure: completion's row solves overflow float64; scale the observed values "
+            "toward 1 or raise the ridge"
+        )
+        assert "DLASCL" not in captured.out + captured.err
+        assert not out.exists()
+
+    def test_complete_prints_observed_rmse(self, tmp_path, capsys):
+        """On the dense form too, the printed RMSE is the RMSE over the
+        observed entries, in the pinned line."""
+        _, t = gen_random_cp(SynthSpec(d=6, k=2, seed=4))
+        problem = sample_completion_problem(t, 0.4, seed=2)
+        coo = tmp_path / "obs.coo"
+        idx, vals = problem.all_indices(), problem.all_values()
+        lines = [f"{i} {j} {k} {float(v)!r}" for (i, j, k), v in zip(idx, vals)]
+        coo.write_text(f"6 6 6 {len(lines)}\n" + "\n".join(lines) + "\n")
+        out = tmp_path / "model.cpm"
+        code = main(["complete", "--input", str(coo), "--rank", "2", "--seed", "1", "--out", str(out)])
+        assert code == 0
+        model = read_cpm(out)
+        per_entry = (model.A[idx[:, 0]] * model.B[idx[:, 1]] * model.C[idx[:, 2]]) @ model.weights
+        rmse = float(np.sqrt(np.mean((per_entry - vals) ** 2)))
+        line = capsys.readouterr().out.strip()
+        match = re.fullmatch(
+            rf"completion: rank 2, observed RMSE (\S+), {problem.n_observed}/216 entries observed", line
+        )
+        assert match
+        assert float(match.group(1)) == pytest.approx(rmse, rel=1e-5, abs=1e-12)
 
     def test_complete_malformed_line_exit_1_with_line_number(self, tmp_path, capsys):
         coo = tmp_path / "obs.coo"

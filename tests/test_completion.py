@@ -3,19 +3,24 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenfact.bench import SynthSpec, derived_seed, gen_random_cp
 from tenfact.completion import (
     MAX_COLUMN_REDRAWS,
     CompletionProblem,
+    _DenseRows,
     _RowSolver,
+    _row_solver,
     complete_masked,
     missing_entry_error,
     sample_completion_problem,
 )
 from tenfact.decompose import DecompConfig, hybrid_run
-from tenfact.errors import InvalidConfigError
+from tenfact.errors import InvalidConfigError, NumericalFailureError, TenfactError
 from tenfact.fileio import _parse_coo
+from tenfact import tensors
 from tenfact.tensors import CpModel, DenseTensor3, SparseTensor3, cp_reconstruct, residual_ratio
 
 from conftest import diagonal_tensor, random_model
@@ -64,25 +69,53 @@ class TestCompletionProblem:
             sample_completion_problem(t, 0.0)
 
 
-class TestRowSolver:
-    def test_solve_mode_matches_per_row_oracle(self, rng):
-        dims = (4, 7, 5)
+def oracle_problem(form):
+    """A problem on the 4 x 7 x 5 grid whose mode-1 row 2 has no observations.
+
+    ``"sparse"`` observes 12 of the 140 entries, below the density at which
+    ``tensors._working_form`` computes densely; mode-1 row 1 has a single
+    observation.  ``"dense"`` observes about 40% of the entries outside
+    row 2, every fifth value an observed zero.
+    """
+    dims = (4, 7, 5)
+    if form == "sparse":
         entries = [
             (0, 0, 0, 1.5), (0, 1, 2, -0.5), (0, 3, 4, 2.0), (0, 6, 1, 0.0),
-            (1, 2, 3, 0.7),  # mode-1 row 1: a single observation
+            (1, 2, 3, 0.7),
             (3, 0, 4, -1.2), (3, 5, 0, 0.0), (3, 4, 2, 0.9), (3, 6, 3, 0.3),
             (0, 2, 3, 1.1), (3, 1, 1, -0.8), (0, 5, 4, 0.4),
-        ]  # mode-1 row 2 has no observations
+        ]
         arr = np.array(entries)
         idx, vals = arr[:, :3].astype(np.int64), arr[:, 3]
-        nonzero = vals != 0.0
-        prob = CompletionProblem(
-            dims=dims,
-            observed=SparseTensor3(dims, idx[nonzero], vals[nonzero]),
-            zero_entries=idx[~nonzero],
-        )
+    else:
+        rng = np.random.default_rng(41)
+        seen = rng.random(dims) < 0.4
+        seen[2] = False
+        idx = np.argwhere(seen)
+        vals = rng.standard_normal(len(idx))
+        vals[::5] = 0.0
+    nonzero = vals != 0.0
+    return CompletionProblem(
+        dims=dims,
+        observed=SparseTensor3(dims, idx[nonzero], vals[nonzero]),
+        zero_entries=idx[~nonzero],
+    )
+
+
+SOLVERS = {"sparse": _RowSolver, "dense": _DenseRows}
+
+
+class TestRowSolver:
+    """Both forms' solvers meet one per-row oracle: ``np.linalg.solve`` on
+    each row's Gram matrix, or ``lstsq`` where every Gram is singular."""
+
+    @pytest.mark.parametrize("form", ["sparse", "dense"])
+    def test_solve_mode_matches_per_row_oracle(self, rng, form):
+        prob = oracle_problem(form)
+        dims = prob.dims
         idx, vals = prob.all_indices(), prob.all_values()
-        solver = _RowSolver(idx, vals, dims)
+        solver = _row_solver(prob)
+        assert type(solver) is SOLVERS[form]
         ridge = 1e-3
         factors = [rng.standard_normal((d, 3)) for d in dims]
         for mode in (1, 2, 3):
@@ -100,25 +133,48 @@ class TestRowSolver:
                 want = np.linalg.solve(gram, e.T @ vals[sel])
                 np.testing.assert_allclose(got[row], want, rtol=1e-12, atol=1e-12)
 
-    def test_singular_grams_fall_back_to_per_row_lstsq(self, rng):
+    @pytest.mark.parametrize("form", ["sparse", "dense"])
+    def test_singular_grams_fall_back_to_per_row_lstsq(self, rng, form):
         """A zero column of ``p`` makes every Gram exactly singular, so the
-        batched solve raises and each row is solved by ``lstsq``."""
-        dims = (3, 4, 5)
-        idx = np.argwhere(rng.random(dims) < 0.6)
-        vals = rng.standard_normal(len(idx))
-        solver = _RowSolver(idx, vals, dims)
-        p, q, current = rng.standard_normal((4, 3)), rng.standard_normal((5, 3)), np.zeros((3, 3))
+        batched solve raises and each row is solved by ``lstsq``.  The dense
+        form's problem observes about 60% of a 3 x 4 x 5 grid."""
+        if form == "sparse":
+            prob = oracle_problem(form)
+        else:
+            dims = (3, 4, 5)
+            idx = np.argwhere(rng.random(dims) < 0.6)
+            obs = SparseTensor3(dims, idx, rng.standard_normal(len(idx)))
+            prob = CompletionProblem(dims=dims, observed=obs)
+        dims = prob.dims
+        idx, vals = prob.all_indices(), prob.all_values()
+        solver = _row_solver(prob)
+        assert type(solver) is SOLVERS[form]
+        p, q = rng.standard_normal((dims[1], 3)), rng.standard_normal((dims[2], 3))
+        current = np.zeros((dims[0], 3))
         p[:, 1] = 0.0
         got = solver.solve_mode(1, p, q, current, ridge=0.0)
         assert np.isfinite(got).all()
-        for row in range(3):
+        for row in range(dims[0]):
             sel = idx[:, 0] == row
+            if not sel.any():
+                assert (got[row] == current[row]).all()
+                continue
             e = p[idx[sel, 1]] * q[idx[sel, 2]]
             gram, rhs = e.T @ e, vals[sel] @ e
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.solve(gram, rhs)
             want = np.linalg.lstsq(gram, rhs, rcond=1e-12)[0]
             np.testing.assert_allclose(got[row], want, rtol=1e-12, atol=1e-12)
+
+    def test_dense_scale_solves_for_scaled_factor(self, rng):
+        """With ``scale`` the dense solver solves for ``p * scale``: the norms
+        a sweep takes out of a factor go back into its normal equations."""
+        solver = _row_solver(oracle_problem("dense"))
+        p, q, current = rng.standard_normal((4, 3)), rng.standard_normal((7, 3)), np.zeros((5, 3))
+        scale = np.array([2.5, 0.0, 1e-3])
+        got = solver.solve_mode(3, p, q, current, 1e-3, scale=scale)
+        want = solver.solve_mode(3, p * scale, q, current, 1e-3)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestCompleteMasked:
@@ -315,6 +371,153 @@ class TestSweepPolicy:
         plain = self.fit(prob, orth_mode="first_s")
         redrawn = self.fit(prob, orth_mode="first_s", rerandomize_period=4)
         assert not np.array_equal(plain.A, redrawn.A)
+
+
+def stray_column_problem():
+    """Only the leading 3x3x3 block of a 4x4x4 tensor is observed (27 of 64
+    entries, the dense form), and the given second column lives on
+    coordinate 3 in every mode, where no row solve can reach it."""
+    m = random_model(np.random.default_rng(5), (3, 3, 3), 2, weights=np.ones(2))
+    block = cp_reconstruct(m).array
+    obs = SparseTensor3((4, 4, 4), np.argwhere(np.ones_like(block, dtype=bool)), block.ravel())
+    start = np.vstack([np.ones((3, 2)), np.zeros((1, 2))])
+    start[:, 1] = [0.0, 0.0, 0.0, 1.0]
+    cfg = DecompConfig(
+        rank=2, max_iters=20, orth_mode="none", init="given", given=(start,) * 3, seed=4
+    )
+    return CompletionProblem(dims=(4, 4, 4), observed=obs), cfg
+
+
+def hybrid_problem():
+    """A rank-2 problem at d = 8, p = 0.3 (the dense form), hybrid policy."""
+    _, t = gen_random_cp(SynthSpec(d=8, k=2, seed=1))
+    cfg = DecompConfig(rank=2, max_iters=30, tol=1e-10, orth_mode="first_s", seed=3)
+    return sample_completion_problem(t, 0.3, seed=1), cfg
+
+
+class TestForms:
+    """The dense form solves the systems of the sparse form, on the GEMM kernel."""
+
+    @pytest.mark.parametrize("make", [stray_column_problem, hybrid_problem])
+    def test_both_forms_give_the_same_fit(self, make, monkeypatch, caplog):
+        import logging
+
+        prob, cfg = make()
+        fits, logs = {}, {}
+        for form in ("dense", "sparse"):
+            if form == "sparse":
+                monkeypatch.setattr(tensors, "_DENSE_MIN_DENSITY", 2.0)
+            assert type(_row_solver(prob)) is SOLVERS[form]
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="tenfact.completion"):
+                fits[form] = complete_masked(prob, 2, cfg)
+            logs[form] = [(r.msg, r.args) for r in caplog.records]
+        dense, sparse = fits["dense"], fits["sparse"]
+        for x, y in zip((dense.weights, *dense.factors), (sparse.weights, *sparse.factors)):
+            np.testing.assert_allclose(x, y, rtol=0, atol=1e-9)
+        assert logs["dense"] == logs["sparse"]
+        if make is stray_column_problem:
+            # perfbench's recovery counter reads the rows from args[1].
+            template = (
+                "completion: mode-%d rows %s have no observations and stay at "
+                "their initialization"
+            )
+            assert logs["dense"][:3] == [(template, (m, [3])) for m in (1, 2, 3)]
+            assert any("re-randomizing" in msg for msg, _ in logs["dense"])
+
+    def test_plain_dense_sweeps_reuse_partials(self, monkeypatch):
+        """Each tensor's partials serve consecutive solves: 15 per tensor in
+        10 plain sweeps, one every other sweep and two in the rest, at the
+        packed rank 3 for the Gram matrices and rank 2 for the right-hand
+        sides.  The rank-1 check forms none."""
+        prob, _ = hybrid_problem()
+        formed = []
+        real = tensors._dense_partial
+        monkeypatch.setattr(
+            tensors,
+            "_dense_partial",
+            lambda arr, mode, f: formed.append((mode, f.shape[1])) or real(arr, mode, f),
+        )
+        complete_masked(prob, 2, DecompConfig(rank=2, max_iters=10, tol=1e-300, seed=3))
+        grams = [mode for mode, rank in formed if rank == 3]
+        rhs = [mode for mode, rank in formed if rank == 2]
+        assert len(formed) == len(grams) + len(rhs)
+        assert grams == [3, 2] + [1, 3, 2] * 4 + [1]
+        assert rhs == grams
+
+
+# Zeros, subnormals, values whose squares are near float64's limits, and
+# ordinary floats.
+EDGE_VALUES = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, 2.2e-308, 3e-160, 1e150, -1e150]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@st.composite
+def tiny_problems(draw):
+    dims = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
+    size = math.prod(dims)
+    flat = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True))
+    idx = np.array(np.unravel_index(sorted(flat), dims)).T
+    vals = np.array(draw(st.lists(EDGE_VALUES, min_size=len(flat), max_size=len(flat))))
+    zero = vals == 0.0
+    return CompletionProblem(
+        dims=dims, observed=SparseTensor3(dims, idx[~zero], vals[~zero]), zero_entries=idx[zero]
+    )
+
+
+class TestCompletionProperty:
+    @settings(max_examples=400)
+    @given(
+        problem=tiny_problems(),
+        rank=st.integers(1, 3),
+        orth_mode=st.sampled_from(["none", "first_s"]),
+        ridge=st.sampled_from([0.0, 1e-8]),
+        seed=st.integers(0, 3),
+    )
+    def test_fit_has_the_asked_rank_or_raises_a_typed_error(
+        self, problem, rank, orth_mode, ridge, seed
+    ):
+        """Either a model of the asked rank with finite weights and unit
+        columns, or a ``TenfactError``; the one ``ValueError`` allowed is
+        the documented one for observed values whose squares overflow."""
+        cfg = DecompConfig(rank=rank, max_iters=20, orth_mode=orth_mode, seed=seed)
+        try:
+            model = complete_masked(problem, rank, cfg, ridge=ridge)
+        except TenfactError:
+            return
+        except ValueError as exc:
+            assert "sum of squares overflows" in str(exc)
+            return
+        assert model.k == rank and model.dims == problem.dims
+        assert np.isfinite(model.weights).all()
+        for f in model.factors:
+            np.testing.assert_allclose(np.linalg.norm(f, axis=0), 1.0, rtol=0, atol=1e-12)
+
+    def test_subnormal_scale_fit_has_unit_columns(self):
+        """One observation of 3e-160: the solved columns' entries have
+        squares below the smallest normal float, and their first norm was
+        off by 6e-6, so the fit raised 'factor A column 0 has norm ...'."""
+        obs = SparseTensor3((1, 3, 1), [[0, 0, 0]], [3e-160])
+        prob = CompletionProblem(dims=(1, 3, 1), observed=obs)
+        cfg = DecompConfig(rank=1, max_iters=20, orth_mode="first_s", seed=0)
+        model = complete_masked(prob, 1, cfg, ridge=0.0)
+        for f in model.factors:
+            np.testing.assert_allclose(np.linalg.norm(f, axis=0), 1.0, rtol=0, atol=1e-12)
+        assert cp_reconstruct(model).array[0, 0, 0] == pytest.approx(3e-160, rel=1e-3)
+
+    def test_overflowing_row_solves_raise_numerical_failure(self):
+        """With no ridge, two observations of 3e-160 give rank-2 systems
+        that are singular only up to subnormal roundoff; their solutions
+        overflow, which ended in 'factor A has non-finite entries'."""
+        dims = (2, 3, 2)
+        prob = CompletionProblem(
+            dims=dims, observed=SparseTensor3(dims, [[0, 1, 1], [1, 2, 1]], [3e-160, 3e-160])
+        )
+        cfg = DecompConfig(rank=2, max_iters=20, orth_mode="none", seed=0)
+        with pytest.raises(NumericalFailureError, match="^completion's row solves overflow float64"):
+            complete_masked(prob, 2, cfg, ridge=0.0)
 
 
 class TestMissingEntryError:

@@ -902,6 +902,19 @@ class TestNormalizeColumns:
         unit, norms = normalize_columns(m)
         np.testing.assert_allclose(unit * norms, m, atol=1e-12)
 
+    def test_tiny_column_comes_out_unit(self, rng):
+        """Entries near 1e-160 have squares below the smallest normal float,
+        so one division by the computed norm left a column 5e-6 off unit,
+        which ``CpModel`` rejects.  Ordinary columns keep one division's bits."""
+        m = rng.standard_normal((4, 3))
+        m[:, 1] *= 1e-160
+        unit, norms = normalize_columns(m)
+        np.testing.assert_allclose(np.linalg.norm(unit, axis=0), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(unit * norms, m, rtol=1e-12)
+        once = m / np.linalg.norm(m, axis=0)
+        np.testing.assert_array_equal(unit[:, [0, 2]], once[:, [0, 2]])
+        CpModel(norms, unit, unit, unit)
+
 
 # Prints, for the paper's d=100, k=30, ratio-100 instance, its norm and a
 # seeded Hybrid-ALS residual trace, and for a sparse tensor above the dense
