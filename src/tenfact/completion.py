@@ -289,7 +289,7 @@ class _DenseRows:
     unit rank-1 terms over the observed entries, is
     ``c**2 . MTTKRP_3(mask; a**2, b**2)``, and the diagonal columns of the
     mode-3 solve's packed MTTKRP are that MTTKRP, so the check forms no
-    MTTKRP of its own.  The RMSE is the sum of squares of
+    MTTKRP of its own.  The RMSE is read from the sum of squares of
     ``mask * model - values``, the model formed in one buffer by
     ``tensors._dense_model``.  ``rows`` is as in :class:`_RowSolver`.
     """
