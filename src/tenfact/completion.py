@@ -14,10 +14,11 @@ RMSE relative to the RMS of the observed values.
 Row ``i``'s mode-1 Gram matrix sums ``e e^T`` over its observations, with
 ``e = b_j * c_k``, and its right-hand side sums the observed values times
 ``e``.  How a mode's systems are formed follows the package's one format
-rule (``tensors._working_form``) applied to the 0/1 observation tensor.
-When it stays sparse, :class:`_RowSolver` gathers each row's ``e`` vectors
+rule (``tensors._working_form``) applied to the 0/1 observation tensor,
+with one more bound on the dense form's partials (``_dense_observations``).
+On the sparse form, :class:`_RowSolver` gathers each row's ``e`` vectors
 and forms its Gram matrix with one small matrix product, and the rank-1
-check reads every observed entry.  When it is computed densely,
+check reads every observed entry.  On the dense form,
 :class:`_DenseRows` forms a whole mode's systems at once: entry ``(r, s)``
 of every row's Gram matrix is the dense MTTKRP of the 0/1 tensor with the
 row-wise products ``b_r * b_s`` and ``c_r * c_s``, ``r <= s``, and the
@@ -51,6 +52,7 @@ import numpy as np
 from .decompose import DecompConfig, _redraw_columns, _sweep_engine, _Workspace
 from .errors import InvalidConfigError, NumericalFailureError
 from .tensors import (
+    _DENSE_MAX_ENTRIES,
     DenseTensor3,
     SparseTensor3,
     _checked_indices,
@@ -241,12 +243,26 @@ class _RowSolver:
         observed RMSE of ``[[w; a, b, c]]``, so that a sweep that redraws a
         column forms no RMSE."""
         rank1 = _pair_products(a, b, self.ij_pairs, self.ij_inverse) * np.take(c, self.kk, axis=0)
+        energies = np.einsum("nr,nr->r", rank1, rank1) if energy else None
+        return energies, functools.partial(_entry_rmse, rank1, self.values)
 
-        def rmse(w):
-            recon = np.einsum("nr,r->n", rank1, w, optimize=True)
-            return float(np.sqrt(np.mean((recon - self.values) ** 2)))
 
-        return (np.einsum("nr,nr->r", rank1, rank1) if energy else None), rmse
+def _entry_rmse(rank1, values, w):
+    """The observed-entry RMSE of the model with weights ``w`` whose rank-1
+    terms at the observed entries are the rows of ``rank1``, entry by entry."""
+    recon = np.einsum("nr,r->n", rank1, w, optimize=True)
+    return float(np.sqrt(np.mean((recon - values) ** 2)))
+
+
+def _masked_rmse(mask, values, n_observed, w, a, b, c, out=None):
+    """The observed-entry RMSE of ``[[w; a, b, c]]`` from the dense model:
+    the sum of squares of ``mask * model - values``, with ``mask`` the flat
+    0/1 observation tensor and ``values`` the flat observed values, the
+    model formed in ``out`` when given (``tensors._dense_model``)."""
+    v = _dense_model(w, a, b, c, out=out).reshape(-1)
+    v *= mask
+    v -= values
+    return math.sqrt(_sum_squares(v) / n_observed)
 
 
 @functools.cache
@@ -341,31 +357,58 @@ class _DenseRows:
         def rmse(w):
             if self._model is None:
                 self._model = np.empty((a.shape[0], self.mask.size // a.shape[0]))
-            v = _dense_model(w, a, b, c, out=self._model).reshape(-1)
-            v *= self.mask
-            v -= self.values
-            return math.sqrt(_sum_squares(v) / self.n_observed)
+            return _masked_rmse(self.mask, self.values, self.n_observed, w, a, b, c, out=self._model)
 
         return energies, rmse
 
 
-def _row_solver(problem):
-    """The row solver of a problem's form: :class:`_DenseRows` when
-    ``tensors._working_form`` computes the 0/1 observation tensor densely,
-    :class:`_RowSolver` otherwise."""
+def _dense_observations(problem, rank):
+    """The 0/1 observation tensor and the observed values as dense tensors
+    when a rank-``rank`` fit of ``problem`` runs on the dense form, else
+    ``None``.
+
+    The dense form needs ``tensors._working_form`` to compute the 0/1
+    tensor densely, and its largest partial, ``k(k+1)/2`` packed columns
+    over the two largest dims, to hold at most ``_DENSE_MAX_ENTRIES``
+    entries, as many as a dense copy may.  Without the second bound a high
+    rank or a short mode makes the partial far larger than the per-row
+    form's ``(n_observed, k)`` arrays: at (1000, 1000, 4) and rank 10 it
+    would hold 55 million entries.
+    """
+    dims = problem.dims
+    if rank * (rank + 1) // 2 * (math.prod(dims) // min(dims)) > _DENSE_MAX_ENTRIES:
+        return None
     indices = problem.all_indices()
-    mask = _working_form(SparseTensor3(problem.dims, indices, np.ones(indices.shape[0])))
-    if isinstance(mask, DenseTensor3):
-        return _DenseRows(mask, problem.observed.to_dense())
-    del mask  # freed before the row solver's sorts
-    return _RowSolver(indices, problem.all_values(), problem.dims)
+    mask = _working_form(SparseTensor3(dims, indices, np.ones(indices.shape[0])))
+    if not isinstance(mask, DenseTensor3):
+        return None
+    return mask, problem.observed.to_dense()
+
+
+def _row_solver(problem, rank):
+    """The row solver of a rank-``rank`` fit of ``problem``:
+    :class:`_DenseRows` on the dense form (``_dense_observations``),
+    :class:`_RowSolver` otherwise."""
+    observed = _dense_observations(problem, rank)
+    if observed is not None:
+        return _DenseRows(*observed)
+    return _RowSolver(problem.all_indices(), problem.all_values(), problem.dims)
 
 
 def _observed_rmse(problem, model):
-    """The observed-entry RMSE of ``model`` on ``problem``, read as the stop
-    metric of ``complete_masked`` reads it before dividing by the observed
-    values' RMS."""
-    return _row_solver(problem).check(*model.factors, energy=False)[1](model.weights)
+    """The observed-entry RMSE of ``model`` on ``problem``, by the function
+    that the stop metric of ``complete_masked`` calls on the problem's form
+    for the model's rank, before dividing by the observed values' RMS.  It
+    builds no row solver: the sparse form gathers the rank-1 terms at the
+    observed entries, the dense form builds only the two dense tensors."""
+    a, b, c = model.factors
+    observed = _dense_observations(problem, model.k)
+    if observed is None:
+        idx = problem.all_indices()
+        rank1 = a[idx[:, 0]] * b[idx[:, 1]] * c[idx[:, 2]]
+        return _entry_rmse(rank1, problem.all_values(), model.weights)
+    mask, values = observed
+    return _masked_rmse(mask.data, values.data, problem.n_observed, model.weights, a, b, c)
 
 
 def complete_masked(problem, rank, cfg=None, ridge=1e-8):
@@ -373,8 +416,9 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
 
     Every factor row is updated by ridge-regularized least squares over that
     row's observations, formed per row or, where the package's format rule
-    computes the observation tensor densely, per mode from dense MTTKRPs
-    (see the module docstring); the two give the same fit up to rounding.
+    computes the observation tensor densely and the rank keeps the dense
+    partials within a dense copy's size, per mode from dense MTTKRPs (see
+    the module docstring); the two give the same fit up to rounding.
     The sweeps follow the ALS driver's policy
     (``decompose._sweep_engine``): the factor matrices are orthogonalized for
     the first ``cfg.orth_steps`` sweeps (default 5), ``rerandomize_period``
@@ -414,7 +458,7 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
         scale = float(np.sqrt(np.mean(problem.all_values() ** 2))) or 1.0
     if not math.isfinite(scale):
         raise ValueError("the observed values' sum of squares overflows float64; scale them down")
-    solver = _row_solver(problem)
+    solver = _row_solver(problem, rank)
     for m, rows in enumerate(solver.rows):
         missing = np.setdiff1d(np.arange(problem.dims[m]), rows)
         if missing.size:

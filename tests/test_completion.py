@@ -12,6 +12,7 @@ from tenfact.completion import (
     CompletionProblem,
     _DenseRows,
     _RowSolver,
+    _observed_rmse,
     _row_solver,
     complete_masked,
     missing_entry_error,
@@ -114,7 +115,7 @@ class TestRowSolver:
         prob = oracle_problem(form)
         dims = prob.dims
         idx, vals = prob.all_indices(), prob.all_values()
-        solver = _row_solver(prob)
+        solver = _row_solver(prob, 3)
         assert type(solver) is SOLVERS[form]
         ridge = 1e-3
         factors = [rng.standard_normal((d, 3)) for d in dims]
@@ -147,7 +148,7 @@ class TestRowSolver:
             prob = CompletionProblem(dims=dims, observed=obs)
         dims = prob.dims
         idx, vals = prob.all_indices(), prob.all_values()
-        solver = _row_solver(prob)
+        solver = _row_solver(prob, 3)
         assert type(solver) is SOLVERS[form]
         p, q = rng.standard_normal((dims[1], 3)), rng.standard_normal((dims[2], 3))
         current = np.zeros((dims[0], 3))
@@ -169,7 +170,7 @@ class TestRowSolver:
     def test_dense_scale_solves_for_scaled_factor(self, rng):
         """With ``scale`` the dense solver solves for ``p * scale``: the norms
         a sweep takes out of a factor go back into its normal equations."""
-        solver = _row_solver(oracle_problem("dense"))
+        solver = _row_solver(oracle_problem("dense"), 3)
         p, q, current = rng.standard_normal((4, 3)), rng.standard_normal((7, 3)), np.zeros((5, 3))
         scale = np.array([2.5, 0.0, 1e-3])
         got = solver.solve_mode(3, p, q, current, 1e-3, scale=scale)
@@ -407,7 +408,7 @@ class TestForms:
         for form in ("dense", "sparse"):
             if form == "sparse":
                 monkeypatch.setattr(tensors, "_DENSE_MIN_DENSITY", 2.0)
-            assert type(_row_solver(prob)) is SOLVERS[form]
+            assert type(_row_solver(prob, 2)) is SOLVERS[form]
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="tenfact.completion"):
                 fits[form] = complete_masked(prob, 2, cfg)
@@ -424,6 +425,35 @@ class TestForms:
             )
             assert logs["dense"][:3] == [(template, (m, [3])) for m in (1, 2, 3)]
             assert any("re-randomizing" in msg for msg, _ in logs["dense"])
+
+    @pytest.mark.parametrize("rank, form", [(13, "dense"), (14, "sparse"), (30, "sparse")])
+    def test_rank_bounds_the_dense_partials(self, rank, form):
+        """On a short mode the dense form's largest partial, k(k+1)/2
+        packed columns over the two long dims, grows fastest: at (200, 200,
+        2) it holds 91 * 40000 entries at rank 13, within a dense copy's
+        4M, and 105 * 40000 at rank 14, so higher ranks keep the sparse
+        form although the observation tensor itself is densified."""
+        dims = (200, 200, 2)
+        idx = np.argwhere(np.random.default_rng(8).random(dims) < 0.2)
+        prob = CompletionProblem(dims=dims, observed=SparseTensor3(dims, idx, np.ones(len(idx))))
+        assert isinstance(tensors._working_form(prob.observed), DenseTensor3)
+        assert type(_row_solver(prob, rank)) is SOLVERS[form]
+
+    @pytest.mark.parametrize("make", [stray_column_problem, hybrid_problem])
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_observed_rmse_is_the_stop_metric(self, make, form, monkeypatch):
+        """``_observed_rmse``, which the CLI prints, gives the bits of the
+        stop metric's RMSE on either form, and builds no row solver."""
+        prob, cfg = make()
+        if form == "sparse":
+            monkeypatch.setattr(tensors, "_DENSE_MIN_DENSITY", 2.0)
+        model = complete_masked(prob, 2, cfg)
+        solver = _row_solver(prob, 2)
+        assert type(solver) is SOLVERS[form]
+        want = solver.check(*model.factors, energy=False)[1](model.weights)
+        for cls in SOLVERS.values():
+            monkeypatch.setattr(cls, "__init__", None)
+        assert _observed_rmse(prob, model) == want
 
     def test_plain_dense_sweeps_reuse_partials(self, monkeypatch):
         """Each tensor's partials serve consecutive solves: 15 per tensor in
