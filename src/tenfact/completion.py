@@ -13,18 +13,20 @@ RMSE relative to the RMS of the observed values.
 
 Row ``i``'s mode-1 Gram matrix sums ``e e^T`` over its observations, with
 ``e = b_j * c_k``, and its right-hand side sums the observed values times
-``e``.  How a mode's systems are formed follows the package's one format
+``e``.  One skeleton, :class:`_Rows`, runs the sweep, scales and solves
+the systems and reads the column energies; two system builders form a
+mode's systems.  Which one a fit gets follows the package's one format
 rule (``tensors._working_form``) applied to the 0/1 observation tensor,
 with one more bound on the dense form's partials (``_dense_observations``).
 On the sparse form, :class:`_RowSolver` gathers each row's ``e`` vectors
-and forms its Gram matrix with one small matrix product, and the rank-1
-check reads every observed entry.  On the dense form,
-:class:`_DenseRows` forms a whole mode's systems at once: entry ``(r, s)``
-of every row's Gram matrix is the dense MTTKRP of the 0/1 tensor with the
-row-wise products ``b_r * b_s`` and ``c_r * c_s``, ``r <= s``, and the
-right-hand sides are the dense MTTKRP of the observed values, both on the
-GEMM kernel with its kept partials (``decompose._Workspace``).  Both forms
-solve the same systems; they differ only in rounding.
+and forms its Gram matrix with one small matrix product, and the RMSE
+reads every observed entry.  On the dense form, :class:`_DenseRows` forms
+a whole mode's systems at once: entry ``(r, s)`` of every row's Gram
+matrix is the dense MTTKRP of the 0/1 tensor with the row-wise products
+``b_r * b_s`` and ``c_r * c_s``, ``r <= s``, and the right-hand sides are
+the dense MTTKRP of the observed values, both on the GEMM kernel with its
+kept partials (``tensors._KeptPartial``).  Both forms solve the same
+systems; they differ only in rounding.
 
 Alternating minimization for completion needs its iterates to stay
 incoherent (Jain & Oh, NeurIPS 2014).  A column that moves onto the
@@ -49,13 +51,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decompose import DecompConfig, _redraw_columns, _sweep_engine, _Workspace
+from .decompose import DecompConfig, _check_rank, _redraw_columns, _sweep_engine
 from .errors import InvalidConfigError, NumericalFailureError
 from .tensors import (
     _DENSE_MAX_ENTRIES,
     DenseTensor3,
     SparseTensor3,
     _checked_indices,
+    _KeptPartial,
     _dense_model,
     _sum_squares,
     _working_form,
@@ -176,56 +179,90 @@ def _ridge_solve(grams, rhs, ridge):
     return sols
 
 
-class _RowSolver:
-    """Per-mode grouped ridge least squares over the observed entries, entry by entry.
+class _Rows:
+    """The row solves of one completion fit: per-mode grouped ridge least
+    squares over the observed entries, one system per row that has
+    observations.
+
+    A form supplies only ``_systems(mode, p, q)``, the Gram matrices and
+    right-hand sides of a mode's rows against the factors ``p`` and ``q`` of
+    the other two modes, and ``_rmse(w, a, b, c)``, the observed-entry RMSE
+    of ``[[w; a, b, c]]``.  ``rows[m]`` lists the rows of mode ``m + 1``
+    that have observations, read from the observed indices by a count.
+
+    A sweep solves against unit factors, each normalized as soon as it is
+    solved, as ``decompose._sweep`` does; the norms taken out are put back
+    into the normal equations (``scale``), so each row solves the system of
+    the unnormalized sweep.  A column's observed energy, the sum of its
+    squared unit rank-1 terms over the observed entries, is ``c**2`` against
+    the diagonals of the mode-3 Gram matrices formed from the unit ``a`` and
+    ``b``, so the check gathers no per-entry arrays for it.
+    """
+
+    def __init__(self, indices, dims):
+        self.rows = [np.flatnonzero(np.bincount(i, minlength=d)) for i, d in zip(indices.T, dims)]
+
+    def sweep(self, a, b, c, ridge):
+        """Row solves in mode order 1, 2, 3, each with the freshest other two
+        factors; returns each solved factor as ``normalize_columns`` splits it."""
+        a, na = normalize_columns(self.solve_mode(1, b, c, a, ridge))
+        b, nb = normalize_columns(self.solve_mode(2, a, c, b, ridge, scale=na))
+        c, nc = normalize_columns(self.solve_mode(3, a, b, c, ridge, scale=na * nb))
+        return (a, na), (b, nb), (c, nc)
+
+    def solve_mode(self, mode, p, q, current, ridge, scale=None):
+        """Update the mode's factor rows that have observations; keep the
+        rest.  A ``scale`` makes it solve for the factors ``p * scale`` and
+        ``q``."""
+        grams, rhs = self._systems(mode, p, q)
+        if mode == 3:
+            self._squares = np.diagonal(grams, axis1=1, axis2=2).copy()
+        if scale is not None:
+            grams *= np.multiply.outer(scale, scale)
+            rhs *= scale
+        out = np.array(current)
+        out[self.rows[mode - 1]] = _ridge_solve(grams, rhs, ridge)
+        return out
+
+    def check(self, a, b, c, energy):
+        """Each unit column's observed energy when ``energy`` is set (``None``
+        otherwise), and the function of the weights ``w`` that gives the
+        observed RMSE of ``[[w; a, b, c]]``, so that a sweep that redraws a
+        column forms no RMSE.  The energies read the Gram matrices of the
+        last mode-3 solve, which must have been against ``a`` and ``b``."""
+        energies = None
+        if energy:
+            energies = np.einsum("ir,ir->r", c[self.rows[2]] ** 2, self._squares)
+        return energies, lambda w: self._rmse(w, a, b, c)
+
+
+class _RowSolver(_Rows):
+    """The sparse form: each row's system from its own observed entries.
 
     For each mode the entries are sorted by that mode's row, and the row
     bounds, the distinct pairs of the other two indices and the sorted values
     are kept.  A solve forms each distinct pair's product of factor rows once,
     expands it to the entries, and builds each row's Gram matrix and
     right-hand side with one small matrix product over that row's entries.
-    The check reads the model's rank-1 terms at every observed entry.
-    ``rows[m]`` lists the rows of mode ``m + 1`` that have observations.
+    The RMSE reads the model's rank-1 terms at every observed entry.
     """
 
     def __init__(self, indices, values, dims):
+        super().__init__(indices, dims)
         self.by_mode = []
         for mode in range(3):
+            j, k = (m for m in range(3) if m != mode)
             order = np.argsort(indices[:, mode], kind="stable")
-            present, starts = np.unique(indices[order, mode], return_index=True)
-            other = [0, 1, 2]
-            other.remove(mode)
-            pairs, inverse = _distinct_pairs(
-                indices[order, other[0]], indices[order, other[1]], dims[other[1]]
-            )
-            self.by_mode.append(
-                {
-                    "rows": present,
-                    "bounds": np.append(starts, order.size),
-                    "pairs": pairs,
-                    "inverse": inverse,
-                    "vals": values[order],
-                }
-            )
-        self.rows = [view["rows"] for view in self.by_mode]
+            bounds = np.append(0, np.cumsum(np.bincount(indices[:, mode])[self.rows[mode]]))
+            pairs, inverse = _distinct_pairs(indices[order, j], indices[order, k], dims[k])
+            self.by_mode.append((bounds, pairs, inverse, values[order]))
         self.values = values
         self.ij_pairs, self.ij_inverse = _distinct_pairs(indices[:, 0], indices[:, 1], dims[1])
         self.kk = indices[:, 2]
 
-    def sweep(self, a, b, c, ridge):
-        """Row solves in mode order 1, 2, 3, each with the freshest other two
-        factors; returns each solved factor as ``normalize_columns`` splits it."""
-        a1 = self.solve_mode(1, b, c, a, ridge)
-        b1 = self.solve_mode(2, a1, c, b, ridge)
-        c1 = self.solve_mode(3, a1, b1, c, ridge)
-        return [normalize_columns(f) for f in (a1, b1, c1)]
-
-    def solve_mode(self, mode, p, q, current, ridge):
-        """Update the mode's factor rows that have observations; keep the rest."""
-        view = self.by_mode[mode - 1]
-        e = _pair_products(p, q, view["pairs"], view["inverse"])
-        vals = view["vals"]
-        bounds = view["bounds"]
+    def _systems(self, mode, p, q):
+        bounds, pairs, inverse, vals = self.by_mode[mode - 1]
+        e = _pair_products(p, q, pairs, inverse)
         k = e.shape[1]
         grams = np.empty((bounds.size - 1, k, k))
         rhs = np.empty((bounds.size - 1, k))
@@ -233,18 +270,11 @@ class _RowSolver:
             blk = e[lo:hi]
             grams[r] = blk.T @ blk
             rhs[r] = vals[lo:hi] @ blk
-        out = np.array(current)
-        out[view["rows"]] = _ridge_solve(grams, rhs, ridge)
-        return out
+        return grams, rhs
 
-    def check(self, a, b, c, energy):
-        """Each unit column's observed energy when ``energy`` is set (``None``
-        otherwise), and the function of the weights ``w`` that gives the
-        observed RMSE of ``[[w; a, b, c]]``, so that a sweep that redraws a
-        column forms no RMSE."""
+    def _rmse(self, w, a, b, c):
         rank1 = _pair_products(a, b, self.ij_pairs, self.ij_inverse) * np.take(c, self.kk, axis=0)
-        energies = np.einsum("nr,nr->r", rank1, rank1) if energy else None
-        return energies, functools.partial(_entry_rmse, rank1, self.values)
+        return _entry_rmse(rank1, self.values, w)
 
 
 def _entry_rmse(rank1, values, w):
@@ -281,8 +311,8 @@ def _packed(f):
     return f[..., r] * f[..., s]
 
 
-class _DenseRows:
-    """All of a mode's ridge least-squares problems at once, from dense MTTKRPs.
+class _DenseRows(_Rows):
+    """The dense form: all of a mode's systems at once, from dense MTTKRPs.
 
     ``mask`` is the 0/1 observation tensor and ``values`` the observed
     values, zero elsewhere, both dense tensors.  Entry ``(r, s)`` of row
@@ -290,76 +320,38 @@ class _DenseRows:
     observed ``(i, j, k)``, so a mode's Gram matrices, packed to their
     ``r <= s`` entries, are the MTTKRP of ``mask`` with the packed products
     (``_packed``) of the other two factors, and the right-hand sides are the
-    MTTKRP of ``values`` with the factors themselves.  Each tensor has its
-    own ``decompose._Workspace``, whose kept partial serves consecutive
-    MTTKRPs that share a factor.
-
-    A sweep solves against unit factors, each normalized as soon as it is
-    solved, as ``decompose._sweep`` does; the norms taken out are put back
-    into the normal equations (``scale``), so each row solves the system of
-    :class:`_RowSolver`.  Then the unit ``a`` that the mode-2 and mode-3
+    MTTKRP of ``values`` with the factors themselves.  Each tensor keeps its
+    last partial (``tensors._KeptPartial``), which serves consecutive
+    MTTKRPs that share a factor: the unit ``a`` that the mode-2 and mode-3
     solves share, and the unit ``b`` that the mode-3 solve and the next
-    sweep's mode-1 solve share, are the same arrays, and plain sweeps
+    sweep's mode-1 solve share, are the same arrays, so plain sweeps
     alternate between one tensor-sized partial per tensor and two, as the
-    ALS driver's do.  A column's observed energy, the sum of its squared
-    unit rank-1 terms over the observed entries, is
-    ``c**2 . MTTKRP_3(mask; a**2, b**2)``, and the diagonal columns of the
-    mode-3 solve's packed MTTKRP are that MTTKRP, so the check forms no
-    MTTKRP of its own.  The RMSE is read from the sum of squares of
+    ALS driver's do.  The RMSE is read from the sum of squares of
     ``mask * model - values``, the model formed in one buffer by
-    ``tensors._dense_model``.  ``rows`` is as in :class:`_RowSolver`.
+    ``tensors._dense_model``.
     """
 
-    def __init__(self, mask, values):
+    def __init__(self, indices, mask, values):
+        super().__init__(indices, mask.dims)
         self.mask = mask.data
         self.values = values.data
-        self.n_observed = int(np.count_nonzero(self.mask))
-        self.rows = [np.flatnonzero(mask.array.any(axis=ax)) for ax in ((1, 2), (0, 2), (0, 1))]
-        self.grams = _Workspace(mask)
-        self.rhs = _Workspace(values)
-        self._squares = self._model = None
+        self.n_observed = indices.shape[0]
+        self.grams = _KeptPartial(mask.array)
+        self.rhs = _KeptPartial(values.array)
+        self._model = np.empty((mask.dims[0], self.mask.size // mask.dims[0]))
 
-    def sweep(self, a, b, c, ridge):
-        """As :meth:`_RowSolver.sweep`."""
-        a, na = normalize_columns(self.solve_mode(1, b, c, a, ridge))
-        b, nb = normalize_columns(self.solve_mode(2, a, c, b, ridge, scale=na))
-        c, nc = normalize_columns(self.solve_mode(3, a, b, c, ridge, scale=na * nb))
-        return (a, na), (b, nb), (c, nc)
-
-    def solve_mode(self, mode, p, q, current, ridge, scale=None):
-        """As :meth:`_RowSolver.solve_mode`; a ``scale`` makes it solve for
-        the factors ``p * scale`` and ``q``."""
+    def _systems(self, mode, p, q):
         rows = self.rows[mode - 1]
         k = p.shape[1]
         r, s = _upper(k)
         packed = self.grams.mttkrp(mode, _packed(p), _packed(q))[rows]
-        rhs = self.rhs.mttkrp(mode, p, q)[rows]
-        if mode == 3:
-            self._squares = (rows, packed[:, r == s])
-        if scale is not None:
-            packed *= _packed(scale)
-            rhs *= scale
         grams = np.empty((rows.size, k, k))
         grams[:, r, s] = packed
         grams[:, s, r] = packed
-        out = np.array(current)
-        out[rows] = _ridge_solve(grams, rhs, ridge)
-        return out
+        return grams, self.rhs.mttkrp(mode, p, q)[rows]
 
-    def check(self, a, b, c, energy):
-        """As :meth:`_RowSolver.check`; the energies read the Gram matrices of
-        the last mode-3 solve, which must have been against ``a`` and ``b``."""
-        energies = None
-        if energy:
-            rows, squares = self._squares
-            energies = np.einsum("ir,ir->r", c[rows] ** 2, squares)
-
-        def rmse(w):
-            if self._model is None:
-                self._model = np.empty((a.shape[0], self.mask.size // a.shape[0]))
-            return _masked_rmse(self.mask, self.values, self.n_observed, w, a, b, c, out=self._model)
-
-        return energies, rmse
+    def _rmse(self, w, a, b, c):
+        return _masked_rmse(self.mask, self.values, self.n_observed, w, a, b, c, out=self._model)
 
 
 def _dense_observations(problem, rank):
@@ -391,7 +383,7 @@ def _row_solver(problem, rank):
     :class:`_RowSolver` otherwise."""
     observed = _dense_observations(problem, rank)
     if observed is not None:
-        return _DenseRows(*observed)
+        return _DenseRows(problem.all_indices(), *observed)
     return _RowSolver(problem.all_indices(), problem.all_values(), problem.dims)
 
 
@@ -450,6 +442,7 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
         raise InvalidConfigError("completion supports init='random' or 'given'")
     if ridge < 0:
         raise InvalidConfigError(f"ridge must be >= 0, got {ridge}")
+    _check_rank(cfg, problem.dims)
     if problem.n_observed == 0:
         raise ValueError("completion problem has no observed entries")
 

@@ -420,6 +420,17 @@ def _orthogonalizes(cfg, t):
     return cfg.orth_mode == "always" or (cfg.orth_mode == "first_s" and t <= cfg.orth_steps)
 
 
+def _check_rank(cfg, dims):
+    """Raise unless ``cfg`` can orthogonalize rank-``cfg.rank`` factors of
+    ``dims``.  The engine checks it; a caller whose set-up logs or costs
+    anything checks it first, so that the error comes before that set-up."""
+    if _orthogonalizes(cfg, 1) and cfg.rank > min(dims):
+        raise InvalidConfigError(
+            f"rank {cfg.rank} exceeds min(dims)={min(dims)}: orthogonalization "
+            "requires rank <= dimension; use deflate_overcomplete for higher ranks"
+        )
+
+
 def _sweep_engine(cfg, dims, step, ws=None):
     """The ALS sweep policy that the driver and masked completion share.
 
@@ -433,12 +444,8 @@ def _sweep_engine(cfg, dims, step, ws=None):
     metric's relative change is at most ``cfg.tol``.  The model is returned
     as the last sweep left it, not canonicalized.
     """
+    _check_rank(cfg, dims)
     k = cfg.rank
-    if _orthogonalizes(cfg, 1) and k > min(dims):
-        raise InvalidConfigError(
-            f"rank {k} exceeds min(dims)={min(dims)}: orthogonalization "
-            "requires rank <= dimension; use deflate_overcomplete for higher ranks"
-        )
     rng = np.random.default_rng(cfg.seed)
     a, b, c = _initial_factors(dims, cfg, rng, ws)
     period = cfg.rerandomize_period

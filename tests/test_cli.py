@@ -1,10 +1,19 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
+import logging
+import math
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenfact.bench import SynthSpec, gen_random_cp
 from tenfact.cli import _build_parser, main
@@ -372,6 +381,25 @@ class TestCompleteAndOvercomplete:
         assert match
         assert float(match.group(1)) == pytest.approx(rmse, rel=1e-5, abs=1e-12)
 
+    def test_complete_rank_above_dimension_fails_in_one_line(self, tmp_path, capsys, caplog):
+        """A rank that the hybrid policy cannot orthogonalize is one error
+        line; the set-up's warnings about rows without observations came
+        before it."""
+        coo = tmp_path / "obs.coo"
+        coo.write_text("1 3 3 2\n0 0 0 1.0\n0 1 1 2.0\n")
+        out = tmp_path / "model.cpm"
+        with caplog.at_level(logging.WARNING, logger="tenfact"):
+            code = main([
+                "complete", "--input", str(coo), "--rank", "2", "--seed", "0", "--out", str(out),
+            ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: rank 2 exceeds min(dims)=1: orthogonalization requires rank <= dimension; "
+            "use deflate_overcomplete for higher ranks\n"
+        )
+        assert caplog.records == []
+        assert not out.exists()
+
     def test_complete_malformed_line_exit_1_with_line_number(self, tmp_path, capsys):
         coo = tmp_path / "obs.coo"
         coo.write_text("2 2 2 3\n0 0 0 1.0\n0 1 1\n1 0 0 0.0\n")
@@ -422,6 +450,66 @@ class TestCompleteAndOvercomplete:
         assert code == 1
         assert "block" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Explicit zeros, subnormals, values whose squares overflow float64, and
+# ordinary floats.
+COO_VALUES = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@st.composite
+def tiny_coo_lines(draw):
+    """The text of a ``.coo`` file of dims 1-4 with one line up to one per entry."""
+    dims = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
+    size = math.prod(dims)
+    flat = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True))
+    vals = draw(st.lists(COO_VALUES, min_size=len(flat), max_size=len(flat)))
+    lines = [
+        f"{i} {j} {k} {v!r}" for (i, j, k), v in zip(zip(*np.unravel_index(flat, dims)), vals)
+    ]
+    return dims, f"{dims[0]} {dims[1]} {dims[2]} {len(lines)}\n" + "\n".join(lines) + "\n"
+
+
+class TestCompleteProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(coo=tiny_coo_lines(), rank=st.integers(1, 3), algo=st.sampled_from(["hybrid", "als"]))
+    def test_complete_writes_the_asked_rank_or_fails_in_one_line(self, coo, rank, algo):
+        """``complete`` either exits 0 with a ``.cpm`` of the asked rank and
+        finite entries, or exits 1 or 2 with one line on stderr and writes
+        no model.  Python warnings and the package's logged warnings, which
+        the command prints on stderr, count as lines."""
+        dims, text = coo
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "obs.coo", Path(tmp) / "model.cpm"
+            path.write_text(text)
+            err = io.StringIO()
+            handler = logging.StreamHandler(err)
+            logging.getLogger("tenfact").addHandler(handler)
+            try:
+                with (
+                    warnings.catch_warnings(record=True) as caught,
+                    contextlib.redirect_stdout(io.StringIO()),
+                    contextlib.redirect_stderr(err),
+                ):
+                    warnings.simplefilter("always")
+                    code = main([
+                        "complete", "--input", str(path), "--rank", str(rank), "--algo", algo,
+                        "--seed", "0", "--out", str(out),
+                    ])
+            finally:
+                logging.getLogger("tenfact").removeHandler(handler)
+            lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+            if code == 0:
+                model = read_cpm(out)
+                assert model.k == rank and model.dims == dims
+                for x in (model.weights, *model.factors):
+                    assert np.isfinite(x).all()
+            else:
+                assert code in (1, 2) and len(lines) == 1, lines
+                assert not out.exists()
 
 
 class TestEmbedCommands:

@@ -167,15 +167,31 @@ class TestRowSolver:
             want = np.linalg.lstsq(gram, rhs, rcond=1e-12)[0]
             np.testing.assert_allclose(got[row], want, rtol=1e-12, atol=1e-12)
 
-    def test_dense_scale_solves_for_scaled_factor(self, rng):
-        """With ``scale`` the dense solver solves for ``p * scale``: the norms
+    @pytest.mark.parametrize("form", ["sparse", "dense"])
+    def test_dense_scale_solves_for_scaled_factor(self, rng, form):
+        """With ``scale`` either solver solves for ``p * scale``: the norms
         a sweep takes out of a factor go back into its normal equations."""
-        solver = _row_solver(oracle_problem("dense"), 3)
+        solver = _row_solver(oracle_problem(form), 3)
+        assert type(solver) is SOLVERS[form]
         p, q, current = rng.standard_normal((4, 3)), rng.standard_normal((7, 3)), np.zeros((5, 3))
         scale = np.array([2.5, 0.0, 1e-3])
         got = solver.solve_mode(3, p, q, current, 1e-3, scale=scale)
         want = solver.solve_mode(3, p * scale, q, current, 1e-3)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("form", ["sparse", "dense"])
+    def test_check_energy_matches_per_entry_oracle(self, rng, form):
+        """After a sweep, each column's observed energy is the sum of
+        ``(a_i b_j c_k)**2`` over the observed entries of its unit factors."""
+        prob = oracle_problem(form)
+        idx = prob.all_indices()
+        solver = _row_solver(prob, 3)
+        assert type(solver) is SOLVERS[form]
+        factors = [rng.standard_normal((d, 3)) for d in prob.dims]
+        (a, _), (b, _), (c, _) = solver.sweep(*factors, ridge=1e-3)
+        energies = solver.check(a, b, c, energy=True)[0]
+        want = ((a[idx[:, 0]] * b[idx[:, 1]] * c[idx[:, 2]]) ** 2).sum(axis=0)
+        np.testing.assert_allclose(energies, want, rtol=1e-12, atol=0)
 
 
 class TestCompleteMasked:
