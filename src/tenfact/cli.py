@@ -17,8 +17,10 @@ their bits by construction, as they run BLAS at one thread, and so do
 tensor norms and residuals.  Other outputs may move in their last bits, as
 an OpenBLAS GEMM rounds by thread count at some shapes: the ``.cpm`` files
 of ``complete`` and ``overcomplete`` did between 1 and 2 threads, while
-``decompose`` fits at d=100 and a 400^3 sparse fit did not; a test,
-``test_dense_fits_do_not_depend_on_blas_threads``, holds the dense fits to it.
+``decompose`` fits at d=100 and sparse fits of 200^3 and 400^3 tensors did
+not; two tests, ``test_dense_fits_do_not_depend_on_blas_threads`` and
+``test_sparse_fits_do_not_depend_on_blas_threads``, hold the dense fits and
+the sparse ``orth-als`` and ``hybrid`` fits to it.
 ``decompose`` writes no model of fewer components than ``--rank``: it exits 2.
 """
 

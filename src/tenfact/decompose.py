@@ -213,9 +213,8 @@ class _Workspace:
     The workspace first puts the tensor in its working form (see
     ``tensors._working_form``).  Every run reads the tensor through the
     workspace (its norm, the MTTKRPs, the SVD start's and simdiag's
-    projections, the final weight re-estimation), so a sparse input that
-    the density rule densifies gives the model of its dense copy bit for
-    bit.  A tensor whose sum of squares overflows float64 raises
+    projections), so a sparse input that the density rule densifies gives
+    the model of its dense copy bit for bit.  A tensor whose sum of squares overflows float64 raises
     ``ValueError`` here, before any run reads it.
 
     A :class:`_Deflated` input ``T - M`` is unwrapped: ``self.tensor`` is
@@ -496,10 +495,22 @@ def _sweep_engine(cfg, dims, step, ws=None):
 
 
 def _driver(tensor, cfg):
+    """Run the ALS family's sweep policy ``cfg`` on ``tensor``.
+
+    When the last sweep orthogonalized, each weight is re-estimated as the
+    full contraction ``T(a_r, b_r, c_r)``, the final step of the
+    orthogonalized algorithm (``<T - M, a_r∘b_r∘c_r>`` for a
+    :class:`_Deflated` input).  It is read from that sweep's mode-3 MTTKRP,
+    ``w_r = sum_k C[k, r] m3[k, r]``, so the re-estimation reads the tensor
+    no more.  A column that a solve zeroed has a zero ``m3`` column, so its
+    weight is 0, not the tensor contracted with its unit stand-ins.
+    """
     ws = _Workspace(tensor)
+    last = {}
 
     def step(t, rng, a, b, c):
         a, _, b, _, c1, m3 = _sweep(ws, a, b, c)
+        last["m3"] = m3
         inner = float(np.sum(c1 * m3))
         model_sq = float(((a.T @ a) * (b.T @ b) * (c1.T @ c1)).sum())
         c, weights = normalize_columns(c1)
@@ -509,9 +520,7 @@ def _driver(tensor, cfg):
     m = result.model
     weights = m.weights
     if _orthogonalizes(cfg, result.iterations_used):
-        # Weight re-estimation by full contraction against the tensor, the
-        # final step of the orthogonalized algorithm.
-        weights = np.einsum("ir,ir->r", m.A, ws.mttkrp(1, m.B, m.C))
+        weights = np.einsum("kr,kr->r", m.C, last["m3"])
     result.model = CpModel(weights, m.A, m.B, m.C).canonical()
     return result
 

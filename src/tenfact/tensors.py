@@ -36,9 +36,11 @@ product, one gather-and-scale per fiber and one segment sum per output row,
 so each factor-row product is formed once per fiber, not once per nonzero.
 The plan is cut into blocks, each a run of whole output rows with all of
 their fibers, sized for rank ``k`` so that the kernel's temporaries stay in
-cache, the blocking idea of CSF and of HiCOO (Li et al., SC 2018).  Every
-output row sums its own fibers in the same order whatever the blocks, so
-blocking changes no bit of the result.  Each block writes only its own
+cache, the blocking idea of CSF and of HiCOO (Li et al., SC 2018).  A
+block's matrices are plain arrays (:class:`_Csr`), slices of the plan's
+sorted arrays, which the kernel hands to scipy's compiled CSR product.
+Every output row sums its own fibers in the same order whatever the
+blocks, so blocking changes no bit of the result.  Each block writes only its own
 output rows, so the blocks run on several threads, the slice-parallel
 MTTKRP of SPLATT, and the thread count changes no bit either (see
 :func:`_fiber_mttkrp`).
@@ -412,23 +414,32 @@ def normalize_columns(matrix):
     whose norm is below ``sqrt(d * tiny)``, ``tiny`` the smallest normal
     float64, may underflow, which leaves its norm off and its quotient off
     unit; such a column is divided once more, by the norm of its quotient,
-    whose entries are near 1.  So every column with a finite norm comes out
-    unit, and every other column keeps the bits of one division.
+    whose entries are near 1.  The squares of a column with an entry above
+    ``sqrt(max)``, ``max`` the largest float64, overflow, although its norm
+    may be finite; such a column is divided first by its largest magnitude,
+    then by the norm of that quotient.  So every column with a finite norm
+    comes out unit, and every other column keeps the bits of one division.
     """
     m = np.array(matrix, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=0)
+    # np.linalg.norm's own sum, without its overflow warning.
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(m * m, axis=0))
     small = norms < math.sqrt(m.shape[0] * sys.float_info.min)
-    if not small.any():
+    big = np.isinf(norms)
+    if not (small | big).any():
         m /= norms
         return m, norms
     dead = norms == 0.0
-    m /= np.where(dead, 1.0, norms)
+    first = np.where(dead, 1.0, norms)
+    first[big] = np.abs(m[:, big]).max(axis=0)
+    m /= first
     m[:, dead] = 0.0
     m[0, dead] = 1.0
-    tiny = small & ~dead
-    again = np.linalg.norm(m[:, tiny], axis=0)
-    m[:, tiny] /= again
-    norms[tiny] *= again
+    fix = (small | big) & ~dead
+    again = np.linalg.norm(m[:, fix], axis=0)
+    m[:, fix] /= again
+    with np.errstate(over="ignore"):
+        norms[fix] = first[fix] * again
     return m, norms
 
 
@@ -648,16 +659,27 @@ def _mode_fibers(tensor, mode):
     return np.append(starts, n), row_bounds, p_idx[starts], q_idx, vals
 
 
+class _Csr(NamedTuple):
+    """A CSR matrix as the arrays that :func:`_csr_product` hands to
+    ``csr_matvecs``: row pointers and column indices of one index dtype,
+    the float64 values and the ``(rows, columns)`` shape."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+
 class _ModePlan(NamedTuple):
     """Sparse MTTKRP ``out[o] = sum_(p, q) T[o, p, q] P[p] * Q[q]`` by fibers, in row blocks.
 
     ``blocks`` holds one ``(r0, r1, fibers, sums, fiber_p)`` per run of
-    whole output rows ``r0:r1``: their fibers as CSR rows over the q index,
-    the 0/1 CSR matrix that sums each row's fibers, and each fiber's p.
-    ``budget`` is the block budget in fibers the plan was cut for (see
-    :func:`_block_budget`).  ``decompose._Workspace`` keeps one per mode,
-    so that the blocks' CSR matrices are built once per run, not on every
-    MTTKRP.
+    whole output rows ``r0:r1``: their fibers as the :class:`_Csr` rows of
+    a matrix over the q index, the 0/1 :class:`_Csr` matrix that sums each
+    row's fibers, and each fiber's p.  ``budget`` is the block budget in
+    fibers the plan was cut for (see :func:`_block_budget`).
+    ``decompose._Workspace`` keeps one per mode, so that the blocks are cut
+    once per run, not on every MTTKRP.
     """
 
     n_rows: int
@@ -675,31 +697,34 @@ def _mode_plan(tensor, mode, k):
 
     Each block holds as many whole output rows as fit in
     ``_block_budget(k)`` fibers, and at least one row, so a plan within
-    budget is one block.  The blocks' CSR matrices are cut straight from
-    the sorted q indices and values of :func:`_mode_fibers`.  scipy copies
-    a slice smaller than half of its base array, so blocks of a plan cut
-    many ways hold the sorted arrays about once and a one-block plan
-    shares them (mode 1 shares the tensor's values).
+    budget is one block.  The blocks' values and q indices are slices of
+    the sorted arrays of :func:`_mode_fibers` (mode 1's values are the
+    tensor's own), so a plan holds them once however many blocks it has.
+    Indices are int32 where every count and dimension fits, the index
+    dtype scipy's CSR constructor chooses, and int64 otherwise.  The sum
+    matrices of all blocks share one index range and one array of ones.
     """
     fiber_bounds, row_bounds, fiber_p, q_idx, vals = _mode_fibers(tensor, mode)
+    fits = max(vals.size, *tensor.dims) <= np.iinfo(np.int32).max
+    index = np.int32 if fits else np.int64
+    fiber_bounds, row_bounds, q_idx = (x.astype(index) for x in (fiber_bounds, row_bounds, q_idx))
     n_rows = row_bounds.size - 1
     q_dim = tensor.dims[1 if mode == 3 else 2]
     budget = _block_budget(k)
+    # No block has more fibers than the budget or than its one row.
+    widest = min(fiber_p.size, max(budget, int(np.diff(row_bounds).max(initial=0))))
+    ones, local = np.ones(widest), np.arange(widest, dtype=index)
     blocks = []
     r0 = 0
     while r0 < n_rows:
-        f0 = int(row_bounds[r0])
-        r1 = int(np.searchsorted(row_bounds, f0 + budget, side="right")) - 1
+        f0 = row_bounds[r0]
+        r1 = int(np.searchsorted(row_bounds, int(f0) + budget, side="right")) - 1
         r1 = min(max(r1, r0 + 1), n_rows)
-        f1 = int(row_bounds[r1])
+        f1 = row_bounds[r1]
         lo, hi = fiber_bounds[f0], fiber_bounds[f1]
-        fibers = scipy.sparse.csr_matrix(
-            (vals[lo:hi], q_idx[lo:hi], fiber_bounds[f0 : f1 + 1] - lo), shape=(f1 - f0, q_dim)
-        )
-        sums = scipy.sparse.csr_matrix(
-            (np.ones(f1 - f0), np.arange(f1 - f0), row_bounds[r0 : r1 + 1] - f0),
-            shape=(r1 - r0, f1 - f0),
-        )
+        n = int(f1 - f0)
+        fibers = _Csr(fiber_bounds[f0 : f1 + 1] - lo, q_idx[lo:hi], vals[lo:hi], (n, q_dim))
+        sums = _Csr(row_bounds[r0 : r1 + 1] - f0, local[:n], ones[:n], (r1 - r0, n))
         blocks.append((r0, r1, fibers, sums, fiber_p[f0:f1]))
         r0 = r1
     return _ModePlan(n_rows, budget, tuple(blocks))
@@ -757,14 +782,14 @@ def _fiber_share(blocks, p, q, buf, out):
 
 
 def _csr_product(a, x, out):
-    """``a @ x`` for a CSR matrix ``a`` and a C-contiguous ``(n, k)`` array
-    ``x``, written into the C-contiguous ``out``.
+    """``a @ x`` for a :class:`_Csr` ``a`` and a C-contiguous ``(n, k)``
+    array ``x``, written into the C-contiguous ``out``.
 
-    It calls the routine scipy's ``@`` calls for a many-column ``x``,
-    ``csr_matvecs``, on a zeroed ``out``, as scipy does on a fresh array.
-    At ``k = 1``, where scipy's ``@`` calls ``csr_matvec``, the two
-    routines add the same products in the same order, so at every ``k``
-    the bits are those of ``a @ x``.
+    It calls the routine that scipy's ``@`` calls on a CSR matrix of
+    ``a``'s arrays for a many-column ``x``, ``csr_matvecs``, on a zeroed
+    ``out``, as scipy does on a fresh array.  At ``k = 1``, where scipy's
+    ``@`` calls ``csr_matvec``, the two routines add the same products in
+    the same order, so at every ``k`` the bits are those of ``a @ x``.
     """
     out.fill(0.0)
     n_rows, n_cols = a.shape

@@ -150,6 +150,21 @@ class TestDecomposeCommand:
         assert "sum of squares overflows float64" in err
         assert not out.exists()
 
+    def test_decompose_factor_of_huge_norm_writes_the_model(self, tmp_path):
+        """An ALS solve at a rank above the dims gives a mode-1 column whose
+        squares overflow though its norm does not; it printed an overflow
+        warning and 'factor A column 0 has norm 0.0, expected 1' before."""
+        coo = tmp_path / "t.coo"
+        coo.write_text("1 2 1 1\n0 0 0 1e154\n")
+        out = tmp_path / "model.cpm"
+        code, lines = run_with_stderr_lines([
+            "decompose", "--input", str(coo), "--algo", "als", "--rank", "3", "--iters", "1",
+            "--seed", "0", "--out", str(out),
+        ])
+        assert (code, lines) == (0, [])
+        model = read_cpm(out)
+        assert model.k == 3 and np.isfinite(model.weights).all()
+
     @pytest.mark.parametrize(
         "text, rank, found",
         [
@@ -473,43 +488,60 @@ def tiny_coo_lines(draw):
     return dims, f"{dims[0]} {dims[1]} {dims[2]} {len(lines)}\n" + "\n".join(lines) + "\n"
 
 
+def run_with_stderr_lines(argv):
+    """``main(argv)``'s exit code and stderr lines, with Python warnings and
+    the package's logged warnings, which the CLI prints on stderr, counted
+    as lines."""
+    err = io.StringIO()
+    handler = logging.StreamHandler(err)
+    logging.getLogger("tenfact").addHandler(handler)
+    try:
+        with (
+            warnings.catch_warnings(record=True) as caught,
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(err),
+        ):
+            warnings.simplefilter("always")
+            code = main(argv)
+    finally:
+        logging.getLogger("tenfact").removeHandler(handler)
+    return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+def assert_asked_rank_or_one_line(command, coo, rank, algo):
+    """``command`` either exits 0 with a ``.cpm`` of the asked rank and
+    finite entries, or exits 1 or 2 with one line on stderr and writes no
+    model."""
+    dims, text = coo
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "in.coo", Path(tmp) / "model.cpm"
+        path.write_text(text)
+        code, lines = run_with_stderr_lines([
+            command, "--input", str(path), "--rank", str(rank), "--algo", algo,
+            "--seed", "0", "--out", str(out),
+        ])
+        if code == 0:
+            model = read_cpm(out)
+            assert model.k == rank and model.dims == dims
+            for x in (model.weights, *model.factors):
+                assert np.isfinite(x).all()
+        else:
+            assert code in (1, 2) and len(lines) == 1, lines
+            assert not out.exists()
+
+
 class TestCompleteProperty:
     @settings(max_examples=300, deadline=None)
     @given(coo=tiny_coo_lines(), rank=st.integers(1, 3), algo=st.sampled_from(["hybrid", "als"]))
     def test_complete_writes_the_asked_rank_or_fails_in_one_line(self, coo, rank, algo):
-        """``complete`` either exits 0 with a ``.cpm`` of the asked rank and
-        finite entries, or exits 1 or 2 with one line on stderr and writes
-        no model.  Python warnings and the package's logged warnings, which
-        the command prints on stderr, count as lines."""
-        dims, text = coo
-        with tempfile.TemporaryDirectory() as tmp:
-            path, out = Path(tmp) / "obs.coo", Path(tmp) / "model.cpm"
-            path.write_text(text)
-            err = io.StringIO()
-            handler = logging.StreamHandler(err)
-            logging.getLogger("tenfact").addHandler(handler)
-            try:
-                with (
-                    warnings.catch_warnings(record=True) as caught,
-                    contextlib.redirect_stdout(io.StringIO()),
-                    contextlib.redirect_stderr(err),
-                ):
-                    warnings.simplefilter("always")
-                    code = main([
-                        "complete", "--input", str(path), "--rank", str(rank), "--algo", algo,
-                        "--seed", "0", "--out", str(out),
-                    ])
-            finally:
-                logging.getLogger("tenfact").removeHandler(handler)
-            lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
-            if code == 0:
-                model = read_cpm(out)
-                assert model.k == rank and model.dims == dims
-                for x in (model.weights, *model.factors):
-                    assert np.isfinite(x).all()
-            else:
-                assert code in (1, 2) and len(lines) == 1, lines
-                assert not out.exists()
+        assert_asked_rank_or_one_line("complete", coo, rank, algo)
+
+
+class TestDecomposeProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(coo=tiny_coo_lines(), rank=st.integers(1, 3), algo=st.sampled_from(list(ALS_RUNNERS)))
+    def test_decompose_writes_the_asked_rank_or_fails_in_one_line(self, coo, rank, algo):
+        assert_asked_rank_or_one_line("decompose", coo, rank, algo)
 
 
 class TestEmbedCommands:

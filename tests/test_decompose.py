@@ -39,6 +39,7 @@ from tenfact.tensors import (
     cp_reconstruct,
     khatri_rao,
     matricize,
+    mttkrp,
     residual_ratio,
     _working_form,
 )
@@ -188,6 +189,35 @@ class TestOrthAlsRun:
         assert steps is not None and steps.shape == (3,)
         assert (steps >= 1).all() and (steps <= result.iterations_used).all()
 
+    @pytest.mark.parametrize("runner", [orth_als_run, hybrid_run])
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    def test_sparse_fit_runs_three_mttkrps_per_sweep(self, rng, monkeypatch, runner, sweeps):
+        """The final weights are read from the last sweep's mode-3 MTTKRP, so
+        an orthogonalized fit of ``sweeps`` sweeps on a tensor that stays
+        sparse runs three fiber MTTKRPs per sweep and no more."""
+        t = random_sparse(rng, (20, 21, 22), 400)
+        assert _working_form(t) is t
+        calls = []
+        real = decompose._fiber_mttkrp
+        monkeypatch.setattr(
+            decompose, "_fiber_mttkrp", lambda plan, p, q: calls.append(plan) or real(plan, p, q)
+        )
+        result = runner(t, DecompConfig(rank=3, max_iters=sweeps, tol=1e-300, seed=2))
+        assert result.iterations_used == sweeps
+        assert len(calls) == 3 * sweeps
+
+    @pytest.mark.parametrize("fmt", ["dense", "sparse"])
+    def test_weights_are_full_contractions_of_the_returned_factors(self, rng, fmt):
+        dims = (12, 13, 14)
+        if fmt == "dense":
+            t = DenseTensor3(rng.standard_normal(dims))
+        else:
+            t = random_sparse(rng, dims, 150)
+            assert _working_form(t) is t
+        m = orth_als_run(t, DecompConfig(rank=4, max_iters=6, tol=1e-300, seed=1)).model
+        expect = np.einsum("ir,ir->r", m.A, mttkrp(t, m.factors, 1))
+        np.testing.assert_allclose(m.weights, expect, rtol=1e-12, atol=0)
+
 
 class TestHybridRun:
     def test_s_zero_identical_to_als(self, rng):
@@ -237,7 +267,7 @@ class TestDimensionTree:
 
     def test_orthogonalized_sweeps_form_two_partials_each(self, rng, monkeypatch):
         """QR changes every factor, so each sweep forms modes 3 and 2; the
-        final weight re-estimation reuses the last one."""
+        final weights come from the last sweep's mode-3 MTTKRP."""
         t = DenseTensor3(rng.standard_normal((9, 10, 11)))
         formed = self.count_partials(monkeypatch)
         result = orth_als_run(t, DecompConfig(rank=4, max_iters=12, tol=1e-300, seed=5))

@@ -6,11 +6,13 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -778,13 +780,32 @@ class TestMttkrpIdentity:
                     n_fibers = row_fibers[r0:r1].sum()
                     assert r0 == r and r1 > r0, label
                     assert fibers.shape[0] == sums.shape[1] == fiber_p.size == n_fibers, label
-                    assert sums.shape[0] == r1 - r0, label
+                    assert fibers.indptr.size == n_fibers + 1 and sums.indices.size == n_fibers, label
+                    assert sums.shape[0] == r1 - r0 and sums.indptr.size == r1 - r0 + 1, label
                     assert n_fibers <= plan.budget or r1 - r0 == 1, label
                     if r1 < plan.n_rows:
                         assert n_fibers + row_fibers[r1] > plan.budget, label
                     r = r1
                 assert r == plan.n_rows, label
                 assert (len(plan.blocks) == 1) == (row_fibers.sum() <= plan.budget), label
+
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    def test_mode_plan_blocks_are_arrays_sliced_from_one_sorted_copy(self, rng, monkeypatch, mode):
+        """A block holds plain CSR arrays, no scipy matrix, and the values
+        of a many-block plan are slices of one sorted array: mode 1's are
+        the tensor's own."""
+        tensor = random_sparse(rng, (40, 30, 20), 4000)
+        monkeypatch.setattr(tensors, "_BLOCK_FLOATS", 64)
+        plan = _mode_plan(tensor, mode, 4)
+        assert len(plan.blocks) > 10
+        for block in plan.blocks:
+            assert not any(scipy.sparse.issparse(x) for x in block)
+            assert isinstance(block[2], tensors._Csr) and isinstance(block[3], tensors._Csr)
+        values = [block[2].data for block in plan.blocks]
+        base = values[0].base
+        assert sum(v.size for v in values) == tensor.nnz
+        assert all(np.shares_memory(v, base) for v in values)
+        assert np.shares_memory(base, tensor.values) == (mode == 1)
 
     def test_mode_order_narrow_sort_key_matches_int64_argsort(self, rng):
         """Mode 2 sorts on a uint32 key (d2 > 65535) and mode 3 on a uint8 key (d3 <= 255)."""
@@ -902,6 +923,21 @@ class TestNormalizeColumns:
         unit, norms = normalize_columns(m)
         np.testing.assert_allclose(unit * norms, m, atol=1e-12)
 
+    def test_huge_column_comes_out_unit(self, rng):
+        """Entries near 1e160 have squares above the largest float, so the
+        column's norm read as inf and its quotient as 0, with an overflow
+        warning.  Ordinary columns keep one division's bits."""
+        m = rng.standard_normal((4, 3))
+        m[:, 1] *= 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit, norms = normalize_columns(m)
+        np.testing.assert_allclose(np.linalg.norm(unit, axis=0), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(unit * norms, m, rtol=1e-12)
+        ordinary = m[:, [0, 2]]
+        np.testing.assert_array_equal(unit[:, [0, 2]], ordinary / np.linalg.norm(ordinary, axis=0))
+        CpModel(norms, unit, unit, unit)
+
     def test_tiny_column_comes_out_unit(self, rng):
         """Entries near 1e-160 have squares below the smallest normal float,
         so one division by the computed norm left a column 5e-6 off unit,
@@ -996,6 +1032,35 @@ def test_sparse_kernels_do_not_depend_on_mttkrp_threads():
     assert outputs[0] == outputs[1]
 
 
+# Prints one SHA-256 per orthogonalized fit of a 200^3 tensor that stays
+# sparse, each of whose plans at rank 50 has several row blocks.
+_SPARSE_FIT_PROBE = """
+import hashlib
+import numpy as np
+from tenfact.decompose import ALS_RUNNERS, DecompConfig
+from tenfact.tensors import SparseTensor3, _mode_plan, _working_form
+
+rng = np.random.default_rng(3)
+t = SparseTensor3((200, 200, 200), rng.integers(0, 200, (300_000, 3)), rng.random(300_000))
+assert _working_form(t) is t
+assert min(len(_mode_plan(t, mode, 50).blocks) for mode in (1, 2, 3)) > 2
+for name in ("orth-als", "hybrid"):
+    m = ALS_RUNNERS[name](t, DecompConfig(rank=50, max_iters=8, tol=1e-300, seed=2)).model
+    digest = hashlib.sha256(b"".join(np.ascontiguousarray(x).tobytes() for x in (m.weights, *m.factors)))
+    print(name, digest.hexdigest())
+"""
+
+
+def test_sparse_fits_do_not_depend_on_blas_threads():
+    """The README's promise that sparse ``orth-als`` and ``hybrid`` fits keep
+    their bits at 1 and 2 OpenBLAS threads."""
+    outputs = [
+        _probe_output(_SPARSE_FIT_PROBE, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n) for n in ("1", "2")
+    ]
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("k", [1, 7])
 def test_csr_product_has_the_bits_of_scipy_matmul(rng, k):
     """The fiber kernel's two sparse products, written into buffers it owns,
@@ -1003,13 +1068,19 @@ def test_csr_product_has_the_bits_of_scipy_matmul(rng, k):
     turns this test red."""
     plan = _mode_plan(random_sparse(rng, (30, 40, 50), 3000), 2, k)
     ((_, _, fibers, sums, _),) = plan.blocks
+    as_scipy = [
+        scipy.sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape) for a in (fibers, sums)
+    ]
+    for a, csr in zip((fibers, sums), as_scipy):
+        # The index dtype is the one scipy's constructor chooses.
+        assert a.indices.dtype == a.indptr.dtype == csr.indices.dtype == np.int32
     q = rng.standard_normal((50, k))
     y = np.full((fibers.shape[0], k), np.nan)
     _csr_product(fibers, q, y)
-    assert_same_bits(y, fibers @ q)
+    assert_same_bits(y, as_scipy[0] @ q)
     out = np.full((sums.shape[0], k), np.nan)
     _csr_product(sums, y, out)
-    assert_same_bits(out, sums @ y)
+    assert_same_bits(out, as_scipy[1] @ y)
 
 
 # At two threads, runs a dense fit, a completion, a one-block sparse power
