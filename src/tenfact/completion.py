@@ -15,9 +15,10 @@ Row ``i``'s mode-1 Gram matrix sums ``e e^T`` over its observations, with
 ``e = b_j * c_k``, and its right-hand side sums the observed values times
 ``e``.  One skeleton, :class:`_Rows`, runs the sweep, scales and solves
 the systems and reads the column energies; two system builders form a
-mode's systems.  Which one a fit gets follows the package's one format
-rule (``tensors._working_form``) applied to the 0/1 observation tensor,
-with one more bound on the dense form's partials (``_dense_observations``).
+mode's systems.  Which one a fit gets follows the package's density rule
+(``tensors._dense_enough``) applied to the observed count, with one more
+bound on the dense form's partials (``_dense_observations``), so choosing
+a form builds and sorts nothing.
 On the sparse form, :class:`_RowSolver` gathers each row's ``e`` vectors
 and forms its Gram matrix with one small matrix product, and the RMSE
 reads every observed entry.  On the dense form, :class:`_DenseRows` forms
@@ -59,9 +60,9 @@ from .tensors import (
     SparseTensor3,
     _checked_indices,
     _KeptPartial,
+    _dense_enough,
     _dense_model,
     _sum_squares,
-    _working_form,
     cp_reconstruct,
     normalize_columns,
 )
@@ -187,8 +188,9 @@ class _Rows:
     A form supplies only ``_systems(mode, p, q)``, the Gram matrices and
     right-hand sides of a mode's rows against the factors ``p`` and ``q`` of
     the other two modes, and ``_rmse(w, a, b, c)``, the observed-entry RMSE
-    of ``[[w; a, b, c]]``.  ``rows[m]`` lists the rows of mode ``m + 1``
-    that have observations, read from the observed indices by a count.
+    of ``[[w; a, b, c]]``.  ``counts[m]`` holds the observation count of
+    each row of mode ``m + 1``, and ``rows[m]`` lists the rows with
+    observations.
 
     A sweep solves against unit factors, each normalized as soon as it is
     solved, as ``decompose._sweep`` does; the norms taken out are put back
@@ -200,7 +202,8 @@ class _Rows:
     """
 
     def __init__(self, indices, dims):
-        self.rows = [np.flatnonzero(np.bincount(i, minlength=d)) for i, d in zip(indices.T, dims)]
+        self.counts = [np.bincount(i, minlength=d) for i, d in zip(indices.T, dims)]
+        self.rows = [np.flatnonzero(n) for n in self.counts]
 
     def sweep(self, a, b, c, ridge):
         """Row solves in mode order 1, 2, 3, each with the freshest other two
@@ -213,15 +216,27 @@ class _Rows:
     def solve_mode(self, mode, p, q, current, ridge, scale=None):
         """Update the mode's factor rows that have observations; keep the
         rest.  A ``scale`` makes it solve for the factors ``p * scale`` and
-        ``q``."""
+        ``q``.
+
+        Norms near ``sqrt`` of float64's largest value would overflow the
+        scaled Gram matrices, so the systems take ``scale`` divided by the
+        power of two ``2**shift`` that brings its largest entry to at most
+        1, and the ridge divided by ``4**shift``; their solutions times
+        ``2**-shift`` solve the systems of ``scale``.  Powers of two round
+        nothing above the subnormal range, so this changes no bit there.
+        """
         grams, rhs = self._systems(mode, p, q)
         if mode == 3:
             self._squares = np.diagonal(grams, axis1=1, axis2=2).copy()
+        shift = 0
         if scale is not None:
+            shift = max(math.frexp(scale.max())[1], 0)
+            scale = np.ldexp(scale, -shift)
             grams *= np.multiply.outer(scale, scale)
             rhs *= scale
         out = np.array(current)
-        out[self.rows[mode - 1]] = _ridge_solve(grams, rhs, ridge)
+        sols = _ridge_solve(grams, rhs, math.ldexp(ridge, -2 * shift))
+        out[self.rows[mode - 1]] = np.ldexp(sols, -shift)
         return out
 
     def check(self, a, b, c, energy):
@@ -253,7 +268,7 @@ class _RowSolver(_Rows):
         for mode in range(3):
             j, k = (m for m in range(3) if m != mode)
             order = np.argsort(indices[:, mode], kind="stable")
-            bounds = np.append(0, np.cumsum(np.bincount(indices[:, mode])[self.rows[mode]]))
+            bounds = np.append(0, np.cumsum(self.counts[mode][self.rows[mode]]))
             pairs, inverse = _distinct_pairs(indices[order, j], indices[order, k], dims[k])
             self.by_mode.append((bounds, pairs, inverse, values[order]))
         self.values = values
@@ -359,22 +374,21 @@ def _dense_observations(problem, rank):
     when a rank-``rank`` fit of ``problem`` runs on the dense form, else
     ``None``.
 
-    The dense form needs ``tensors._working_form`` to compute the 0/1
-    tensor densely, and its largest partial, ``k(k+1)/2`` packed columns
-    over the two largest dims, to hold at most ``_DENSE_MAX_ENTRIES``
-    entries, as many as a dense copy may.  Without the second bound a high
-    rank or a short mode makes the partial far larger than the per-row
-    form's ``(n_observed, k)`` arrays: at (1000, 1000, 4) and rank 10 it
-    would hold 55 million entries.
+    The dense form needs the package's density rule
+    (``tensors._dense_enough``) to admit the observed count, which is the
+    stored count of the 0/1 tensor, and its largest partial, ``k(k+1)/2``
+    packed columns over the two largest dims, to hold at most
+    ``_DENSE_MAX_ENTRIES`` entries, as many as a dense copy may.  Without
+    the second bound a high rank or a short mode makes the partial far
+    larger than the per-row form's ``(n_observed, k)`` arrays: at (1000,
+    1000, 4) and rank 10 it would hold 55 million entries.  A problem has
+    no repeated index, so the 0/1 tensor is ``observed_mask``.
     """
     dims = problem.dims
-    if rank * (rank + 1) // 2 * (math.prod(dims) // min(dims)) > _DENSE_MAX_ENTRIES:
+    partial = rank * (rank + 1) // 2 * (math.prod(dims) // min(dims))
+    if partial > _DENSE_MAX_ENTRIES or not _dense_enough(dims, problem.n_observed):
         return None
-    indices = problem.all_indices()
-    mask = _working_form(SparseTensor3(dims, indices, np.ones(indices.shape[0])))
-    if not isinstance(mask, DenseTensor3):
-        return None
-    return mask, problem.observed.to_dense()
+    return DenseTensor3(problem.observed_mask()), problem.observed.to_dense()
 
 
 def _row_solver(problem, rank):
@@ -407,10 +421,10 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
     """Fit a rank-``rank`` CP model to the observed entries.
 
     Every factor row is updated by ridge-regularized least squares over that
-    row's observations, formed per row or, where the package's format rule
-    computes the observation tensor densely and the rank keeps the dense
-    partials within a dense copy's size, per mode from dense MTTKRPs (see
-    the module docstring); the two give the same fit up to rounding.
+    row's observations, formed per row or, where the package's density rule
+    admits the observed count and the rank keeps the dense partials within
+    a dense copy's size, per mode from dense MTTKRPs (see the module
+    docstring); the two give the same fit up to rounding.
     The sweeps follow the ALS driver's policy
     (``decompose._sweep_engine``): the factor matrices are orthogonalized for
     the first ``cfg.orth_steps`` sweeps (default 5), ``rerandomize_period``
@@ -434,10 +448,7 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
     from 1 or nearly singular systems without a ridge, raise
     ``NumericalFailureError``.
     """
-    if cfg is None:
-        cfg = DecompConfig(rank=rank, orth_mode="first_s", orth_steps=5)
-    elif cfg.rank != rank:
-        cfg = replace(cfg, rank=rank)
+    cfg = replace(cfg or DecompConfig(rank=rank, orth_mode="first_s"), rank=rank)
     if cfg.init == "svd":
         raise InvalidConfigError("completion supports init='random' or 'given'")
     if ridge < 0:
@@ -452,8 +463,8 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
     if not math.isfinite(scale):
         raise ValueError("the observed values' sum of squares overflows float64; scale them down")
     solver = _row_solver(problem, rank)
-    for m, rows in enumerate(solver.rows):
-        missing = np.setdiff1d(np.arange(problem.dims[m]), rows)
+    for m, counts in enumerate(solver.counts):
+        missing = np.flatnonzero(counts == 0)
         if missing.size:
             logger.warning(
                 "completion: mode-%d rows %s have no observations and stay at "

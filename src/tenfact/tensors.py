@@ -45,9 +45,10 @@ output rows, so the blocks run on several threads, the slice-parallel
 MTTKRP of SPLATT, and the thread count changes no bit either (see
 :func:`_fiber_mttkrp`).
 
-Which of the two kernels a sparse tensor gets is decided in one place,
-:func:`_working_form`.  The public :func:`mttkrp` and :func:`contract_mode3`
-run on the tensor they are given.
+Which of the two kernels a sparse tensor gets is decided by one rule on
+its dims and stored count, :func:`_dense_enough`, which
+:func:`_working_form` applies.  The public :func:`mttkrp` and
+:func:`contract_mode3` run on the tensor they are given.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely across threads.  The module keeps
@@ -258,19 +259,26 @@ def _checked_indices(indices, dims):
     return idx
 
 
-def _working_form(tensor):
-    """The format a tensor is computed on: the one density rule of the package.
+def _dense_enough(dims, nnz):
+    """The one density rule of the package: whether a sparse tensor of
+    ``dims`` with ``nnz`` stored entries is computed on densely, as it is
+    when it has at most ``_DENSE_MAX_ENTRIES`` entries and at least
+    ``_DENSE_MIN_DENSITY`` of them are stored."""
+    size = math.prod(dims)
+    return size <= _DENSE_MAX_ENTRIES and nnz >= _DENSE_MIN_DENSITY * size
 
-    A :class:`SparseTensor3` of at most ``_DENSE_MAX_ENTRIES`` entries, at
-    least ``_DENSE_MIN_DENSITY`` of them stored, becomes its dense copy, on
-    which the GEMM kernel runs a sweep faster than the fiber kernel: the
-    choice of storage by density of Bader & Kolda (SIAM J. Sci. Comput.
-    2007).  Every other tensor, a dense one included, is returned as it is.
+
+def _working_form(tensor):
+    """The format a tensor is computed on.
+
+    A :class:`SparseTensor3` that the density rule (:func:`_dense_enough`)
+    admits becomes its dense copy, on which the GEMM kernel runs a sweep
+    faster than the fiber kernel: the choice of storage by density of
+    Bader & Kolda (SIAM J. Sci. Comput. 2007).  Every other tensor, a dense
+    one included, is returned as it is.
     """
-    if isinstance(tensor, SparseTensor3):
-        size = math.prod(tensor.dims)
-        if size <= _DENSE_MAX_ENTRIES and tensor.nnz >= _DENSE_MIN_DENSITY * size:
-            return tensor.to_dense()
+    if isinstance(tensor, SparseTensor3) and _dense_enough(tensor.dims, tensor.nnz):
+        return tensor.to_dense()
     return tensor
 
 

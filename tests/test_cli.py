@@ -374,6 +374,23 @@ class TestCompleteAndOvercomplete:
         assert "DLASCL" not in captured.out + captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("algo", ["hybrid", "als"])
+    def test_complete_weight_near_sqrt_max_writes_the_model(self, tmp_path, algo):
+        """A rank-1 fit of one observation of 1e154 solves a mode-1 column
+        of norm 4.95e154; the mode-2 systems scaled by its square overflowed,
+        and the command exited 2 with 'row solves overflow float64'."""
+        coo = tmp_path / "t.coo"
+        coo.write_text("1 2 1 1\n0 0 0 1e154\n")
+        out = tmp_path / "model.cpm"
+        code, lines = run_with_stderr_lines([
+            "complete", "--input", str(coo), "--rank", "1", "--algo", algo, "--seed", "0",
+            "--out", str(out),
+        ])
+        assert code == 0, lines
+        model = read_cpm(out)
+        assert model.k == 1 and np.isfinite(model.weights).all()
+        assert cp_reconstruct(model).array[0, 0, 0] == pytest.approx(1e154, rel=1e-12)
+
     def test_complete_prints_observed_rmse(self, tmp_path, capsys):
         """On the dense form too, the printed RMSE is the RMSE over the
         observed entries, in the pinned line."""
@@ -475,13 +492,19 @@ COO_VALUES = st.one_of(
 )
 
 
+# Values from 1e150 to 1.3e154 pass the set-up's sum-of-squares check, but
+# a rank-1 fit of one of them solves for columns of norm near sqrt(max).
+HUGE_VALUES = st.one_of(COO_VALUES, st.floats(1e150, 1.3e154))
+
+
 @st.composite
-def tiny_coo_lines(draw):
-    """The text of a ``.coo`` file of dims 1-4 with one line up to one per entry."""
+def tiny_coo_lines(draw, values=COO_VALUES):
+    """The text of a ``.coo`` file of dims 1-4 with one line up to one per
+    entry, its values drawn from ``values``."""
     dims = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
     size = math.prod(dims)
     flat = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True))
-    vals = draw(st.lists(COO_VALUES, min_size=len(flat), max_size=len(flat)))
+    vals = draw(st.lists(values, min_size=len(flat), max_size=len(flat)))
     lines = [
         f"{i} {j} {k} {v!r}" for (i, j, k), v in zip(zip(*np.unravel_index(flat, dims)), vals)
     ]
@@ -532,7 +555,11 @@ def assert_asked_rank_or_one_line(command, coo, rank, algo):
 
 class TestCompleteProperty:
     @settings(max_examples=300, deadline=None)
-    @given(coo=tiny_coo_lines(), rank=st.integers(1, 3), algo=st.sampled_from(["hybrid", "als"]))
+    @given(
+        coo=tiny_coo_lines(HUGE_VALUES),
+        rank=st.integers(1, 3),
+        algo=st.sampled_from(["hybrid", "als"]),
+    )
     def test_complete_writes_the_asked_rank_or_fails_in_one_line(self, coo, rank, algo):
         assert_asked_rank_or_one_line("complete", coo, rank, algo)
 

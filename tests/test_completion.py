@@ -12,6 +12,7 @@ from tenfact.completion import (
     CompletionProblem,
     _DenseRows,
     _RowSolver,
+    _dense_observations,
     _observed_rmse,
     _row_solver,
     complete_masked,
@@ -454,6 +455,63 @@ class TestForms:
         prob = CompletionProblem(dims=dims, observed=SparseTensor3(dims, idx, np.ones(len(idx))))
         assert isinstance(tensors._working_form(prob.observed), DenseTensor3)
         assert type(_row_solver(prob, rank)) is SOLVERS[form]
+
+    @pytest.mark.parametrize("zeros", [False, True], ids=["no-zeros", "zeros"])
+    @pytest.mark.parametrize(
+        "dims, n, rank, dense",
+        [
+            ((10, 10, 10), 99, 2, False),
+            ((10, 10, 10), 100, 2, True),
+            ((10, 10, 10), 100, 282, True),
+            ((10, 10, 10), 100, 283, False),
+            ((200, 200, 100), 400_000, 1, True),
+            ((201, 200, 100), 402_000, 1, False),
+        ],
+        ids=[
+            "10%-minus-one", "10%", "partial-at-cap", "partial-over-cap",
+            "entries-at-cap", "entries-over-cap",
+        ],
+    )
+    def test_form_follows_the_density_rule(self, dims, n, rank, dense, zeros):
+        """The dense form is chosen exactly when ``tensors._working_form``
+        densifies the 0/1 observation tensor and the packed partial,
+        ``k(k+1)/2`` columns over the two largest dims, holds at most 4M
+        entries (3,990,300 at rank 282 on 10^3, 4,018,600 at rank 283),
+        and its tensors are that dense copy and the observed values."""
+        size = math.prod(dims)
+        idx = np.array(np.unravel_index(np.arange(n) * (size // n), dims)).T
+        vals = np.arange(1.0, n + 1)
+        if zeros:
+            vals[::3] = 0.0
+        keep = vals != 0.0
+        prob = CompletionProblem(
+            dims=dims, observed=SparseTensor3(dims, idx[keep], vals[keep]), zero_entries=idx[~keep]
+        )
+        mask = tensors._working_form(SparseTensor3(dims, prob.all_indices(), np.ones(n)))
+        partial = rank * (rank + 1) // 2 * (size // min(dims))
+        assert (isinstance(mask, DenseTensor3) and partial <= tensors._DENSE_MAX_ENTRIES) == dense
+        got = _dense_observations(prob, rank)
+        assert (got is not None) == dense
+        if dense:
+            assert got[0].array.tobytes() == mask.array.tobytes()
+            assert got[1].array.tobytes() == prob.observed.to_dense().array.tobytes()
+
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_choosing_a_form_sorts_nothing(self, form, monkeypatch):
+        """Observed zeros follow the nonzero observations in
+        ``all_indices``, out of order; the form is chosen from the observed
+        count, so neither the row solver nor the printed RMSE sorts them
+        (``tensors._lexsort_coo``)."""
+        prob = oracle_problem(form)
+        assert prob.zero_entries.size
+        model = random_model(np.random.default_rng(5), prob.dims, 2)
+
+        def no_sort(*args):
+            raise AssertionError("tensors._lexsort_coo was called")
+
+        monkeypatch.setattr(tensors, "_lexsort_coo", no_sort)
+        assert type(_row_solver(prob, 2)) is SOLVERS[form]
+        assert math.isfinite(_observed_rmse(prob, model))
 
     @pytest.mark.parametrize("make", [stray_column_problem, hybrid_problem])
     @pytest.mark.parametrize("form", ["dense", "sparse"])

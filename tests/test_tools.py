@@ -1,12 +1,14 @@
-"""Tests of the line counter in ``tools/codelines.py``."""
+"""Tests of the line counter in ``tools/codelines.py`` and of the output
+comparison in ``tools/samebits.py``."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "codelines.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 # Code lines: 5 (trailing comment), 8, 11, 14-15 (a multi-line string that
 # is not a docstring) and 16.  Not code: the docstrings on lines 1-2, 9 and
@@ -31,12 +33,16 @@ string that is not a docstring"""
 '''
 
 
-@pytest.fixture(scope="module")
-def codelines():
-    spec = importlib.util.spec_from_file_location("codelines", TOOL)
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def codelines():
+    return load_tool("codelines")
 
 
 def test_count_fixture(codelines, tmp_path):
@@ -89,3 +95,33 @@ def test_against_prints_deltas_from_a_git_revision(codelines, tmp_path, capsys):
     assert rows[-1] == ["19", "9", "+14", "+6", "total"]
     with pytest.raises(SystemExit, match="^codelines: "):
         codelines.main(["--against", "no-such-rev", str(pkg)])
+
+
+def test_samebits_compares_bytes_and_manifests_without_timestamp(tmp_path):
+    """Files compare byte for byte and manifests without their timestamp;
+    a file on one side only differs."""
+    samebits = load_tool("samebits")
+    old, new = tmp_path / "old", tmp_path / "new"
+    files = {
+        "a.cpm": (b"1 1 1 1\n2.0\n", b"1 1 1 1\n2.0\n"),
+        "b.cpm": (b"1 1 1 1\n2.0\n", b"1 1 1 1\n2.0000000000000004\n"),
+        "a.cpm.manifest.json": ({"seed": 1, "timestamp": "t0"}, {"seed": 1, "timestamp": "t1"}),
+        "b.cpm.manifest.json": ({"seed": 1, "timestamp": "t0"}, {"seed": 2, "timestamp": "t0"}),
+        "c.stdout": (b"exit 0\n", None),
+    }
+    for d in (old, new):
+        d.mkdir()
+    for name, pair in files.items():
+        for d, content in zip((old, new), pair):
+            if isinstance(content, dict):
+                (d / name).write_text(json.dumps(content))
+            elif content is not None:
+                (d / name).write_bytes(content)
+    assert samebits.compare(old, new) == [
+        ("a.cpm", "same"),
+        ("a.cpm.manifest.json", "same"),
+        ("b.cpm", "differs"),
+        ("b.cpm.manifest.json", "differs"),
+        ("c.stdout", "differs"),
+    ]
+    assert samebits.compare(new, old) == samebits.compare(old, new)
