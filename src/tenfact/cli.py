@@ -42,7 +42,7 @@ from .bench import (
     write_recovery_csv,
     write_traces_csv,
 )
-from .completion import CompletionProblem, _has_repeats, _observed_rmse, complete_masked
+from .completion import CompletionProblem, _complete
 from .decompose import ALGORITHMS, ALS_RUNNERS, DecompConfig
 from .embed import (
     build_trioccurrence,
@@ -61,7 +61,7 @@ from .errors import (
 )
 from .fileio import _parse_coo, read_coo, write_coo, write_cpm
 from .overcomplete import _INNER_RUNNERS, deflate_overcomplete
-from .tensors import SparseTensor3, _thread_count, residual_ratio
+from .tensors import SparseTensor3, _checked_indices, _has_repeats, _thread_count, residual_ratio
 from .textgen import analogy_quads, planted_analogy_corpus, write_corpus, zipf_corpus
 
 
@@ -181,7 +181,8 @@ def cmd_complete(args):
     # An explicit zero line is an observed zero, not a missing entry, and a
     # position given twice is neither summed nor cancelled.
     dims, idx, vals = _parse_coo(args.input)
-    if _has_repeats(idx):
+    # Range first: rows out of range can share a linear key with others.
+    if _has_repeats(_checked_indices(idx, dims), dims):
         raise ValueError(f"{args.input}: a position is given on more than one line")
     zero = vals == 0.0
     problem = CompletionProblem(
@@ -195,10 +196,9 @@ def cmd_complete(args):
         orth_mode="none" if args.algo == "als" else "first_s",
         orth_steps=args.hybrid_switch,
     )
-    model = complete_masked(problem, args.rank, cfg, ridge=args.ridge)
+    model, rmse = _complete(problem, args.rank, cfg, args.ridge)
     write_cpm(args.out, model)
     _write_manifest(args.out, "complete", args, [args.input], [args.out], args.seed)
-    rmse = _observed_rmse(problem, model)
     total = problem.dims[0] * problem.dims[1] * problem.dims[2]
     print(
         f"completion: rank {model.k}, observed RMSE {rmse:.6g}, "

@@ -62,6 +62,8 @@ from .tensors import (
     _KeptPartial,
     _dense_enough,
     _dense_model,
+    _has_repeats,
+    _mode_order,
     _sum_squares,
     cp_reconstruct,
     normalize_columns,
@@ -98,7 +100,7 @@ class CompletionProblem:
         if self.observed.dims != tuple(self.dims):
             raise ValueError("observed tensor dims disagree with problem dims")
         object.__setattr__(self, "zero_entries", _checked_indices(self.zero_entries, self.dims))
-        if _has_repeats(self.all_indices()):
+        if _has_repeats(self.all_indices(), self.observed.dims):
             raise ValueError("duplicate observed index")
 
     def all_indices(self):
@@ -118,12 +120,6 @@ class CompletionProblem:
         if idx.size:
             mask[idx[:, 0], idx[:, 1], idx[:, 2]] = True
         return mask
-
-
-def _has_repeats(idx):
-    """Whether some row of an ``(n, 3)`` index array occurs more than once."""
-    s = idx[np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))]
-    return bool((s[1:] == s[:-1]).all(axis=1).any())
 
 
 def sample_completion_problem(tensor, p, seed=0):
@@ -267,7 +263,7 @@ class _RowSolver(_Rows):
         self.by_mode = []
         for mode in range(3):
             j, k = (m for m in range(3) if m != mode)
-            order = np.argsort(indices[:, mode], kind="stable")
+            order = _mode_order(indices[:, mode], dims[mode])
             bounds = np.append(0, np.cumsum(self.counts[mode][self.rows[mode]]))
             pairs, inverse = _distinct_pairs(indices[order, j], indices[order, k], dims[k])
             self.by_mode.append((bounds, pairs, inverse, values[order]))
@@ -289,25 +285,8 @@ class _RowSolver(_Rows):
 
     def _rmse(self, w, a, b, c):
         rank1 = _pair_products(a, b, self.ij_pairs, self.ij_inverse) * np.take(c, self.kk, axis=0)
-        return _entry_rmse(rank1, self.values, w)
-
-
-def _entry_rmse(rank1, values, w):
-    """The observed-entry RMSE of the model with weights ``w`` whose rank-1
-    terms at the observed entries are the rows of ``rank1``, entry by entry."""
-    recon = np.einsum("nr,r->n", rank1, w, optimize=True)
-    return float(np.sqrt(np.mean((recon - values) ** 2)))
-
-
-def _masked_rmse(mask, values, n_observed, w, a, b, c, out=None):
-    """The observed-entry RMSE of ``[[w; a, b, c]]`` from the dense model:
-    the sum of squares of ``mask * model - values``, with ``mask`` the flat
-    0/1 observation tensor and ``values`` the flat observed values, the
-    model formed in ``out`` when given (``tensors._dense_model``)."""
-    v = _dense_model(w, a, b, c, out=out).reshape(-1)
-    v *= mask
-    v -= values
-    return math.sqrt(_sum_squares(v) / n_observed)
+        recon = np.einsum("nr,r->n", rank1, w, optimize=True)
+        return float(np.sqrt(np.mean((recon - self.values) ** 2)))
 
 
 @functools.cache
@@ -366,7 +345,10 @@ class _DenseRows(_Rows):
         return grams, self.rhs.mttkrp(mode, p, q)[rows]
 
     def _rmse(self, w, a, b, c):
-        return _masked_rmse(self.mask, self.values, self.n_observed, w, a, b, c, out=self._model)
+        v = _dense_model(w, a, b, c, out=self._model).reshape(-1)
+        v *= self.mask
+        v -= self.values
+        return math.sqrt(_sum_squares(v) / self.n_observed)
 
 
 def _dense_observations(problem, rank):
@@ -401,22 +383,6 @@ def _row_solver(problem, rank):
     return _RowSolver(problem.all_indices(), problem.all_values(), problem.dims)
 
 
-def _observed_rmse(problem, model):
-    """The observed-entry RMSE of ``model`` on ``problem``, by the function
-    that the stop metric of ``complete_masked`` calls on the problem's form
-    for the model's rank, before dividing by the observed values' RMS.  It
-    builds no row solver: the sparse form gathers the rank-1 terms at the
-    observed entries, the dense form builds only the two dense tensors."""
-    a, b, c = model.factors
-    observed = _dense_observations(problem, model.k)
-    if observed is None:
-        idx = problem.all_indices()
-        rank1 = a[idx[:, 0]] * b[idx[:, 1]] * c[idx[:, 2]]
-        return _entry_rmse(rank1, problem.all_values(), model.weights)
-    mask, values = observed
-    return _masked_rmse(mask.data, values.data, problem.n_observed, model.weights, a, b, c)
-
-
 def complete_masked(problem, rank, cfg=None, ridge=1e-8):
     """Fit a rank-``rank`` CP model to the observed entries.
 
@@ -448,6 +414,13 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
     from 1 or nearly singular systems without a ridge, raise
     ``NumericalFailureError``.
     """
+    return _complete(problem, rank, cfg, ridge)[0]
+
+
+def _complete(problem, rank, cfg, ridge):
+    """:func:`complete_masked`'s model, and the observed-entry RMSE of it
+    that its last sweep read, which the stop metric divides by the RMS of
+    the observed values."""
     cfg = replace(cfg or DecompConfig(rank=rank, orth_mode="first_s"), rank=rank)
     if cfg.init == "svd":
         raise InvalidConfigError("completion supports init='random' or 'given'")
@@ -475,6 +448,7 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
     # Observed energy below this marks a column that has left the observed entries.
     energy_floor = 0.5 * problem.n_observed / math.prod(problem.dims)
     redraws = np.zeros(rank, dtype=np.int64)
+    last = {}
 
     def step(t, rng, a, b, c):
         (a, na), (b, nb), (c, nc) = solver.sweep(a, b, c, ridge)
@@ -505,11 +479,14 @@ def complete_masked(problem, rank, cfg=None, ridge=1e-8):
                 a, b, c = _redraw_columns(rng, (a, b, c), stray)
                 weights[stray] = 0.0
                 return a, b, c, weights, None
-        return a, b, c, weights, rmse(weights) / scale
+        last["rmse"] = rmse(weights)
+        return a, b, c, weights, last["rmse"] / scale
 
     # A fit that overflows ends in _require_finite's error, not in warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _sweep_engine(cfg, problem.dims, step).model.canonical()
+        model = _sweep_engine(cfg, problem.dims, step).model
+    # The sign flips of canonical() change no bit of that RMSE.
+    return model.canonical(), last["rmse"]
 
 
 def missing_entry_error(truth, problem, model):

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from .errors import UndefinedResultError
-from .tensors import SparseTensor3
+from .tensors import SparseTensor3, _linear_keys
 
 __all__ = [
     "Vocab",
@@ -120,7 +120,7 @@ def build_trioccurrence(corpus, max_vocab, window):
                 (x, y, z, None), (x, z, y, yz), (y, x, z, xy),
                 (y, z, x, xy), (z, x, y, yz), (z, y, x, xy & yz),
             ):
-                code = (a * v + b) * v + c
+                code = _linear_keys(a, b, c, (v, v, v))
                 code_chunks.append(code if m is None else code[m])
     if not code_chunks:
         return vocab, SparseTensor3.empty((v, v, v))

@@ -45,6 +45,14 @@ output rows, so the blocks run on several threads, the slice-parallel
 MTTKRP of SPLATT, and the thread count changes no bit either (see
 :func:`_fiber_mttkrp`).
 
+Index rows are ordered in one place: :func:`_linear_keys` forms the key
+``(i*d2 + j)*d3 + k`` that sorts (i, j, k) rows, which the canonical COO
+of the constructor, the repeat check :func:`_has_repeats`, the exact
+sparse residual and the tri-occurrence build read, and :func:`_mode_order`
+sorts one index column, as the fiber plans and completion's row solves
+need.  Only keys that would overflow int64 fall back to a lexsort
+(:func:`_lexsort_coo`).
+
 Which of the two kernels a sparse tensor gets is decided by one rule on
 its dims and stored count, :func:`_dense_enough`, which
 :func:`_working_form` applies.  The public :func:`mttkrp` and
@@ -282,45 +290,76 @@ def _working_form(tensor):
     return tensor
 
 
+def _linear_keys(i, j, k, dims):
+    """The linear keys ``(i*d2 + j)*d3 + k`` of in-range index columns, or
+    ``None`` where ``d1*d2*d3`` overflows int64.
+
+    The one place the package orders index rows: in range, distinct rows
+    have distinct keys, in (i, j, k) order, so a stable sort of the keys is
+    the lexicographic sort of the rows, and a key is the row's flat
+    row-major position.
+    """
+    if math.prod(int(d) for d in dims) > np.iinfo(np.int64).max:
+        return None
+    key = i * dims[1]
+    key += j
+    key *= dims[2]
+    key += k
+    return key
+
+
 def _canonical_coo(idx, vals, dims):
     """Sort lexicographically by (i, j, k), sum duplicates, drop zeros.
 
     ``idx`` must be in range for ``dims``.  Input whose linear keys
-    ``(i*d2 + j)*d3 + k`` strictly increase is already sorted and free of
-    duplicates, and only has its zeros dropped; in range, distinct index
-    rows have distinct keys in (i, j, k) order.  Where ``d1*d2*d3`` would
-    overflow int64 the input is sorted whatever its order, which gives the
-    same result.  The arrays returned never share memory with the input.
+    (:func:`_linear_keys`) strictly increase is already sorted and free of
+    duplicates, and only has its zeros dropped; other input is sorted by a
+    stable argsort of its keys, or, where the keys overflow int64, by
+    :func:`_lexsort_coo`, which gives the same result.  The arrays
+    returned never share memory with the input.
     """
-    n = idx.shape[0]
-    if n and math.prod(dims) <= np.iinfo(np.int64).max:
-        key = idx[:, 0] * dims[1]
-        key += idx[:, 1]
-        key *= dims[2]
-        key += idx[:, 2]
-        if (key[1:] > key[:-1]).all():
-            keep = vals != 0.0
-            if keep.all():
-                return idx.copy(), vals.copy()
-            return idx[keep], vals[keep]
-    return _lexsort_coo(idx, vals)
+    key = _linear_keys(*idx.T, dims)
+    if key is None:
+        return _lexsort_coo(idx, vals)
+    if (key[1:] > key[:-1]).all():
+        keep = vals != 0.0
+        if keep.all():
+            return idx.copy(), vals.copy()
+        return idx[keep], vals[keep]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    return _summed_runs(idx, vals, order, key[1:] != key[:-1])
 
 
 def _lexsort_coo(idx, vals):
-    """:func:`_canonical_coo` for input in any order, by one lexsort."""
+    """:func:`_canonical_coo` for input in any order, by one lexsort: the
+    fallback where the linear keys overflow, and the tests' reference."""
+    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
+    rows = idx[order]
+    return _summed_runs(idx, vals, order, (rows[1:] != rows[:-1]).any(axis=1))
+
+
+def _summed_runs(idx, vals, order, differs):
+    """The rows of ``idx`` in ``order``, which sorts them, with each run of
+    equal rows summed into one and zero sums dropped.  ``differs[r]`` tells
+    whether sorted row ``r + 1`` differs from sorted row ``r``."""
     if idx.shape[0] == 0:
         return idx.astype(np.int64), vals.astype(np.float64)
-    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
-    idx = idx[order]
-    vals = vals[order]
-    new_group = np.empty(idx.shape[0], dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (idx[1:] != idx[:-1]).any(axis=1)
-    starts = np.flatnonzero(new_group)
-    summed = np.add.reduceat(vals, starts)
-    idx = idx[starts]
+    starts = np.flatnonzero(np.concatenate(([True], differs)))
+    summed = np.add.reduceat(vals[order], starts)
     keep = summed != 0.0
-    return np.ascontiguousarray(idx[keep]), np.ascontiguousarray(summed[keep])
+    return idx[order[starts[keep]]], summed[keep]
+
+
+def _has_repeats(idx, dims):
+    """Whether some row of an in-range ``(n, 3)`` index array occurs more
+    than once: two equal neighbours among its sorted linear keys, or, where
+    those overflow, fewer rows left after :func:`_lexsort_coo` sums them."""
+    key = _linear_keys(*idx.T, dims)
+    if key is None:
+        return _lexsort_coo(idx, np.ones(idx.shape[0]))[0].shape[0] < idx.shape[0]
+    key.sort()
+    return bool((key[1:] == key[:-1]).any())
 
 
 class CpModel:
@@ -627,16 +666,16 @@ class _KeptPartial:
         return np.matmul(factor[third].T[:, None, :], self.y)[:, 0, :].T
 
 
-def _mode_order(tensor, mode):
-    """The stable order of a sparse tensor's nonzeros by their mode-``mode`` index.
+def _mode_order(column, dim):
+    """The stable order of an index column whose entries lie in ``range(dim)``.
 
-    For mode 2 or 3 it turns the canonical (i, j, k) order into (j, i, k)
-    or (k, i, j) order.  The sort key is the index in the narrowest
-    unsigned type that holds it, because numpy radix-sorts 8- and 16-bit
-    keys; the order is the same as for the int64 key.
+    On a sparse tensor's mode-2 or mode-3 column it turns the canonical
+    (i, j, k) order into (j, i, k) or (k, i, j) order.  The sort key is the
+    index in the narrowest unsigned type that holds it, because numpy
+    radix-sorts 8- and 16-bit keys; the order is the same as for the int64
+    key.
     """
-    key = tensor.indices[:, mode - 1].astype(np.min_scalar_type(tensor.dims[mode - 1] - 1))
-    return np.argsort(key, kind="stable")
+    return np.argsort(column.astype(np.min_scalar_type(dim - 1)), kind="stable")
 
 
 def _mode_fibers(tensor, mode):
@@ -655,7 +694,7 @@ def _mode_fibers(tensor, mode):
     other.remove(mode - 1)
     out_idx, p_idx, q_idx = idx[:, mode - 1], idx[:, other[0]], idx[:, other[1]]
     if mode != 1:
-        order = _mode_order(tensor, mode)
+        order = _mode_order(out_idx, tensor.dims[mode - 1])
         out_idx, p_idx, q_idx, vals = out_idx[order], p_idx[order], q_idx[order], vals[order]
     n = vals.size
     new_fiber = np.ones(n, dtype=bool)
@@ -898,7 +937,7 @@ def _residual_norm(tensor, w, a, b, c, out=None):
     Where :func:`_exact_residual` holds, the model (:func:`_dense_model`) is
     written into ``out``, or a fresh array, and the tensor subtracted in
     place: a dense array whole, a sparse tensor's values at their flat
-    indices ``(i*d2 + j)*d3 + k``, unique in canonical COO.  Both have the
+    indices (:func:`_linear_keys`), unique in canonical COO.  Both have the
     dense copy's bits, as ``x - 0.0 == x``, and the buffer's sum of squares
     is :func:`_sum_squares`'s, as in the tensors' ``norm``.  Otherwise it
     is :func:`_gram_residual_norm`, with ``<T, M>`` from the mode-1 MTTKRP,
@@ -908,13 +947,11 @@ def _residual_norm(tensor, w, a, b, c, out=None):
         inner = float(np.einsum("ir,ir->r", a, mttkrp(tensor, (a, b, c), 1)) @ w)
         model_sq = float(w @ ((a.T @ a) * (b.T @ b) * (c.T @ c)) @ w)
         return _gram_residual_norm(_sum_squares(tensor.values), inner, model_sq)
-    d1, d2, d3 = tensor.dims
     v = _dense_model(w, a, b, c, out).reshape(-1)
     if isinstance(tensor, DenseTensor3):
         v -= tensor.data
     else:
-        i, j, k = tensor.indices.T
-        v[(i * d2 + j) * d3 + k] -= tensor.values
+        v[_linear_keys(*tensor.indices.T, tensor.dims)] -= tensor.values
     return math.sqrt(_sum_squares(v))
 
 

@@ -344,6 +344,19 @@ class TestCompleteAndOvercomplete:
         )
         assert not out.exists()
 
+    def test_complete_out_of_range_row_exit_1(self, tmp_path, capsys):
+        """Rows (0, 3, 0) and (1, 0, 0) of dims (2, 3, 2) share the linear key
+        6, so the range is checked before any repeat."""
+        coo = tmp_path / "obs.coo"
+        coo.write_text("2 3 2 2\n0 3 0 1.0\n1 0 0 2.0\n")
+        out = tmp_path / "model.cpm"
+        code = main([
+            "complete", "--input", str(coo), "--rank", "1", "--seed", "0", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: entry index out of range for dims\n"
+        assert not out.exists()
+
     def test_complete_negative_ridge_exit_1(self, tmp_path, capsys):
         coo = tmp_path / "obs.coo"
         coo.write_text("2 2 2 2\n0 0 0 1.0\n1 1 1 2.0\n")

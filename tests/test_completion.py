@@ -13,7 +13,6 @@ from tenfact.completion import (
     _DenseRows,
     _RowSolver,
     _dense_observations,
-    _observed_rmse,
     _row_solver,
     complete_masked,
     missing_entry_error,
@@ -21,8 +20,9 @@ from tenfact.completion import (
 )
 from tenfact.decompose import DecompConfig, hybrid_run
 from tenfact.errors import InvalidConfigError, NumericalFailureError, TenfactError
-from tenfact.fileio import _parse_coo
-from tenfact import tensors
+from tenfact.cli import main
+from tenfact.fileio import _parse_coo, read_cpm
+from tenfact import completion, tensors
 from tenfact.tensors import CpModel, DenseTensor3, SparseTensor3, cp_reconstruct, residual_ratio
 
 from conftest import diagonal_tensor, random_model
@@ -37,6 +37,16 @@ class TestCompletionProblem:
         obs = SparseTensor3.from_entries((2, 2, 2), [(0, 0, 0, 1.0)])
         with pytest.raises(ValueError):
             CompletionProblem(dims=(2, 2, 2), observed=obs, zero_entries=np.array([[0, 0, 0]]))
+
+    def test_repeat_check_at_dims_that_overflow_int64(self):
+        """At (2**40,)*3 the wrapped keys of (0, 0, 0) and (2**24, 0, 0) are
+        equal (2**104 = 0 mod 2**64), yet only a true repeat is rejected."""
+        dims = (2**40,) * 3
+        obs = SparseTensor3(dims, [[0, 0, 0]], [1.0])
+        prob = CompletionProblem(dims=dims, observed=obs, zero_entries=[[2**24, 0, 0]])
+        assert prob.n_observed == 2
+        with pytest.raises(ValueError, match="duplicate observed index"):
+            CompletionProblem(dims=dims, observed=obs, zero_entries=[[2**24, 0, 0], [0, 0, 0]])
 
     def test_rejects_non_integral_zero_entries(self):
         obs = SparseTensor3.from_entries((3, 3, 3), [(0, 0, 0, 1.0)])
@@ -500,7 +510,7 @@ class TestForms:
     def test_choosing_a_form_sorts_nothing(self, form, monkeypatch):
         """Observed zeros follow the nonzero observations in
         ``all_indices``, out of order; the form is chosen from the observed
-        count, so neither the row solver nor the printed RMSE sorts them
+        count, so neither the row solver nor its RMSE sorts them
         (``tensors._lexsort_coo``)."""
         prob = oracle_problem(form)
         assert prob.zero_entries.size
@@ -510,24 +520,42 @@ class TestForms:
             raise AssertionError("tensors._lexsort_coo was called")
 
         monkeypatch.setattr(tensors, "_lexsort_coo", no_sort)
-        assert type(_row_solver(prob, 2)) is SOLVERS[form]
-        assert math.isfinite(_observed_rmse(prob, model))
-
-    @pytest.mark.parametrize("make", [stray_column_problem, hybrid_problem])
-    @pytest.mark.parametrize("form", ["dense", "sparse"])
-    def test_observed_rmse_is_the_stop_metric(self, make, form, monkeypatch):
-        """``_observed_rmse``, which the CLI prints, gives the bits of the
-        stop metric's RMSE on either form, and builds no row solver."""
-        prob, cfg = make()
-        if form == "sparse":
-            monkeypatch.setattr(tensors, "_DENSE_MIN_DENSITY", 2.0)
-        model = complete_masked(prob, 2, cfg)
         solver = _row_solver(prob, 2)
         assert type(solver) is SOLVERS[form]
-        want = solver.check(*model.factors, energy=False)[1](model.weights)
-        for cls in SOLVERS.values():
-            monkeypatch.setattr(cls, "__init__", None)
-        assert _observed_rmse(prob, model) == want
+        assert math.isfinite(solver.check(*model.factors, energy=False)[1](model.weights))
+
+    @pytest.mark.parametrize("algo", ["hybrid", "als"])
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_cli_prints_the_stop_metrics_rmse(self, form, algo, tmp_path, monkeypatch, capsys):
+        """``tenfact complete`` builds one row solver and prints the RMSE
+        that its last sweep read, which has the bits of that solver's RMSE
+        of the written model."""
+        prob, _ = hybrid_problem()
+        if form == "sparse":
+            monkeypatch.setattr(tensors, "_DENSE_MIN_DENSITY", 2.0)
+        built, read = [], []
+        real_solver, real_rmse = completion._row_solver, SOLVERS[form]._rmse
+        monkeypatch.setattr(
+            completion, "_row_solver", lambda *args: built.append(real_solver(*args)) or built[-1]
+        )
+        monkeypatch.setattr(
+            SOLVERS[form], "_rmse", lambda *args: read.append(real_rmse(*args)) or read[-1]
+        )
+        coo, out = tmp_path / "obs.coo", tmp_path / "model.cpm"
+        rows = zip(prob.all_indices().tolist(), prob.all_values().tolist())
+        lines = [f"{i} {j} {k} {v!r}" for (i, j, k), v in rows]
+        coo.write_text(f"8 8 8 {len(lines)}\n" + "\n".join(lines) + "\n")
+        code = main([
+            "complete", "--input", str(coo), "--rank", "2", "--algo", algo, "--seed", "3",
+            "--out", str(out),
+        ])
+        assert code == 0
+        [solver] = built
+        assert type(solver) is SOLVERS[form]
+        last = read[-1]
+        assert f"observed RMSE {last:.6g}, " in capsys.readouterr().out
+        model = read_cpm(out)
+        assert solver.check(*model.factors, energy=False)[1](model.weights) == last
 
     def test_plain_dense_sweeps_reuse_partials(self, monkeypatch):
         """Each tensor's partials serve consecutive solves: 15 per tensor in

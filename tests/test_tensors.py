@@ -17,6 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tenfact import tensors
+from tenfact.completion import _RowSolver
 from tenfact.decompose import _Workspace
 from tenfact.linalg import ls_solve_kr
 from tenfact.tensors import (
@@ -161,6 +162,17 @@ class TestTensorTypes:
         assert_same_bits(s.indices, expect_idx)
         assert_same_bits(s.values, expect_vals)
 
+    def test_unsorted_repeats_sum_in_input_order(self, rng):
+        """Thousands of repeats of 27 positions, with values whose sum depends
+        on their order: only a stable sort of the keys gives the lexsort's
+        bits."""
+        idx = rng.integers(0, 3, (5000, 3))
+        vals = rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 9, 5000)
+        s = SparseTensor3((3, 3, 3), idx, vals)
+        expect_idx, expect_vals = tensors._lexsort_coo(idx, vals)
+        assert_same_bits(s.indices, expect_idx)
+        assert_same_bits(s.values, expect_vals)
+
     @pytest.mark.parametrize(
         "rows",
         [
@@ -192,6 +204,16 @@ class TestTensorTypes:
         expect_idx, expect_vals = tensors._lexsort_coo(rows, vals)
         assert_same_bits(s.indices, expect_idx)
         assert_same_bits(s.values, expect_vals)
+
+    @given(
+        dims=st.sampled_from([(2, 3, 2), (4, 1, 3), (2**40, 2**40, 2**40), (4, 2**31, 2**32)]),
+        rows=st.lists(st.tuples(*(st.sampled_from([0, 1, 2**24, 2**30 + 1]),) * 3), max_size=12),
+    )
+    def test_has_repeats_matches_a_set_of_rows(self, dims, rows):
+        """In range and, where the linear keys overflow, on the lexsort path."""
+        rows = [tuple(x % d for x, d in zip(row, dims)) for row in rows]
+        idx = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        assert tensors._has_repeats(idx, dims) == (len(set(rows)) < len(rows))
 
     def test_sparse_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -808,18 +830,24 @@ class TestMttkrpIdentity:
         assert np.shares_memory(base, tensor.values) == (mode == 1)
 
     def test_mode_order_narrow_sort_key_matches_int64_argsort(self, rng):
-        """Mode 2 sorts on a uint32 key (d2 > 65535) and mode 3 on a uint8 key (d3 <= 255)."""
+        """Mode 2 sorts on a uint32 key (d2 > 65535) and mode 3 on a uint8 key
+        (d3 <= 255), for the fiber plans and for completion's row solver."""
         dims = (3, 70_000, 200)
         n = 2000
         # Few distinct mode-2 indices, all near the 16-bit limit, give many ties.
         idx = np.column_stack([
             rng.integers(0, 3, n), rng.choice([0, 65535, 65536, 69_999], n), rng.integers(0, 200, n)
         ])
-        tensor = SparseTensor3(dims, idx, rng.standard_normal(n))
+        values = rng.standard_normal(n)
+        tensor = SparseTensor3(dims, idx, values)
+        # The row solver sorts every mode of rows in any order, mode 1 included.
+        solver = _RowSolver(idx, values, dims)
         for mode in (1, 2, 3):
+            expect = np.argsort(idx[:, mode - 1], kind="stable")
+            assert_same_bits(solver.by_mode[mode - 1][3], values[expect], f"solver mode {mode}")
             expect = np.argsort(tensor.indices[:, mode - 1].astype(np.int64), kind="stable")
-            # Mode 1 is not sorted: the canonical order already is its stable order.
-            got = _mode_order(tensor, mode) if mode != 1 else np.arange(tensor.nnz)
+            # On mode 1 this is the identity, which is why its plan sorts nothing.
+            got = _mode_order(tensor.indices[:, mode - 1], dims[mode - 1])
             assert_same_bits(got, expect, f"mode {mode}")
             # The plan's fibers hold the q indices and values in that order.
             fibers = [block[2] for block in _mode_plan(tensor, mode, 1).blocks]

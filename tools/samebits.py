@@ -6,8 +6,10 @@ Exports the ``src`` directory of the git revision ``REV`` into a temporary
 directory with ``git archive``, then runs one fixed list of ``tenfact``
 commands, first against ``REV``'s ``src`` and then against this tree's, in
 the same working directory and at ``OPENBLAS_NUM_THREADS=1``: ``decompose``
-for every ``ALGORITHMS`` entry, ``complete`` on inputs of both forms with and
-without observed zeros at both ``--algo`` values, ``overcomplete``, and
+for every ``ALGORITHMS`` entry and ``--algo hybrid`` on a line-shuffled
+copy of its input, ``complete`` on inputs of both forms with and without
+observed zeros, and with zeros in shuffled line order, at both ``--algo``
+values, ``overcomplete``, and
 ``embed gen-corpus``, ``build`` and ``factorize`` on a small corpus.  The
 inputs are written once, with numpy alone.  It prints ``same`` or
 ``differs`` for every output file and for every command's exit code and
@@ -42,19 +44,24 @@ def write_inputs(workdir):
     """The ``.coo`` inputs of :func:`commands`, from seeded rank-3 tensors:
     a fully stored one, and observations of 30% (the dense completion form)
     and 5% (the sparse form) of the entries, each with and without observed
-    zeros, one in four observed values set to an explicit ``0.0``."""
+    zeros, one in four observed values set to an explicit ``0.0``.  The
+    full tensor and both inputs with zeros also get a ``-shuffled`` copy,
+    their lines in a seeded random order, so that the unsorted paths of
+    the readers run too; every other input is in ``argwhere`` order."""
     rng = np.random.default_rng(20261022)
+    shuffle = np.random.default_rng(20261023)
     for name, d, p in [("full", 10, 1.0), ("dense", 12, 0.3), ("sparse", 20, 0.05)]:
         a, b, c = (rng.standard_normal((d, 3)) for _ in range(3))
         tensor = np.einsum("ir,jr,kr->ijk", a, b, c)
         idx = np.argwhere(rng.random((d, d, d)) < p)
         vals = tensor[tuple(idx.T)]
-        if name == "full":
-            _write_coo(workdir / "full.coo", (d, d, d), idx, vals)
-            continue
+        if name != "full":
+            _write_coo(workdir / f"{name}.coo", (d, d, d), idx, vals)
+            vals[::4] = 0.0
+            name += "-zeros"
         _write_coo(workdir / f"{name}.coo", (d, d, d), idx, vals)
-        vals[::4] = 0.0
-        _write_coo(workdir / f"{name}-zeros.coo", (d, d, d), idx, vals)
+        order = shuffle.permutation(len(vals))
+        _write_coo(workdir / f"{name}-shuffled.coo", (d, d, d), idx[order], vals[order])
 
 
 def commands(algorithms):
@@ -65,7 +72,14 @@ def commands(algorithms):
                                "--iters", "30", "--inits", "10", "--seed", "1"])
         for algo in algorithms
     ]
-    for coo in ("dense", "dense-zeros", "sparse", "sparse-zeros"):
+    runs.append(("decompose-hybrid-shuffled", [
+        "decompose", "--input", "full-shuffled.coo", "--algo", "hybrid", "--rank", "2",
+        "--iters", "30", "--inits", "10", "--seed", "1",
+    ]))
+    for coo in (
+        "dense", "dense-zeros", "sparse", "sparse-zeros", "dense-zeros-shuffled",
+        "sparse-zeros-shuffled",
+    ):
         for algo in ("hybrid", "als"):
             runs.append((f"complete-{coo}-{algo}", [
                 "complete", "--input", f"{coo}.coo", "--algo", algo, "--rank", "3",
